@@ -122,21 +122,29 @@ def _unfilter(filtered: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray
     return out.astype(np.uint8)
 
 
-def png_decode(data: bytes) -> np.ndarray:
-    """Decode PNG bytes to (bands,h,w) (or (h,w) for 1 band) array."""
+def _read_chunks(data: bytes):
+    """(w, h, depth, color, zlib payload) of a PNG stream, or
+    ValueError naming what is missing, short or malformed."""
     if data[:8] != _MAGIC:
         raise ValueError("not a PNG stream")
     pos = 8
-    w = h = depth = color = None
+    ihdr = None
     idat = []
     n = len(data)
-    while pos + 8 <= n:
+    while True:
+        if pos + 8 > n:
+            raise ValueError(f"truncated PNG: stream ends at byte {n} before the IEND chunk")
         (length,) = struct.unpack_from(">I", data, pos)
-        tag = data[pos + 4 : pos + 8]
+        tag = bytes(data[pos + 4 : pos + 8])
+        if pos + 12 + length > n:
+            raise ValueError(f"truncated PNG: {tag!r} chunk at byte {pos} needs {12 + length} bytes, {n - pos} left")
         payload = data[pos + 8 : pos + 8 + length]
         pos += 12 + length
         if tag == b"IHDR":
-            w, h, depth, color, comp, filt, interlace = struct.unpack(">IIBBBBB", payload)
+            if length != 13:
+                raise ValueError(f"corrupt PNG: IHDR is {length} bytes, expected 13")
+            ihdr = struct.unpack(">IIBBBBB", payload)
+            w, h, depth, color, _comp, _filt, interlace = ihdr
             if interlace:
                 raise ValueError("interlaced PNG not supported")
             if color not in _COLOR_TO_BANDS:
@@ -147,17 +155,56 @@ def png_decode(data: bytes) -> np.ndarray:
             idat.append(payload)
         elif tag == b"IEND":
             break
+    if ihdr is None:
+        raise ValueError("corrupt PNG: no IHDR chunk")
+    if not idat:
+        raise ValueError("corrupt PNG: no IDAT chunk")
+    return ihdr[0], ihdr[1], ihdr[2], ihdr[3], b"".join(idat)
+
+
+def png_decode(data: bytes, band=None) -> np.ndarray:
+    """Decode PNG bytes to (bands,h,w) (or (h,w) for 1 band) array.
+
+    ``band=b`` returns only band ``b`` as a contiguous (h, w) array.
+    For 8-bit streams whose scanlines use only the None/Sub filters
+    (all that ``png_encode`` writes) it reads just that band's bytes:
+    a (w, h) copy out of the inflated scanlines, Sub undone as a
+    uint8 cumulative sum down axis 0, then one transpose copy — no
+    full-width unfilter and no all-band transpose.  Any other stream
+    is fully decoded and sliced.
+
+    A truncated or corrupt stream raises ValueError naming the cause
+    (missing/short chunk, bad zlib data, wrong inflated size)."""
+    w, h, depth, color, payload = _read_chunks(data)
     bands = _COLOR_TO_BANDS[color]
+    if band is not None and not 0 <= band < bands:
+        raise ValueError(f"band {band} out of range for a {bands}-band PNG")
     bpp = bands * (depth // 8)
     stride = w * bpp
-    raw = zlib.decompress(b"".join(idat))
+    try:
+        raw = zlib.decompress(payload)
+    except zlib.error as e:
+        raise ValueError(f"corrupt PNG: bad IDAT zlib stream ({e})") from e
+    if len(raw) != h * (1 + stride):
+        raise ValueError(f"corrupt PNG: IDAT inflates to {len(raw)} bytes, {w}x{h}x{bpp} needs {h * (1 + stride)}")
     filtered = np.frombuffer(raw, dtype=np.uint8).reshape(h, 1 + stride)
+    ftypes = filtered[:, 0]
+    if band is not None and depth == 8 and ftypes.max(initial=0) <= 1:
+        plane = filtered[:, 1 + band :: bands].T.copy()  # (w, h)
+        sub_rows = ftypes == 1
+        if sub_rows.all():
+            np.add.accumulate(plane, axis=0, dtype=np.uint8, out=plane)
+        elif sub_rows.any():
+            plane[:, sub_rows] = np.add.accumulate(plane[:, sub_rows], axis=0, dtype=np.uint8)
+        return np.ascontiguousarray(plane.T)
     flat = _unfilter(filtered, h, stride, bpp)
     if depth == 16:
         img = flat.reshape(h, w, bands, 2)
         img = (img[..., 0].astype(np.uint16) << 8) | img[..., 1]
     else:
         img = flat.reshape(h, w, bands)
+    if band is not None:
+        return np.ascontiguousarray(img[:, :, band])
     out = np.transpose(img, (2, 0, 1))
     if bands == 1:
         return np.ascontiguousarray(out[0])
@@ -232,9 +279,22 @@ def raw_decode(data: bytes) -> np.ndarray:
     return img
 
 
-def decode_image(data: bytes, fmt: str) -> np.ndarray:
+def decode_image(data: bytes, fmt: str, band=None) -> np.ndarray:
+    """Decode ``data`` of format ``fmt`` to (bands,h,w) (or (h,w) for
+    1 band); ``band=b`` returns only band ``b`` as (h, w), which PNG
+    decodes without touching the other bands."""
     if fmt == "png":
-        return png_decode(data)
+        return png_decode(data, band=band)
+    img = _decode_full(data, fmt)
+    if band is None:
+        return img
+    nb = 1 if img.ndim == 2 else img.shape[0]
+    if not 0 <= band < nb:
+        raise ValueError(f"band {band} out of range for a {nb}-band {fmt} image")
+    return img if img.ndim == 2 else img[band]
+
+
+def _decode_full(data: bytes, fmt: str) -> np.ndarray:
     if fmt == "raw":
         return raw_decode(data)
     if fmt in ("tif", "tiff", "gtiff"):

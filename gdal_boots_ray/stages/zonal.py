@@ -89,49 +89,72 @@ def select_zone_pixels(rings, band: np.ndarray, shape, gt) -> np.ndarray:
 
 
 def _rings_cover_tile(rings, shape, gt) -> bool:
-    """True iff the polygon fully covers the tile: all 4 tile corners
-    inside (even-odd parity) AND no ring edge's bbox overlaps the tile
-    bbox.  Corners-inside + no-boundary-crossing means the whole tile
-    boundary (hence interior) lies inside the polygon.  The edge test
-    is conservative (bbox overlap may false-bail to the mask path) but
-    never false-covers.
+    """True iff the polygon fully covers the (h, w) = ``shape`` tile
+    with geotransform ``gt`` — the one-tile form of
+    :func:`_rings_cover_tiles`, which holds the test."""
+    return bool(_rings_cover_tiles(rings, [shape[0]], [shape[1]], np.reshape(gt, (1, 6)))[0])
 
-    At scale this is the dominant zonal fast path: for any AOI much
+
+def _rings_cover_tiles(rings, hs, ws, gts) -> np.ndarray:
+    """bool[k]: does the polygon fully cover tile j (``hs[j]`` x
+    ``ws[j]`` pixels, geotransform ``gts[j]``)?  True iff all 4 tile
+    corners are inside (even-odd parity) AND no ring edge crosses the
+    tile.  Corners-inside + no-boundary-crossing means the whole tile
+    boundary (hence interior) lies inside the polygon.
+
+    The edge test is a cheap (edges x tiles) bbox-overlap candidate
+    mask followed by an exact segment-vs-rectangle test on candidate
+    edges only: a segment misses the rectangle iff all 4 corners lie
+    strictly on one side of its line, an (edges x tiles x 4) sign
+    array (diagonal edges have huge bboxes, so a bbox-only test would
+    false-bail on every interior tile of a diamond/rotated AOI).  It
+    is conservative — a corner exactly on an edge line counts as a
+    crossing — so it may send a covered tile to the mask path but
+    never false-covers.  One ``points_in_rings`` call then tests all
+    4k corners.
+
+    Batched over every tile one polygon matched in a batch, so the
+    fixed numpy cost is paid once per polygon, not once per pair.  At
+    scale this is the dominant zonal fast path: for any AOI much
     larger than a tile, almost every matched tile is interior — the
     O(edges·h + area) scanline fill collapses to an O(edges) check and
     whole-array stats (no mask allocation, no gather)."""
     from gdal_boots_ray.kernels.geometry import points_in_rings
 
-    h, w = shape
-    gt = np.asarray(gt, np.float64)
-    cw = np.array([0.0, w, 0.0, w])
-    ch = np.array([0.0, 0.0, h, h])
-    xs = gt[0] * cw + gt[1] * ch + gt[2]
-    ys = gt[3] * cw + gt[4] * ch + gt[5]
-    bx0, bx1 = xs.min(), xs.max()
-    by0, by1 = ys.min(), ys.max()
+    gts = np.asarray(gts, np.float64).reshape(-1, 6)
+    k = len(gts)
+    if k == 0:
+        return np.zeros(0, bool)
+    hs = np.asarray(hs, np.float64).reshape(k, 1)
+    ws = np.asarray(ws, np.float64).reshape(k, 1)
+    zero = np.zeros((k, 1))
+    cw = np.hstack([zero, ws, zero, ws])  # corner columns, (k, 4)
+    ch = np.hstack([zero, zero, hs, hs])  # corner rows
+    xs = gts[:, 0:1] * cw + gts[:, 1:2] * ch + gts[:, 2:3]
+    ys = gts[:, 3:4] * cw + gts[:, 4:5] * ch + gts[:, 5:6]
+    bx0, bx1 = xs.min(axis=1), xs.max(axis=1)
+    by0, by1 = ys.min(axis=1), ys.max(axis=1)
+    crossed = np.zeros(k, bool)
     for ring in rings:
         x0, y0 = ring[:-1, 0], ring[:-1, 1]
         x1, y1 = ring[1:, 0], ring[1:, 1]
-        ex0 = np.minimum(x0, x1)
-        ex1 = np.maximum(x0, x1)
-        ey0 = np.minimum(y0, y1)
-        ey1 = np.maximum(y0, y1)
-        cand = (ex0 <= bx1) & (ex1 >= bx0) & (ey0 <= by1) & (ey1 >= by0)
-        if cand.any():
-            # exact segment-vs-rectangle: a bbox-overlapping segment
-            # misses the rect iff all 4 rect corners lie strictly on
-            # one side of the segment's line (diagonal edges have huge
-            # bboxes — diamond/rotated AOIs would false-bail on every
-            # interior tile under a bbox-only test)
-            dx = (x1 - x0)[cand]
-            dy = (y1 - y0)[cand]
-            sx = x0[cand]
-            sy = y0[cand]
-            s = dx[:, None] * (ys[None, :] - sy[:, None]) - dy[:, None] * (xs[None, :] - sx[:, None])
-            if (~((s > 0).all(axis=1) | (s < 0).all(axis=1))).any():
-                return False
-    return bool(points_in_rings(xs, ys, rings).all())
+        # (edges x tiles) bbox-overlap candidates
+        cand = (
+            (np.minimum(x0, x1)[:, None] <= bx1)
+            & (np.maximum(x0, x1)[:, None] >= bx0)
+            & (np.minimum(y0, y1)[:, None] <= by1)
+            & (np.maximum(y0, y1)[:, None] >= by0)
+        )
+        e = np.flatnonzero(cand.any(axis=1))
+        if e.size == 0:
+            continue
+        dx = (x1 - x0)[e, None, None]
+        dy = (y1 - y0)[e, None, None]
+        s = dx * (ys[None] - y0[e, None, None]) - dy * (xs[None] - x0[e, None, None])
+        hits = ~((s > 0).all(axis=2) | (s < 0).all(axis=2))
+        crossed |= (cand[e] & hits).any(axis=0)
+    inside = points_in_rings(xs.reshape(-1), ys.reshape(-1), rings).reshape(k, 4).all(axis=1)
+    return ~crossed & inside
 
 
 def _rings_mask(rings, shape, gt) -> np.ndarray:
