@@ -8,9 +8,10 @@ tiling pipeline (north_rule operational form).
 - attaches to the cluster the job server provides (RAY_ADDRESS is set
   inside ``ray job submit`` containers; falls back to a local session
   for smoke runs)
-- ``--resume`` routes through ``run_flagship_resumable``: per-input-
-  shard checkpoint partitions with atomic manifests under ``--out``,
-  so a killed job replays only incomplete shards
+- ``--resume`` routes through ``run_flagship_resumable``: the task
+  that processes an input file writes that file's checkpoint partition
+  with an atomic manifest under ``--out``, so a killed job replays only
+  the files whose tasks had not finished
 - without ``--resume`` the streaming plan runs end-to-end and writes
   the per-polygon aggregate as parquet under ``--out``
 - exits non-zero on failure so the job runner reports it
@@ -31,8 +32,14 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="CLUSTER-SHARED output root")
     ap.add_argument("--cell-res", type=float, default=5000.0)
     ap.add_argument("--batch-size", type=int, default=64)
-    ap.add_argument("--resume", action="store_true", help="per-shard checkpointed run")
-    ap.add_argument("--chunk-files", type=int, default=4)
+    ap.add_argument(
+        "--resume",
+        action="store_true",
+        help="checkpointed run: each input file's task writes its own partition under --out",
+    )
+    ap.add_argument(
+        "--chunk-files", type=int, default=4, help="with --resume: input files per Ray Data execution"
+    )
     args = ap.parse_args(argv)
 
     import ray

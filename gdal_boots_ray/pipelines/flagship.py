@@ -3,8 +3,11 @@
 North-star shape (BASELINE.json): read the Lance-shaped images table →
 actor-pool decode to pixel buffers → vectorized bounds + cell ids
 (grid + S2) → broadcast PIP join against the polygon side → per-(poly,
-tile) zonal partials → groupby(poly_id) final aggregate.  Pixels never
-cross a shuffle; the only exchange is the tiny stats groupby.
+tile) zonal partials → per-polygon final aggregate.  Pixels never
+cross a shuffle and the plan has no exchange: the kB-sized partials
+are combined on the driver (``combine_zonal_partials``).  The
+resumable run uses the same read-in-task plan; each file's task also
+writes that file's partials as its checkpoint partition.
 
 Streaming end-to-end: no take_all/materialize on the big side; the
 result is a small per-polygon aggregate table.
@@ -12,10 +15,13 @@ result is a small per-polygon aggregate table.
 
 from __future__ import annotations
 
+import glob
+import os
 from typing import Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
@@ -24,6 +30,7 @@ from gdal_boots_ray.stages.decode import DecodeImages
 from gdal_boots_ray.stages.geo import add_bounds, make_add_grid_cell, make_add_lonlat, make_add_s2_cell
 from gdal_boots_ray.stages.joins import BroadcastPIPJoin, put_polygons
 from gdal_boots_ray.stages.zonal import ZonalStats
+from gdal_boots_ray.state import manifest
 
 
 class FusedTileWorker:
@@ -42,15 +49,12 @@ class FusedTileWorker:
         s2_level: int,
         with_s2: bool,
         decode_all: bool = False,
-        keep_path: bool = False,
     ):
         self.decode = DecodeImages()
-        self.keep_path = keep_path
         payload_cols = ["pixels", "bands"] if decode_all else ["bytes", "fmt"]
-        extra = ["shard"] if keep_path else []
         self.join = BroadcastPIPJoin(
             polygons_ref,
-            keep_cols=["image_id", *payload_cols, "w", "h", "gt", "cx", "cy", *extra],
+            keep_cols=["image_id", *payload_cols, "w", "h", "gt", "cx", "cy"],
         )
         self.zonal = ZonalStats(polygons_ref)
         self.cell_fn = make_add_grid_cell(cell_res)
@@ -65,14 +69,6 @@ class FusedTileWorker:
         # reference's crop_by_geometry also decodes only what it
         # crops).  decode_all=True restores decode-everything for
         # pipelines whose downstream consumes every tile's pixels.
-        if self.keep_path and "path" in batch.column_names:
-            import os as _os
-
-            shards = [
-                _os.path.splitext(_os.path.basename(p))[0]
-                for p in batch.column("path").to_pylist()
-            ]
-            batch = batch.append_column("shard", pa.array(shards, pa.string()))
         if self.decode_all:
             batch = self.decode(batch)
         batch = add_bounds(batch)
@@ -84,9 +80,9 @@ class FusedTileWorker:
             stats = self.zonal(matched)
         else:
             stats = self._decode_zonal_rowwise(matched)
-        # partial aggregate per batch: the shuffle then moves one row
-        # per (batch, polygon) instead of one per (tile, polygon), and
-        # the final combine is trivial
+        # partial aggregate per batch: the task then returns (and
+        # checkpoints) one row per (batch, polygon) instead of one per
+        # (tile, polygon), and the final combine is trivial
         return _partial_zonal_agg(stats)
 
     def _decode_zonal_rowwise(self, matched):
@@ -102,25 +98,14 @@ class FusedTileWorker:
           or the ``_rings_mask`` selection (boundary tile).
 
         Same pixel selection as ``select_zone_pixels``, so the
-        partials equal the ``decode_all`` path's ``ZonalStats``."""
+        partials equal the ``decode_all`` path's ``ZonalStats``.  A
+        pair whose bytes do not decode raises ``ValueError`` naming
+        its ``image_id``."""
         from gdal_boots_ray.kernels.png import _RAW_HEADER_LEN, decode_image, raw_header
         from gdal_boots_ray.stages.decode import binary_column_views
         from gdal_boots_ray.stages.zonal import _rings_cover_tiles, _rings_mask
 
-        has_shard = "shard" in matched.column_names
         n = matched.num_rows
-        if n == 0:
-            cols = {
-                "poly_id": pa.array([], pa.int64()),
-                "image_id": pa.array([], pa.string()),
-                "n_px": pa.array([], pa.int64()),
-                "sum_v": pa.array([], pa.float64()),
-                "min_v": pa.array([], pa.float64()),
-                "max_v": pa.array([], pa.float64()),
-            }
-            if has_shard:
-                cols["shard"] = pa.array([], pa.string())
-            return pa.table(cols)
         gts = matched.column("gt").combine_chunks().flatten().to_numpy(zero_copy_only=False).reshape(-1, 6)
         hs = matched.column("h").to_numpy()
         ws = matched.column("w").to_numpy()
@@ -146,14 +131,17 @@ class FusedTileWorker:
             if rings is None:
                 continue
             shape = (int(hs[i]), int(ws[i]))
-            if fmts[i] == "raw":
-                try:
-                    nb, _h, _w, nbytes = raw_header(blobs[i])
-                    band0 = blobs[i][_RAW_HEADER_LEN : _RAW_HEADER_LEN + nbytes].reshape(nb, *shape)[0]
-                except ValueError:
-                    band0 = decode_image(bytes(blobs[i]), "raw", band=0)
-            else:
-                band0 = decode_image(bytes(blobs[i]), fmts[i], band=0)
+            try:
+                if fmts[i] == "raw":
+                    try:
+                        nb, _h, _w, nbytes = raw_header(blobs[i])
+                        band0 = blobs[i][_RAW_HEADER_LEN : _RAW_HEADER_LEN + nbytes].reshape(nb, *shape)[0]
+                    except ValueError:
+                        band0 = decode_image(bytes(blobs[i]), "raw", band=0)
+                else:
+                    band0 = decode_image(bytes(blobs[i]), fmts[i], band=0)
+            except ValueError as e:
+                raise ValueError(f"image_id {ids[i]!r}: {e}") from e
             if covered[i]:
                 sel = band0.reshape(-1)  # interior tile: no mask/gather
             else:
@@ -164,51 +152,32 @@ class FusedTileWorker:
                 min_v[i] = float(sel.min())
                 max_v[i] = float(sel.max())
         keep = n_px > 0
-        cols = {
-            "poly_id": pa.array(pids[keep].astype(np.int64)),
-            "image_id": pa.array([v for v, k in zip(ids, keep) if k], pa.string()),
-            "n_px": pa.array(n_px[keep]),
-            "sum_v": pa.array(sum_v[keep]),
-            "min_v": pa.array(min_v[keep]),
-            "max_v": pa.array(max_v[keep]),
-        }
-        if has_shard:
-            shards = matched.column("shard").to_pylist()
-            cols["shard"] = pa.array([v for v, k in zip(shards, keep) if k], pa.string())
-        return pa.table(cols)
+        return pa.table(
+            {
+                "poly_id": pa.array(pids[keep].astype(np.int64)),
+                "image_id": pa.array([v for v, k in zip(ids, keep) if k], pa.string()),
+                "n_px": pa.array(n_px[keep]),
+                "sum_v": pa.array(sum_v[keep]),
+                "min_v": pa.array(min_v[keep]),
+                "max_v": pa.array(max_v[keep]),
+            }
+        )
 
 
 def _partial_zonal_agg(stats):
-    import pyarrow.compute as pc
-
-    has_shard = "shard" in stats.column_names
-    keys = ["shard", "poly_id"] if has_shard else ["poly_id"]
-    if stats.num_rows == 0:
-        cols = {
-            "poly_id": pa.array([], pa.int64()),
-            "n_tiles": pa.array([], pa.int64()),
-            "n_px": pa.array([], pa.int64()),
-            "sum_v": pa.array([], pa.float64()),
-            "min_v": pa.array([], pa.float64()),
-            "max_v": pa.array([], pa.float64()),
-        }
-        if has_shard:
-            cols = {"shard": pa.array([], pa.string()), **cols}
-        return pa.table(cols)
-    g = stats.group_by(keys).aggregate(
+    g = stats.group_by("poly_id").aggregate(
         [("image_id", "count"), ("n_px", "sum"), ("sum_v", "sum"), ("min_v", "min"), ("max_v", "max")]
     )
-    cols = {
-        "poly_id": g.column("poly_id").cast(pa.int64()),
-        "n_tiles": g.column("image_id_count").cast(pa.int64()),
-        "n_px": g.column("n_px_sum").cast(pa.int64()),
-        "sum_v": g.column("sum_v_sum").cast(pa.float64()),
-        "min_v": g.column("min_v_min").cast(pa.float64()),
-        "max_v": g.column("max_v_max").cast(pa.float64()),
-    }
-    if has_shard:
-        cols = {"shard": g.column("shard"), **cols}
-    return pa.table(cols)
+    return pa.table(
+        {
+            "poly_id": g.column("poly_id").cast(pa.int64()),
+            "n_tiles": g.column("image_id_count").cast(pa.int64()),
+            "n_px": g.column("n_px_sum").cast(pa.int64()),
+            "sum_v": g.column("sum_v_sum").cast(pa.float64()),
+            "min_v": g.column("min_v_min").cast(pa.float64()),
+            "max_v": g.column("max_v_max").cast(pa.float64()),
+        }
+    )
 
 
 def run_flagship(
@@ -230,8 +199,6 @@ def run_flagship(
     CPU count) so no stage becomes the fixed-size bottleneck as the
     cluster grows: ~50% decode, ~20% join, ~30% zonal.
     """
-    from ray.data.aggregate import Count, Max, Min, Sum
-
     if num_cpus_hint is None:
         num_cpus_hint = int(ray.cluster_resources().get("CPU", 8))
     if decode_concurrency is None:
@@ -250,10 +217,7 @@ def run_flagship(
         # streaming fan-out (a Dataset.union chain of reads measured
         # pathologically slow under the streaming executor here).
         if input_reps > 1:
-            import glob as _glob
-
-            files = sorted(_glob.glob(f"{images_path}/part-*.parquet")) or [images_path]
-            ds = rd.read_parquet(files * input_reps)
+            ds = rd.read_parquet(_input_files(images_path) * input_reps)
         else:
             ds = read_image_table(images_path)
     if use_actors:
@@ -284,58 +248,80 @@ def run_flagship(
 
         stats = ds.map_batches(fused, batch_format="pyarrow", batch_size=batch_size)
     else:
-        # read-in-task physical plan: Ray's executor keeps ReadParquet
-        # and downstream maps as SEPARATE operators (no read->map
-        # fusion in 2.49), so a read_parquet plan ships every encoded
-        # payload through the object store twice (write + fetch) just
-        # to decode it in the next operator.  Instead the work list is
-        # a tiny Dataset of file paths (one block per fragment) and
-        # ONE task reads its fragment AND runs the whole tile chain —
-        # only the kB-sized zonal partials ever leave the task.  On a
-        # multi-node cluster this is also the locality-optimal plan:
-        # the read and the compute are the same task by construction.
-        # Worker state amortizes: Ray reuses worker processes across
-        # tasks and the closure cache keeps one FusedTileWorker each.
-        import glob as _glob
-
-        frag_files = sorted(_glob.glob(f"{images_path}/part-*.parquet")) or [images_path]
-        frag_files = frag_files * max(1, input_reps)
-        COLS = ["image_id", "bytes", "w", "h", "fmt", "gt", "epsg"]
-
-        def fused_file(batch, _cache={}):
-            import pyarrow.parquet as _pq
-
-            worker = _cache.get("w")
-            if worker is None:
-                worker = _cache["w"] = FusedTileWorker(
-                    poly_ref, cell_res, s2_level, with_s2, decode_all=decode_all
-                )
-            outs = []
-            for p in batch.column("path").to_pylist():
-                t = _pq.read_table(p, columns=COLS)
-                for s in range(0, t.num_rows, batch_size):
-                    outs.append(worker(t.slice(s, batch_size)))
-            return pa.concat_tables(outs)
-
-        # task granularity: ~4 fragments per CPU wave, floor 64 tasks,
-        # so scheduling overhead amortizes while the tail stays short
-        per_task = max(1, len(frag_files) // max(64, 4 * num_cpus_hint))
-        n_blocks = (len(frag_files) + per_task - 1) // per_task
-        # the executor's default operator reservation withholds ~35%
-        # of CPUs from a single-operator plan; this plan IS the job.
-        # Datasets snapshot DataContext at creation, so flipping the
-        # flag around construction scopes it to THIS dataset only.
-        from ray.data import DataContext
-
-        ctx = DataContext.get_current()
-        saved = ctx.op_resource_reservation_enabled
-        ctx.op_resource_reservation_enabled = False
-        try:
-            paths = rd.from_items([{"path": p} for p in frag_files], override_num_blocks=n_blocks)
-            stats = paths.map_batches(fused_file, batch_format="pyarrow", batch_size=per_task)
-        finally:
-            ctx.op_resource_reservation_enabled = saved
+        files = _input_files(images_path) * max(1, input_reps)
+        stats = _read_in_task(files, poly_ref, cell_res, s2_level, with_s2, decode_all, batch_size, num_cpus_hint)
     return stats
+
+
+IMAGE_COLS = ["image_id", "bytes", "w", "h", "fmt", "gt", "epsg"]
+
+
+def _input_files(images_path: str) -> list:
+    """The table's ``part-*.parquet`` files, or the path itself."""
+    return sorted(glob.glob(os.path.join(images_path, "part-*.parquet"))) or [images_path]
+
+
+def _file_partials(worker, path: str, batch_size: int, out_dir: Optional[str] = None) -> pa.Table:
+    """Zonal partials of one input file: read it, run ``worker`` over
+    ``batch_size`` slices and, given ``out_dir``, checkpoint them as the
+    file's own partition ``part=<file stem>`` (with a constant ``shard``
+    column).  A zero-row file yields one empty table, checkpointed like
+    any other.  Errors of the tile chain are re-raised naming the file."""
+    t = pq.read_table(path, columns=IMAGE_COLS)
+    try:
+        part = pa.concat_tables([worker(t.slice(s, batch_size)) for s in range(0, max(1, t.num_rows), batch_size)])
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
+    if out_dir is not None:
+        stem = os.path.splitext(os.path.basename(path))[0]
+        shard = pa.array([stem] * part.num_rows, pa.string())
+        manifest.write_partition(out_dir, stem, part.add_column(0, "shard", shard))
+    return part
+
+
+def _read_in_task(files, poly_ref, cell_res, s2_level, with_s2, decode_all, batch_size, num_cpus_hint, out_dir=None):
+    """Dataset of the zonal partials of ``files`` (``_file_partials``
+    of each), one task per group of files.
+
+    Ray's executor keeps ReadParquet and downstream maps as SEPARATE
+    operators (no read->map fusion in 2.49), so a read_parquet plan
+    ships every encoded payload through the object store twice (write +
+    fetch) just to decode it in the next operator.  Instead the work
+    list is a tiny Dataset of file paths and ONE task reads its files
+    AND runs the whole tile chain — only the kB-sized zonal partials
+    ever leave the task, and with ``out_dir`` the task checkpoints each
+    file itself, so resume needs no exchange.  On a multi-node cluster
+    this is also the locality-optimal plan: the read and the compute
+    are the same task by construction.  Worker state amortizes: Ray
+    reuses worker processes across tasks and the closure cache keeps
+    one FusedTileWorker each."""
+
+    def fused_file(batch, _cache={}):
+        worker = _cache.get("w")
+        if worker is None:
+            worker = _cache["w"] = FusedTileWorker(poly_ref, cell_res, s2_level, with_s2, decode_all=decode_all)
+        return pa.concat_tables(
+            [_file_partials(worker, p, batch_size, out_dir) for p in batch.column("path").to_pylist()]
+        )
+
+    # task granularity: ~4 fragments per CPU wave, floor 64 tasks,
+    # so scheduling overhead amortizes while the tail stays short
+    per_task = max(1, len(files) // max(64, 4 * num_cpus_hint))
+    n_blocks = (len(files) + per_task - 1) // per_task
+    # the executor's default operator reservation withholds ~35%
+    # of CPUs from a single-operator plan; this plan IS the job.
+    # Datasets snapshot DataContext at creation, so flipping the
+    # flag around construction scopes it to THIS dataset only.
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    saved = ctx.op_resource_reservation_enabled
+    ctx.op_resource_reservation_enabled = False
+    try:
+        paths = rd.from_items([{"path": p} for p in files], override_num_blocks=n_blocks)
+        return paths.map_batches(fused_file, batch_format="pyarrow", batch_size=per_task)
+    finally:
+        ctx.op_resource_reservation_enabled = saved
 
 
 def run_flagship_resumable(
@@ -348,105 +334,48 @@ def run_flagship_resumable(
     batch_size: int = 64,
     chunk_files: int = 4,
 ):
-    """The flagship pipeline with per-INPUT-SHARD checkpoint
+    """The flagship pipeline with per-INPUT-FILE checkpoint
     partitions (north_rule: "resumable from checkpoint with
     per-partition lineage + metrics").
 
-    Each input parquet file is one resume unit: its per-(shard, poly)
-    zonal partials land in ``out_dir/part=<stem>/`` with an atomic
-    manifest.  A rerun anti-joins the file stems against completed
-    manifests and streams ONLY the missing shards — files are
-    processed in chunks of ``chunk_files`` so a kill loses at most one
-    chunk of work.  The final combine folds all partition partials
-    into the per-polygon aggregate; partial sums are integer-valued in
-    float64, so the combined output is bit-identical no matter how
-    batches or chunks were split before a kill.
+    Each input parquet file is one resume unit.  This is
+    ``run_flagship``'s read-in-task plan with a checkpoint dir: the
+    task that processes a file writes that file's per-poly zonal
+    partials to ``out_dir/part=<stem>/`` with an atomic manifest, as
+    soon as the file is done, so a kill loses only the files whose
+    tasks were still running.  A rerun anti-joins the file stems
+    against completed manifests and runs ONLY the missing files, in
+    Datasets of ``chunk_files`` files each.  The final combine folds
+    all partition partials into the per-polygon aggregate; partial sums
+    are integer-valued in float64, so the combined output is
+    bit-identical no matter how the work was split before a kill.
 
     Returns (final pandas DataFrame, run summary dict).
     """
-    import glob as _glob
-    import os
-
     import pandas as pd
-    import pyarrow.parquet as _pq
 
-    from gdal_boots_ray.state.manifest import (
-        completed_partitions,
-        finalize_run,
-        resume_plan,
-        write_partitioned,
-    )
-
-    files = sorted(_glob.glob(os.path.join(images_path, "part-*.parquet"))) or [images_path]
+    files = _input_files(images_path)
     stems = [os.path.splitext(os.path.basename(f))[0] for f in files]
-    todo = set(resume_plan(out_dir, stems))
+    todo = set(manifest.resume_plan(out_dir, stems))
     todo_files = [f for f, s in zip(files, stems) if s in todo]
 
     if polygons is None:
         polygons = nation_polygons(np.arange(25))
     poly_ref = put_polygons(polygons)
+    num_cpus_hint = int(ray.cluster_resources().get("CPU", 8))
 
     for i in range(0, len(todo_files), chunk_files):
         chunk = todo_files[i : i + chunk_files]
-        ds = rd.read_parquet(chunk, include_paths=True)
+        # the tasks checkpoint their files; the partials are read back
+        # from the partitions below
+        ds = _read_in_task(chunk, poly_ref, cell_res, s2_level, with_s2, False, batch_size, num_cpus_hint, out_dir)
+        ds.materialize()
 
-        def fused(batch, _cache={}):
-            worker = _cache.get("w")
-            if worker is None:
-                worker = _cache["w"] = FusedTileWorker(
-                    poly_ref, cell_res, s2_level, with_s2, keep_path=True
-                )
-            return worker(batch)
-
-        stats = ds.map_batches(fused, batch_format="pyarrow", batch_size=batch_size)
-        # groupby(shard) co-locates each file's partials; the partition
-        # writes are atomic (tmp + rename, manifest last)
-        write_partitioned(stats, out_dir, "shard").to_pandas()
-        # shards with zero matches produce no groups: checkpoint them
-        # as empty partitions so the resume anti-join sees them done
-        from gdal_boots_ray.state.manifest import write_partition
-
-        chunk_done = completed_partitions(out_dir)
-        for f in chunk:
-            stem = os.path.splitext(os.path.basename(f))[0]
-            if stem not in chunk_done:
-                empty = pa.table(
-                    {
-                        "shard": pa.array([], pa.string()),
-                        "poly_id": pa.array([], pa.int64()),
-                        "n_tiles": pa.array([], pa.int64()),
-                        "n_px": pa.array([], pa.int64()),
-                        "sum_v": pa.array([], pa.float64()),
-                        "min_v": pa.array([], pa.float64()),
-                        "max_v": pa.array([], pa.float64()),
-                    }
-                )
-                write_partition(out_dir, stem, empty)
-
-    # final combine over ALL partitions (tiny: rows ~ shards x polys)
-    parts = completed_partitions(out_dir)
-    frames = []
-    for key in sorted(parts):
-        t = _pq.read_table(os.path.join(out_dir, f"part={key}", "data.parquet"))
-        frames.append(t.to_pandas())
-    if frames:
-        allp = pd.concat(frames, ignore_index=True)
-        final = (
-            allp.groupby("poly_id")
-            .agg(
-                n_tiles=("n_tiles", "sum"),
-                n_px=("n_px", "sum"),
-                sum_v=("sum_v", "sum"),
-                min_v=("min_v", "min"),
-                max_v=("max_v", "max"),
-            )
-            .reset_index()
-            .sort_values("poly_id")
-            .reset_index(drop=True)
-        )
-    else:
-        final = pd.DataFrame(columns=["poly_id", "n_tiles", "n_px", "sum_v", "min_v", "max_v"])
-    summary = finalize_run(out_dir, metrics={"shards": len(parts)})
+    # final combine over ALL partitions (tiny: rows ~ files x polys)
+    parts = manifest.completed_partitions(out_dir)
+    frames = [pq.read_table(os.path.join(out_dir, f"part={k}", "data.parquet")).to_pandas() for k in sorted(parts)]
+    final = _combine_frame(pd.concat(frames, ignore_index=True) if frames else pd.DataFrame())
+    summary = manifest.finalize_run(out_dir, metrics={"shards": len(parts)})
     return final, summary
 
 
@@ -461,12 +390,17 @@ def combine_zonal_partials(stats_ds) -> "object":
     overhead across hundreds of partial blocks for 25 output rows.)
     Returns a pandas DataFrame ordered by poly_id.
     """
+    return _combine_frame(stats_ds.to_pandas())
+
+
+def _combine_frame(allp):
+    """Per-polygon aggregate of a pandas frame of zonal partials, ordered
+    by poly_id; a frame with no rows gives the result columns only."""
     import pandas as pd
 
-    allp = stats_ds.to_pandas()
     if allp.empty:
         return pd.DataFrame(columns=["poly_id", "n_tiles", "n_px", "sum_v", "min_v", "max_v"])
-    out = (
+    return (
         allp.groupby("poly_id")
         .agg(
             n_tiles=("n_tiles", "sum"),
@@ -479,4 +413,3 @@ def combine_zonal_partials(stats_ds) -> "object":
         .sort_values("poly_id")
         .reset_index(drop=True)
     )
-    return out
