@@ -19,47 +19,22 @@ _SF0001 = "/root/testdata/sf0.001"
 
 def entry() -> Any:
     """Flagship pipeline on sf0.001: synthesize the input_hint images
-    table from `part`, decode (actor pool), bounds + grid/S2 cells,
-    broadcast PIP join vs the nation polygons, zonal partials,
-    per-polygon aggregate."""
-    import numpy as np
+    table from `part`, then the fused tile chain (bounds + grid/S2
+    cells, broadcast PIP join vs the nation polygons, band-0 decode of
+    the matched tiles, zonal partials) and the per-polygon aggregate."""
     import pyarrow.parquet as pq
-    from ray.data.aggregate import Count, Max, Min, Sum
+    import ray.data as rd
 
-    from gdal_boots_ray.pipelines.queries import _tiles_dataset, _with_bounds
+    from gdal_boots_ray.pipelines.flagship import combine_zonal_partials, fused_partials
+    from gdal_boots_ray.pipelines.queries import _tiles_dataset
     from gdal_boots_ray.sources.fixtures import nation_polygons
-    from gdal_boots_ray.stages.geo import make_add_grid_cell, make_add_lonlat, make_add_s2_cell
-    from gdal_boots_ray.stages.joins import BroadcastPIPJoin, put_polygons
-    from gdal_boots_ray.stages.zonal import ZonalStats
+    from gdal_boots_ray.stages.joins import put_polygons
 
     nk = pq.read_table(f"{_SF0001}/nation.parquet", columns=["n_nationkey"]).column(0).to_numpy()
     poly_ref = put_polygons(nation_polygons(nk))
-
-    ds = _with_bounds(_tiles_dataset(_SF0001, decode=True))
-    ds = ds.map_batches(make_add_grid_cell(1000.0), batch_format="pyarrow")
-    ds = ds.map_batches(make_add_lonlat(), batch_format="pyarrow")
-    ds = ds.map_batches(make_add_s2_cell(9), batch_format="pyarrow")
-    joined = ds.map_batches(
-        BroadcastPIPJoin,
-        batch_format="pyarrow",
-        fn_constructor_kwargs={"polygons_ref": poly_ref},
-        concurrency=(1, 2),
-        num_cpus=1,
-    )
-    stats = joined.map_batches(
-        ZonalStats,
-        batch_format="pyarrow",
-        fn_constructor_kwargs={"polygons_ref": poly_ref},
-        concurrency=(1, 2),
-        num_cpus=1,
-    )
-    return stats.groupby("poly_id").aggregate(
-        Count(alias_name="n_tiles"),
-        Sum("n_px", alias_name="n_px"),
-        Sum("sum_v", alias_name="sum_v"),
-        Min("min_v", alias_name="min_v"),
-        Max("max_v", alias_name="max_v"),
-    )
+    ds = _tiles_dataset(_SF0001, decode=False)
+    stats = fused_partials(ds, poly_ref, cell_res=1000.0, s2_level=9, with_s2=True, batch_size=256)
+    return rd.from_pandas(combine_zonal_partials(stats))
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

@@ -1,8 +1,8 @@
 """Benchmark harness.
 
 Headline: the flagship spatial-join + tiling pipeline (north-star
-shape: read images parquet -> actor-pool decode -> bounds + cells ->
-broadcast PIP join -> zonal partials -> per-polygon aggregate) over a
+shape: read images parquet -> bounds + cells -> broadcast PIP join ->
+decode of the matched tiles -> zonal partials -> per-polygon aggregate) over a
 deterministic input_hint-schema images table sized to the sf dir,
 plus per-query timings of representative operators on the sf tables.
 

@@ -1,13 +1,17 @@
 """The flagship spatial-join + tiling pipeline.
 
 North-star shape (BASELINE.json): read the Lance-shaped images table →
-actor-pool decode to pixel buffers → vectorized bounds + cell ids
-(grid + S2) → broadcast PIP join against the polygon side → per-(poly,
-tile) zonal partials → per-polygon final aggregate.  Pixels never
-cross a shuffle and the plan has no exchange: the kB-sized partials
-are combined on the driver (``combine_zonal_partials``).  The
-resumable run uses the same read-in-task plan; each file's task also
-writes that file's partials as its checkpoint partition.
+vectorized bounds + cell ids (grid + S2) → broadcast PIP join against
+the polygon side → band-0 decode of the matched tiles only → per-(poly,
+tile) zonal partials → per-polygon final aggregate, all in one
+``FusedTileWorker`` call per batch.  Pixels never cross a shuffle and
+the plan has no exchange: the kB-sized partials are combined on the
+driver (``combine_zonal_partials``).
+
+Two Dataset builders run the worker: ``_read_in_task`` for parquet
+tables and the resumable run (each file's task also writes that file's
+partials as its checkpoint partition), and ``fused_partials`` over an
+existing Dataset (a Lance table, ``entry()``'s synthesized tiles).
 
 Streaming end-to-end: no take_all/materialize on the big side; the
 result is a small per-polygon aggregate table.
@@ -26,142 +30,67 @@ import ray
 import ray.data as rd
 
 from gdal_boots_ray.sources.fixtures import nation_polygons
-from gdal_boots_ray.stages.decode import DecodeImages
 from gdal_boots_ray.stages.geo import add_bounds, make_add_grid_cell, make_add_lonlat, make_add_s2_cell
 from gdal_boots_ray.stages.joins import BroadcastPIPJoin, put_polygons
-from gdal_boots_ray.stages.zonal import ZonalStats
+from gdal_boots_ray.stages.zonal import zonal_partials
 from gdal_boots_ray.state import manifest
 
 
 class FusedTileWorker:
-    """The whole per-tile chain — decode -> bounds -> cell ids ->
-    broadcast PIP -> zonal partials — in ONE actor, so decoded pixels
-    never enter the object store and a single pool absorbs every CPU.
+    """The whole per-tile chain — bounds -> cell ids -> broadcast PIP
+    -> band-0 decode + zonal partials of the matched pairs -> per-batch
+    partial aggregate — in one call, so decoded pixels never leave the
+    process.  Both Dataset builders keep one per worker process."""
 
-    The per-stage classes in stages/ remain the composable API; this
-    fusion is the physical plan for the flagship (Ray fuses stateless
-    maps automatically but not actor pools of different sizes)."""
-
-    def __init__(
-        self,
-        polygons_ref,
-        cell_res: float,
-        s2_level: int,
-        with_s2: bool,
-        decode_all: bool = False,
-    ):
-        self.decode = DecodeImages()
-        payload_cols = ["pixels", "bands"] if decode_all else ["bytes", "fmt"]
+    def __init__(self, polygons_ref, cell_res: float, s2_level: int, with_s2: bool):
         self.join = BroadcastPIPJoin(
             polygons_ref,
-            keep_cols=["image_id", *payload_cols, "w", "h", "gt", "cx", "cy"],
+            keep_cols=["image_id", "bytes", "fmt", "w", "h", "gt", "cx", "cy"],
         )
-        self.zonal = ZonalStats(polygons_ref)
+        self.polygons = dict(self.join.polygons)
         self.cell_fn = make_add_grid_cell(cell_res)
         self.with_s2 = with_s2
         self.lonlat_fn = make_add_lonlat()
         self.s2_fn = make_add_s2_cell(s2_level)
-        self.decode_all = decode_all
 
     def __call__(self, batch):
         # bounds/cells/PIP run on georeferencing metadata only; decode
         # is pushed BELOW the join so only matched tiles pay it (the
-        # reference's crop_by_geometry also decodes only what it
-        # crops).  decode_all=True restores decode-everything for
-        # pipelines whose downstream consumes every tile's pixels.
-        if self.decode_all:
-            batch = self.decode(batch)
+        # reference's crop_by_geometry also decodes only what it crops)
         batch = add_bounds(batch)
         batch = self.cell_fn(batch)
         if self.with_s2:
             batch = self.s2_fn(self.lonlat_fn(batch))
-        matched = self.join(batch)
-        if self.decode_all:
-            stats = self.zonal(matched)
-        else:
-            stats = self._decode_zonal_rowwise(matched)
+        stats = self._decode_zonal_rowwise(self.join(batch))
         # partial aggregate per batch: the task then returns (and
         # checkpoints) one row per (batch, polygon) instead of one per
         # (tile, polygon), and the final combine is trivial
         return _partial_zonal_agg(stats)
 
     def _decode_zonal_rowwise(self, matched):
-        """Decode + zonal partials of band 0 for a batch of matched
-        (tile, polygon) pairs, batch-at-a-time where it pays:
-
-        - the cover test runs once per polygon over all of its pairs
-          in the batch (``_rings_cover_tiles``), not once per pair;
-        - the per-pair loop then decodes only band 0 (PNG: from the
-          inflated scanlines; raw uint8: a zero-copy slice) straight
-          from the bytes column, with no intermediate Arrow pixels
-          column, and reduces either the whole band (interior tile)
-          or the ``_rings_mask`` selection (boundary tile).
-
-        Same pixel selection as ``select_zone_pixels``, so the
-        partials equal the ``decode_all`` path's ``ZonalStats``.  A
-        pair whose bytes do not decode raises ``ValueError`` naming
-        its ``image_id``."""
+        """``zonal_partials`` of a batch of matched (tile, polygon)
+        pairs, decoding band 0 straight from the bytes column (PNG: from
+        the inflated scanlines; raw uint8: a zero-copy slice), with no
+        intermediate Arrow pixels column.  A pair whose bytes do not
+        decode raises ``ValueError`` naming its ``image_id``."""
         from gdal_boots_ray.kernels.png import _RAW_HEADER_LEN, decode_image, raw_header
         from gdal_boots_ray.stages.decode import binary_column_views
-        from gdal_boots_ray.stages.zonal import _rings_cover_tiles, _rings_mask
 
-        n = matched.num_rows
-        gts = matched.column("gt").combine_chunks().flatten().to_numpy(zero_copy_only=False).reshape(-1, 6)
         hs = matched.column("h").to_numpy()
         ws = matched.column("w").to_numpy()
         fmts = matched.column("fmt").to_pylist()
         blobs = binary_column_views(matched.column("bytes"))
-        pids = matched.column("poly_id").to_numpy()
-        ids = matched.column("image_id").to_pylist()
-        polys = self.zonal.polygons
-        # interior/boundary class of every pair, one cover call per polygon
-        uniq, inv = np.unique(pids, return_inverse=True)
-        covered = np.zeros(n, bool)
-        for j, pid in enumerate(uniq):
-            rings = polys.get(int(pid))
-            if rings is not None:
-                idx = np.flatnonzero(inv == j)
-                covered[idx] = _rings_cover_tiles(rings, hs[idx], ws[idx], gts[idx])
-        n_px = np.zeros(n, np.int64)
-        sum_v = np.zeros(n, np.float64)
-        min_v = np.full(n, np.inf)
-        max_v = np.full(n, -np.inf)
-        for i in range(n):
-            rings = polys.get(int(pids[i]))
-            if rings is None:
-                continue
-            shape = (int(hs[i]), int(ws[i]))
-            try:
-                if fmts[i] == "raw":
-                    try:
-                        nb, _h, _w, nbytes = raw_header(blobs[i])
-                        band0 = blobs[i][_RAW_HEADER_LEN : _RAW_HEADER_LEN + nbytes].reshape(nb, *shape)[0]
-                    except ValueError:
-                        band0 = decode_image(bytes(blobs[i]), "raw", band=0)
-                else:
-                    band0 = decode_image(bytes(blobs[i]), fmts[i], band=0)
-            except ValueError as e:
-                raise ValueError(f"image_id {ids[i]!r}: {e}") from e
-            if covered[i]:
-                sel = band0.reshape(-1)  # interior tile: no mask/gather
-            else:
-                sel = band0[_rings_mask(rings, shape, gts[i])]
-            n_px[i] = sel.size
-            if sel.size:
-                sum_v[i] = float(sel.sum(dtype=np.float64))
-                min_v[i] = float(sel.min())
-                max_v[i] = float(sel.max())
-        keep = n_px > 0
-        return pa.table(
-            {
-                "poly_id": pa.array(pids[keep].astype(np.int64)),
-                "image_id": pa.array([v for v, k in zip(ids, keep) if k], pa.string()),
-                "n_px": pa.array(n_px[keep]),
-                "sum_v": pa.array(sum_v[keep]),
-                "min_v": pa.array(min_v[keep]),
-                "max_v": pa.array(max_v[keep]),
-            }
-        )
+
+        def band0(i):
+            if fmts[i] == "raw":
+                try:
+                    nb, _h, _w, nbytes = raw_header(blobs[i])
+                    return blobs[i][_RAW_HEADER_LEN : _RAW_HEADER_LEN + nbytes].reshape(nb, hs[i], ws[i])[0]
+                except ValueError:
+                    pass  # not a whole uint8 payload: the full decode handles or names it
+            return decode_image(bytes(blobs[i]), fmts[i], band=0)
+
+        return zonal_partials(matched, self.polygons, band0)
 
 
 def _partial_zonal_agg(stats):
@@ -185,72 +114,34 @@ def run_flagship(
     polygons: Optional[Sequence[dict]] = None,
     cell_res: float = 5000.0,
     s2_level: int = 9,
-    decode_concurrency=None,
     batch_size: int = 64,
     with_s2: bool = True,
     num_cpus_hint: Optional[int] = None,
-    decode_all: bool = False,
     input_reps: int = 1,
-    use_actors: bool = False,
 ):
-    """Returns the per-polygon zonal aggregate Dataset.
+    """Returns the Dataset of zonal partials (one row per batch and
+    polygon; fold it with ``combine_zonal_partials``).
 
-    Stage pools are sized from ``num_cpus_hint`` (default: the cluster
-    CPU count) so no stage becomes the fixed-size bottleneck as the
-    cluster grows: ~50% decode, ~20% join, ~30% zonal.
+    A parquet table runs the read-in-task plan, its files listed
+    ``input_reps`` times; ``num_cpus_hint`` (default: the cluster CPU
+    count) sizes its tasks.  A Lance table is read as a Dataset and
+    mapped by ``fused_partials``; it takes no ``input_reps``.
     """
-    if num_cpus_hint is None:
-        num_cpus_hint = int(ray.cluster_resources().get("CPU", 8))
-    if decode_concurrency is None:
-        decode_concurrency = (2, max(2, num_cpus_hint - 2))
+    from gdal_boots_ray.sources.imagetable import is_lance_dataset, read_image_table
 
+    lance = is_lance_dataset(images_path)
+    if lance and input_reps > 1:
+        raise ValueError(f"input_reps={input_reps} needs a parquet table, not the Lance dataset {images_path!r}")
     if polygons is None:
         polygons = nation_polygons(np.arange(25))
     poly_ref = put_polygons(polygons)
-
-    from gdal_boots_ray.sources.imagetable import is_lance_dataset, read_image_table
-
-    if use_actors or is_lance_dataset(images_path):
-        # Dataset-read plan (actor pools can't read in-task; Lance
-        # fragments go through ray.data.read_lance).  input_reps > 1
-        # re-lists the same files N times in ONE read op — clean
-        # streaming fan-out (a Dataset.union chain of reads measured
-        # pathologically slow under the streaming executor here).
-        if input_reps > 1:
-            ds = rd.read_parquet(_input_files(images_path) * input_reps)
-        else:
-            ds = read_image_table(images_path)
-    if use_actors:
-        stats = ds.map_batches(
-            FusedTileWorker,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=decode_concurrency,
-            num_cpus=1,
-            fn_constructor_kwargs={
-                "polygons_ref": poly_ref,
-                "cell_res": cell_res,
-                "s2_level": s2_level,
-                "with_s2": with_s2,
-                "decode_all": decode_all,
-            },
-        )
-    elif is_lance_dataset(images_path):
-        # Lance path: stateless tasks over the Dataset read (the
-        # read-in-task plan below is parquet-specific)
-        def fused(batch, _cache={}):
-            worker = _cache.get("w")
-            if worker is None:
-                worker = _cache["w"] = FusedTileWorker(
-                    poly_ref, cell_res, s2_level, with_s2, decode_all=decode_all
-                )
-            return worker(batch)
-
-        stats = ds.map_batches(fused, batch_format="pyarrow", batch_size=batch_size)
-    else:
-        files = _input_files(images_path) * max(1, input_reps)
-        stats = _read_in_task(files, poly_ref, cell_res, s2_level, with_s2, decode_all, batch_size, num_cpus_hint)
-    return stats
+    if lance:
+        ds = read_image_table(images_path, columns=IMAGE_COLS)
+        return fused_partials(ds, poly_ref, cell_res, s2_level, with_s2, batch_size)
+    if num_cpus_hint is None:
+        num_cpus_hint = int(ray.cluster_resources().get("CPU", 8))
+    files = _input_files(images_path) * max(1, input_reps)
+    return _read_in_task(files, poly_ref, cell_res, s2_level, with_s2, batch_size, num_cpus_hint)
 
 
 IMAGE_COLS = ["image_id", "bytes", "w", "h", "fmt", "gt", "epsg"]
@@ -259,6 +150,22 @@ IMAGE_COLS = ["image_id", "bytes", "w", "h", "fmt", "gt", "epsg"]
 def _input_files(images_path: str) -> list:
     """The table's ``part-*.parquet`` files, or the path itself."""
     return sorted(glob.glob(os.path.join(images_path, "part-*.parquet"))) or [images_path]
+
+
+def fused_partials(ds, polygons_ref, cell_res, s2_level, with_s2, batch_size):
+    """Dataset of the zonal partials of the image Dataset ``ds``:
+    stateless tasks map one cached ``FusedTileWorker`` per worker
+    process over its ``batch_size`` batches.  For inputs that already
+    are a Dataset; a parquet table goes through ``_read_in_task``
+    instead, which keeps the payload out of the object store."""
+
+    def fused(batch, _cache={}):
+        worker = _cache.get("w")
+        if worker is None:
+            worker = _cache["w"] = FusedTileWorker(polygons_ref, cell_res, s2_level, with_s2)
+        return worker(batch)
+
+    return ds.map_batches(fused, batch_format="pyarrow", batch_size=batch_size)
 
 
 def _file_partials(worker, path: str, batch_size: int, out_dir: Optional[str] = None) -> pa.Table:
@@ -279,7 +186,7 @@ def _file_partials(worker, path: str, batch_size: int, out_dir: Optional[str] = 
     return part
 
 
-def _read_in_task(files, poly_ref, cell_res, s2_level, with_s2, decode_all, batch_size, num_cpus_hint, out_dir=None):
+def _read_in_task(files, poly_ref, cell_res, s2_level, with_s2, batch_size, num_cpus_hint, out_dir=None):
     """Dataset of the zonal partials of ``files`` (``_file_partials``
     of each), one task per group of files.
 
@@ -299,7 +206,7 @@ def _read_in_task(files, poly_ref, cell_res, s2_level, with_s2, decode_all, batc
     def fused_file(batch, _cache={}):
         worker = _cache.get("w")
         if worker is None:
-            worker = _cache["w"] = FusedTileWorker(poly_ref, cell_res, s2_level, with_s2, decode_all=decode_all)
+            worker = _cache["w"] = FusedTileWorker(poly_ref, cell_res, s2_level, with_s2)
         return pa.concat_tables(
             [_file_partials(worker, p, batch_size, out_dir) for p in batch.column("path").to_pylist()]
         )
@@ -368,7 +275,7 @@ def run_flagship_resumable(
         chunk = todo_files[i : i + chunk_files]
         # the tasks checkpoint their files; the partials are read back
         # from the partitions below
-        ds = _read_in_task(chunk, poly_ref, cell_res, s2_level, with_s2, False, batch_size, num_cpus_hint, out_dir)
+        ds = _read_in_task(chunk, poly_ref, cell_res, s2_level, with_s2, batch_size, num_cpus_hint, out_dir)
         ds.materialize()
 
     # final combine over ALL partitions (tiny: rows ~ files x polys)

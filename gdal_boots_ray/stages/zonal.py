@@ -11,71 +11,89 @@ row per (poly, tile), never pixels.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
 import numpy as np
 import pyarrow as pa
 import ray
 
-from gdal_boots_ray.kernels.rasterize import rasterize
 from gdal_boots_ray.kernels.warp import WarpSource, crop_by_geometry
-from gdal_boots_ray.stages.decode import binary_column_views, pixels_view
+from gdal_boots_ray.stages.decode import batch_pixel_views, binary_column_views, pixels_view
 
 
 class ZonalStats:
-    """map_batches actor over (tile row + poly_id) batches.
+    """map_batches actor over decoded (tile row + poly_id) batches.
 
-    For each row: rasterize the polygon onto the tile grid, mask, and
-    emit (poly_id, image_id, n_px, sum_v, min_v, max_v) partials of
-    band 0 (reference masks with nodata, gdal.py:882-887; here we
-    aggregate instead of materializing masked pixels)."""
+    Emits (poly_id, image_id, n_px, sum_v, min_v, max_v) partials of
+    band 0 of the ``pixels`` column through :func:`zonal_partials`
+    (reference masks with nodata, gdal.py:882-887; here we aggregate
+    instead of materializing masked pixels)."""
 
     def __init__(self, polygons_ref):
         polys = ray.get(polygons_ref) if isinstance(polygons_ref, ray.ObjectRef) else polygons_ref
         self.polygons = {pid: rings for pid, rings in polys}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from gdal_boots_ray.kernels.geometry import points_in_rings
-
-        from gdal_boots_ray.stages.decode import batch_pixel_views
-
-        n = batch.num_rows
-        gts = batch.column("gt").combine_chunks().flatten().to_numpy(zero_copy_only=False).reshape(-1, 6)
-        hs = batch.column("h").to_numpy()
-        ws = batch.column("w").to_numpy()
         views = batch_pixel_views(batch)
-        pids = batch.column("poly_id").to_numpy()
-        out = {
-            "poly_id": np.asarray(pids, np.int64),
-            "image_id": batch.column("image_id").to_pylist(),
-            "n_px": np.zeros(n, np.int64),
-            "sum_v": np.zeros(n, np.float64),
-            "min_v": np.full(n, np.inf),
-            "max_v": np.full(n, -np.inf),
+        return zonal_partials(batch, self.polygons, lambda i: views[i] if views[i].ndim == 2 else views[i][0])
+
+
+def zonal_partials(matched: pa.Table, polygons: dict, band0) -> pa.Table:
+    """Per-(poly, tile) partials (poly_id, image_id, n_px, sum_v, min_v,
+    max_v) of band 0 over a batch of matched pairs — THE zonal kernel of
+    the flagship and ``ZonalStats``; callers differ only in ``band0(i)``,
+    which returns row ``i``'s band 0 as an (h, w) array.
+
+    Same pixel selection as :func:`select_zone_pixels`, batch-at-a-time:
+    the cover test runs once per polygon over all of its pairs in the
+    batch (``_rings_cover_tiles``); an interior tile then reduces its
+    whole band, a boundary tile its ``_rings_mask`` selection.  Pairs
+    selecting no pixel are dropped.  A ``ValueError`` from ``band0`` is
+    re-raised naming the row's ``image_id``."""
+    n = matched.num_rows
+    gts = matched.column("gt").combine_chunks().flatten().to_numpy(zero_copy_only=False).reshape(-1, 6)
+    hs = matched.column("h").to_numpy()
+    ws = matched.column("w").to_numpy()
+    pids = matched.column("poly_id").to_numpy()
+    ids = matched.column("image_id").to_pylist()
+    # interior/boundary class of every pair, one cover call per polygon
+    uniq, inv = np.unique(pids, return_inverse=True)
+    covered = np.zeros(n, bool)
+    for j, pid in enumerate(uniq):
+        rings = polygons.get(int(pid))
+        if rings is not None:
+            idx = np.flatnonzero(inv == j)
+            covered[idx] = _rings_cover_tiles(rings, hs[idx], ws[idx], gts[idx])
+    n_px = np.zeros(n, np.int64)
+    sum_v = np.zeros(n, np.float64)
+    min_v = np.full(n, np.inf)
+    max_v = np.full(n, -np.inf)
+    for i in range(n):
+        rings = polygons.get(int(pids[i]))
+        if rings is None:
+            continue
+        try:
+            band = band0(i)
+        except ValueError as e:
+            raise ValueError(f"image_id {ids[i]!r}: {e}") from e
+        if covered[i]:
+            sel = band.reshape(-1)  # interior tile: no mask/gather
+        else:
+            sel = band[_rings_mask(rings, (int(hs[i]), int(ws[i])), gts[i])]
+        n_px[i] = sel.size
+        if sel.size:
+            sum_v[i] = float(sel.sum(dtype=np.float64))
+            min_v[i] = float(sel.min())
+            max_v[i] = float(sel.max())
+    keep = n_px > 0
+    return pa.table(
+        {
+            "poly_id": pa.array(pids[keep].astype(np.int64)),
+            "image_id": pa.array([v for v, k in zip(ids, keep) if k], pa.string()),
+            "n_px": pa.array(n_px[keep]),
+            "sum_v": pa.array(sum_v[keep]),
+            "min_v": pa.array(min_v[keep]),
+            "max_v": pa.array(max_v[keep]),
         }
-        for i in range(n):
-            rings = self.polygons.get(int(pids[i]))
-            if rings is None:
-                continue
-            img = views[i]
-            band0 = img if img.ndim == 2 else img[0]
-            sel = select_zone_pixels(rings, band0, (int(hs[i]), int(ws[i])), gts[i])
-            out["n_px"][i] = sel.size
-            if sel.size:
-                out["sum_v"][i] = float(sel.sum(dtype=np.float64))
-                out["min_v"][i] = float(sel.min())
-                out["max_v"][i] = float(sel.max())
-        keep = out["n_px"] > 0
-        return pa.table(
-            {
-                "poly_id": pa.array(out["poly_id"][keep]),
-                "image_id": pa.array([v for v, k in zip(out["image_id"], keep) if k], pa.string()),
-                "n_px": pa.array(out["n_px"][keep]),
-                "sum_v": pa.array(out["sum_v"][keep]),
-                "min_v": pa.array(out["min_v"][keep]),
-                "max_v": pa.array(out["max_v"][keep]),
-            }
-        )
+    )
 
 
 def select_zone_pixels(rings, band: np.ndarray, shape, gt) -> np.ndarray:

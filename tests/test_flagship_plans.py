@@ -1,7 +1,7 @@
-"""The flagship's two physical plans — read-in-task stateless tasks
-(default) and actor-pool over a Dataset read — must produce the same
-per-polygon aggregate: the plan choice is a scheduling detail, never a
-semantics change."""
+"""The flagship's two Dataset builders — ``run_flagship``'s
+read-in-task plan and ``fused_partials`` mapped over a Dataset read —
+must produce the same per-polygon aggregate: the plan choice is a
+scheduling detail, never a semantics change."""
 
 import numpy as np
 import pandas as pd
@@ -17,27 +17,28 @@ def small_images(tmp_path_factory):
     return path
 
 
-def test_task_and_actor_plans_agree(ray_session, small_images):
-    from gdal_boots_ray.pipelines.flagship import combine_zonal_partials, run_flagship
+def test_read_in_task_and_dataset_map_plans_agree(ray_session, small_images):
+    import ray.data as rd
+
+    from gdal_boots_ray.pipelines.flagship import combine_zonal_partials, fused_partials, run_flagship
     from gdal_boots_ray.sources.fixtures import bench_polygons
+    from gdal_boots_ray.stages.joins import put_polygons
 
     polys = bench_polygons(512, 48)
 
-    def run(use_actors):
-        ds = run_flagship(
-            small_images,
-            polygons=polys,
-            cell_res=5000.0,
-            batch_size=32,
-            num_cpus_hint=4,
-            use_actors=use_actors,
-        )
-        out = combine_zonal_partials(ds)
-        return out.sort_values("poly_id").reset_index(drop=True)
+    def combined(ds):
+        return combine_zonal_partials(ds).sort_values("poly_id").reset_index(drop=True)
 
-    task_plan = run(False)
-    actor_plan = run(True)
+    task_plan = combined(run_flagship(small_images, polygons=polys, cell_res=5000.0, batch_size=32, num_cpus_hint=4))
+    map_plan = combined(fused_partials(rd.read_parquet(small_images), put_polygons(polys), 5000.0, 9, True, 32))
     assert len(task_plan) > 0
-    pd.testing.assert_frame_equal(task_plan, actor_plan)
+    pd.testing.assert_frame_equal(task_plan, map_plan)
     # integer-valued partial sums: bit-identical across batch splits
     assert (task_plan["sum_v"] == np.floor(task_plan["sum_v"])).all()
+
+
+def test_lance_path_refuses_input_reps(tmp_path):
+    from gdal_boots_ray.pipelines.flagship import run_flagship
+
+    with pytest.raises(ValueError, match="input_reps=2"):
+        run_flagship(str(tmp_path / "t.lance"), input_reps=2)

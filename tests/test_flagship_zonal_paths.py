@@ -1,11 +1,15 @@
-"""The flagship's two zonal implementations must agree: the default
-batch-at-a-time path (band-0 decode from the bytes column, one cover
-test per polygon per batch) and ``decode_all=True`` (decode every band,
-then ``ZonalStats`` / ``select_zone_pixels`` per row) return identical
-partial aggregates on every batch.  In-process, no Ray."""
+"""Both callers of the one zonal kernel (``stages.zonal.zonal_partials``)
+must match an independent per-row reference on every batch: the fused
+flagship worker (band-0 decode from the bytes column) and
+``ZonalStats`` over ``DecodeImages`` output.  The reference joins with
+``BroadcastPIPJoin``, decodes every band of each matched tile and
+selects its zone pixels with ``select_zone_pixels``, one pair at a
+time.  In-process, no Ray."""
 
 import glob
 
+import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -24,24 +28,66 @@ def image_batches(tmp_path_factory):
     return [t.slice(s, 32) for s in range(0, t.num_rows, 32)]
 
 
+def reference_partials(batch, packed):
+    """Per-batch partial aggregate, one matched pair at a time, and the
+    number of interior (fully covered) and boundary pairs."""
+    from gdal_boots_ray.kernels.png import decode_image
+    from gdal_boots_ray.pipelines.flagship import _partial_zonal_agg
+    from gdal_boots_ray.stages.geo import add_bounds
+    from gdal_boots_ray.stages.joins import BroadcastPIPJoin
+    from gdal_boots_ray.stages.zonal import _rings_cover_tile, select_zone_pixels
+
+    polys = dict(packed)
+    rows = {k: [] for k in ("poly_id", "image_id", "n_px", "sum_v", "min_v", "max_v")}
+    n_interior = n_boundary = 0
+    for r in BroadcastPIPJoin(packed)(add_bounds(batch)).to_pylist():
+        rings = polys[r["poly_id"]]
+        img = decode_image(r["bytes"], r["fmt"])
+        band = img if img.ndim == 2 else img[0]
+        shape = (r["h"], r["w"])
+        if _rings_cover_tile(rings, shape, r["gt"]):
+            n_interior += 1
+        else:
+            n_boundary += 1
+        sel = select_zone_pixels(rings, band, shape, r["gt"])
+        if sel.size:
+            rows["poly_id"].append(r["poly_id"])
+            rows["image_id"].append(r["image_id"])
+            rows["n_px"].append(sel.size)
+            rows["sum_v"].append(float(sel.sum(dtype=np.float64)))
+            rows["min_v"].append(float(sel.min()))
+            rows["max_v"].append(float(sel.max()))
+    types = {"poly_id": pa.int64(), "image_id": pa.string(), "n_px": pa.int64()}
+    stats = pa.table({k: pa.array(v, types.get(k, pa.float64())) for k, v in rows.items()})
+    return _partial_zonal_agg(stats), n_interior, n_boundary
+
+
 @pytest.mark.parametrize("n_polys", [4, 25])
-def test_batched_and_decode_all_partials_identical(image_batches, n_polys):
+def test_kernel_callers_match_per_row_reference(image_batches, n_polys):
     from gdal_boots_ray.kernels.geometry import polygon_rings
-    from gdal_boots_ray.pipelines.flagship import FusedTileWorker
+    from gdal_boots_ray.pipelines.flagship import FusedTileWorker, _partial_zonal_agg
     from gdal_boots_ray.sources.fixtures import bench_polygons
+    from gdal_boots_ray.stages.decode import DecodeImages
+    from gdal_boots_ray.stages.geo import add_bounds
+    from gdal_boots_ray.stages.joins import BroadcastPIPJoin
+    from gdal_boots_ray.stages.zonal import ZonalStats
 
     polys = bench_polygons(384, 24, n_polys=n_polys)
     packed = [(int(p["poly_id"]), polygon_rings(p["geometry"])) for p in polys]
-    batched = FusedTileWorker(packed, 5000.0, 9, True)
-    decode_all = FusedTileWorker(packed, 5000.0, 9, True, decode_all=True)
-    n_tiles = n_px = 0
+    fused = FusedTileWorker(packed, 5000.0, 9, True)
+    decode, join, zonal = DecodeImages(), BroadcastPIPJoin(packed), ZonalStats(packed)
+    n_tiles = n_px = n_interior = n_boundary = 0
     for batch in image_batches:
-        got = batched(batch)
-        want = decode_all(batch)
+        want, interior, boundary = reference_partials(batch, packed)
+        got = fused(batch)
         assert got.equals(want)
+        assert _partial_zonal_agg(zonal(join(add_bounds(decode(batch))))).equals(want)
         n_tiles += sum(got.column("n_tiles").to_pylist())
         n_px += sum(got.column("n_px").to_pylist())
+        n_interior += interior
+        n_boundary += boundary
     # most tiles matched, and both interior (whole tile) and boundary
     # (masked) pairs occurred
     assert n_tiles > sum(b.num_rows for b in image_batches) // 2
     assert 0 < n_px < n_tiles * 24 * 24
+    assert n_interior > 0 and n_boundary > 0
