@@ -746,22 +746,18 @@ def q_point_values(sf_dir: str):
 
     from gdal_boots_ray.kernels.sampling import sample_points
     from gdal_boots_ray.sources.fixtures import point_params
+    from gdal_boots_ray.stages.agg import exchange
     from gdal_boots_ray.stages.decode import pixels_view
 
     import ray
 
     n_part = pq.read_metadata(f"{sf_dir}/part.parquet").num_rows
-    # bucket the tile key so the shuffle has a bounded number of
-    # groups (per-key map_groups pays Ray's per-group cost thousands
-    # of times); buckets scale with the cluster
-    n_buckets = max(64, 2 * int(ray.cluster_resources().get("CPU", 16)))
 
     def tag_points(batch: pa.Table) -> pa.Table:
         p = point_params(batch.column("c_custkey").to_numpy(), n_part)
         n = len(p["custkey"])
         return pa.table(
             {
-                "b": pa.array(p["tile_key"] % n_buckets, pa.int64()),
                 "k": pa.array(p["tile_key"], pa.int64()),
                 "kind": pa.array(np.zeros(n, np.int8)),
                 "pid": pa.array(p["custkey"], pa.int64()),
@@ -781,7 +777,6 @@ def q_point_values(sf_dir: str):
         keys = np.array([int(i.split("-")[1]) for i in ids], dtype=np.int64)
         return pa.table(
             {
-                "b": pa.array(keys % n_buckets, pa.int64()),
                 "k": pa.array(keys, pa.int64()),
                 "kind": pa.array(np.ones(n, np.int8)),
                 "pid": pa.array(np.zeros(n, np.int64)),
@@ -883,7 +878,10 @@ def q_point_values(sf_dir: str):
             }
         )
 
-    return pts.union(tiles).groupby("b").map_groups(sample_bucket, batch_format="pyarrow")
+    # the tile key is bucketed so the shuffle has a bounded number of
+    # groups (per-key map_groups pays Ray's per-group cost thousands
+    # of times)
+    return exchange([pts, tiles], ["k"], sample_bucket)
 
 
 def q_zonal_stats(sf_dir: str):
@@ -1917,15 +1915,14 @@ def q_line_dedup(sf_dir: str, chunk_tokens: int = 8):
 
     Scale shape: chunks flat-map out of the docs carrying only their
     own text span; ONE bucketed shuffle keyed on the chunk string
-    co-locates duplicates (bounded fan-out via `_key_buckets_arrow`,
+    co-locates duplicates (bounded fan-out via ``stages.agg.exchange``,
     never a per-chunk groupby); each bucket resolves keep-first with
     np.unique + a packed (doc_id, idx) min, emits per-doc count
     partials, and a second bounded shuffle sums them per doc.  No
     stage ever holds more than its bucket; duplicate-heavy (skewed)
     chunks cost one group pass, not a cross join."""
-    from gdal_boots_ray.stages.agg import _key_buckets_arrow, bucketed_aggregate, _default_n_buckets
+    from gdal_boots_ray.stages.agg import bucketed_aggregate, exchange
 
-    n_buckets = _default_n_buckets()
     docs = _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -1953,16 +1950,13 @@ def q_line_dedup(sf_dir: str, chunk_tokens: int = 8):
                 out_doc.append(int(ids[i]))
                 out_ci.append(c)
                 out_len.append(len(s))
-        t = pa.table(
+        return pa.table(
             {
                 "chunk": pa.array(out_chunk, pa.string()),
                 "doc_id": pa.array(out_doc, pa.int64()),
                 "ci": pa.array(out_ci, pa.int64()),
                 "clen": pa.array(out_len, pa.int64()),
             }
-        )
-        return t.append_column(
-            "_bucket", pa.array(_key_buckets_arrow(t, ["chunk"], n_buckets), pa.int64())
         )
 
     def keep_first(g: pa.Table) -> pa.Table:
@@ -1988,9 +1982,7 @@ def q_line_dedup(sf_dir: str, chunk_tokens: int = 8):
             }
         )
 
-    partials = docs.map_batches(explode, batch_format="pyarrow").groupby("_bucket").map_groups(
-        keep_first, batch_format="pyarrow"
-    )
+    partials = exchange(docs.map_batches(explode, batch_format="pyarrow"), ["chunk"], keep_first)
     return bucketed_aggregate(
         partials,
         ["doc_id"],
@@ -3004,14 +2996,7 @@ def q_corpus_clean(
     # and the min-per-h reduce is vectorized per BUCKET (thousands of
     # h groups each), never per tiny h group (the per-group pandas
     # overhead trap at 10^9 distinct texts)
-    from gdal_boots_ray.stages.agg import _default_n_buckets, _key_buckets_arrow
-
-    n_buckets = _default_n_buckets()
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_bucket", pa.array(_key_buckets_arrow(batch, ["h"], n_buckets), pa.int64())
-        )
+    from gdal_boots_ray.stages.agg import exchange
 
     def keep_min_per_hash(g: pa.Table) -> pa.Table:
         # rows in doc_id order, then the first occurrence of each hash
@@ -3021,13 +3006,9 @@ def q_corpus_clean(
         h = g.column("h").to_numpy(zero_copy_only=False)[order]
         _, first = np.unique(h, return_index=True)
         rows = order[np.sort(first)]
-        return g.drop_columns(["_bucket"]).take(pa.array(rows, pa.int64()))
+        return g.take(pa.array(rows, pa.int64()))
 
-    unique = (
-        filtered.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(keep_min_per_hash, batch_format="pyarrow")
-    )
+    unique = exchange(filtered, ["h"], keep_min_per_hash)
 
     # checkpoint the cleaned-survivor set once: three downstream
     # consumers (LSH, two text attaches, anti join) would otherwise
@@ -6446,17 +6427,16 @@ def q_inverted_index(sf_dir: str, min_df: int = 5):
     shard, emitting df, cf and an md5 digest of the ordered list
     (the digest is what a 10^12-row index job would checkpoint per
     shard).  Only word-count partials cross the wire — never text —
-    and fan-out scales with the cluster via _default_n_buckets."""
+    and fan-out scales with the cluster via ``stages.agg.exchange``."""
     import hashlib
 
     import pandas as pd
     import ray.data as rd
 
     from gdal_boots_ray.kernels.text import _WORD_RE
-    from gdal_boots_ray.stages.agg import _default_n_buckets, _key_buckets
+    from gdal_boots_ray.stages.agg import exchange
 
     docs = _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    n_buckets = _default_n_buckets()
 
     def postings_partial(batch: pd.DataFrame) -> pd.DataFrame:
         word_lists = [_WORD_RE.findall(t.lower()) for t in batch["text"]]
@@ -6468,9 +6448,7 @@ def q_inverted_index(sf_dir: str, min_df: int = 5):
             else np.array([], dtype=object)
         )
         df = pd.DataFrame({"word": words, "doc_id": ids})
-        out = df.groupby(["word", "doc_id"], sort=False).size().rename("tf").reset_index()
-        out["_bucket"] = _key_buckets(out, ["word"], n_buckets)
-        return out
+        return df.groupby(["word", "doc_id"], sort=False).size().rename("tf").reset_index()
 
     def build_shard(g: pd.DataFrame) -> pd.DataFrame:
         # re-sum tf across batch partials, then assemble ordered lists
@@ -6485,10 +6463,11 @@ def q_inverted_index(sf_dir: str, min_df: int = 5):
             rows.append((word, len(ids), int(grp["tf"].sum()), digest))
         return pd.DataFrame(rows, columns=["word", "df", "cf", "postings_md5"])
 
-    out = (
-        docs.map_batches(postings_partial, batch_format="pandas")
-        .groupby("_bucket")
-        .map_groups(build_shard, batch_format="pandas")
+    out = exchange(
+        docs.map_batches(postings_partial, batch_format="pandas"),
+        ["word"],
+        build_shard,
+        batch_format="pandas",
     )
 
     def cast(batch: pa.Table) -> pa.Table:
@@ -7773,19 +7752,9 @@ def q_basket_pairs(sf_dir: str, min_count: int = 2):
     the DuckDB twin hash-matches bit for bit."""
     import pandas as pd
 
-    from gdal_boots_ray.stages.agg import (
-        _default_n_buckets,
-        _key_buckets_arrow,
-        bucketed_aggregate,
-    )
+    from gdal_boots_ray.stages.agg import bucketed_aggregate, exchange
 
     ds = _read(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"])
-    n_ob = _default_n_buckets()
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_ob", pa.array(_key_buckets_arrow(batch, ["l_orderkey"], n_ob), pa.int64())
-        )
 
     def explode(g: pd.DataFrame) -> pd.DataFrame:
         ok = g["l_orderkey"].to_numpy().astype(np.int64)
@@ -7824,11 +7793,7 @@ def q_basket_pairs(sf_dir: str, min_count: int = 2):
             }
         )
 
-    rows = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_ob")
-        .map_groups(explode, batch_format="pandas")
-    )
+    rows = exchange(ds, ["l_orderkey"], explode, batch_format="pandas")
     agg = bucketed_aggregate(rows, ["kind", "pa", "pb"], {"cnt": "sum"})
 
     # item counts + order total: #parts + 1 rows — bounded, driver-side
@@ -7884,22 +7849,16 @@ def q_price_outliers(sf_dir: str, k_sigma: int = 2):
     over part-sorted runs, and the inequality evaluates for all rows
     of all parts at once.  int64 magnitudes are guarded and
     overflow-escape to Python arbitrary precision for pathological
-    group sizes."""
+    prices or group sizes."""
     import pandas as pd
 
-    from gdal_boots_ray.stages.agg import _default_n_buckets, _key_buckets_arrow
+    from gdal_boots_ray.stages.agg import exchange
 
     ds = _read(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_orderkey", "l_linenumber", "l_extendedprice"],
     )
     k2 = k_sigma * k_sigma
-    n_pb = _default_n_buckets()
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_pb", pa.array(_key_buckets_arrow(batch, ["l_partkey"], n_pb), pa.int64())
-        )
 
     def flag(g: pd.DataFrame) -> pd.DataFrame:
         pk = g["l_partkey"].to_numpy().astype(np.int64)
@@ -7908,25 +7867,23 @@ def q_price_outliers(sf_dir: str, k_sigma: int = 2):
         pk, c = pk[order], c[order]
         starts = np.flatnonzero(np.r_[True, pk[1:] != pk[:-1]])
         n = np.diff(np.r_[starts, len(pk)])  # per-part row counts
-        s = np.add.reduceat(c, starts)
-        q = np.add.reduceat(c * c, starts)
-        nn = np.repeat(n, n)  # broadcast per-part stats back to rows
-        ss = np.repeat(s, n)
-        rhs_g = np.repeat(k2 * (n * q - s * s), n)
-        # |n*c - S| < 2*(n_max*c_max) must square inside int64, and
-        # 4*(n*Q - S^2) <= 4*n*Q must not wrap: bound both at 2^30/2^60
-        if int(n.max()) * max(abs(int(c.max())), 1) < (1 << 30) and int(
-            (n * q).max()
-        ) < (1 << 60):
-            out = (nn * c - ss) ** 2 > rhs_g
-        else:  # arbitrary-precision escape hatch (never hit at TPC-H shapes)
-            out = np.array(
-                [
-                    (int(ni) * int(ci) - int(si)) ** 2 > int(ri)
-                    for ni, ci, si, ri in zip(nn, c, ss, rhs_g)
-                ],
-                bool,
-            )
+        # with B = n_max * |c|_max, every int64 intermediate is at most
+        # max(4, k2) * B^2: c^2, Q, n*Q and S^2 are <= B^2, the RHS is
+        # <= k2 * B^2 and (n*c - S)^2 <= 4 * B^2 (Python ints: no wrap)
+        bound = int(n.max()) * max(abs(int(c.max())), abs(int(c.min())))
+        if max(4, k2) * bound * bound < (1 << 63):
+            s = np.add.reduceat(c, starts)
+            q = np.add.reduceat(c * c, starts)
+            rhs = np.repeat(k2 * (n * q - s * s), n)  # per-part stats back to rows
+            out = (np.repeat(n, n) * c - np.repeat(s, n)) ** 2 > rhs
+        else:  # arbitrary precision from per-part Python-int n, S, Q
+            out = np.zeros(len(c), bool)
+            cl = c.tolist()
+            for st, m in zip(starts.tolist(), n.tolist()):
+                part = cl[st : st + m]
+                S = sum(part)
+                rhs = k2 * (m * sum(x * x for x in part) - S * S)
+                out[st : st + m] = [(m * x - S) ** 2 > rhs for x in part]
         sel = order[out]
         return pd.DataFrame(
             {
@@ -7937,11 +7894,7 @@ def q_price_outliers(sf_dir: str, k_sigma: int = 2):
             }
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_pb")
-        .map_groups(flag, batch_format="pandas")
-    )
+    return exchange(ds, ["l_partkey"], flag, batch_format="pandas")
 
 
 def q_customer_gini(sf_dir: str, range_bits: int = 20):
@@ -8118,7 +8071,7 @@ def q_order_percentile(sf_dir: str, range_bits: int = 20):
             {
                 "o_orderkey": o["o_orderkey"].to_numpy().astype(np.int64),
                 "price_cents": c,
-                "pct_rank": below.astype(np.float64) / np.float64(n_total - 1),
+                "pct_rank": below.astype(np.float64) / np.float64(max(n_total - 1, 1)),
             }
         )
 
@@ -8235,18 +8188,7 @@ def q_pagerank_parts(sf_dir: str, iters: int = 3):
     textbook Pregel schedule expressed as Ray Data groupbys."""
     import pandas as pd
 
-    from gdal_boots_ray.stages.agg import (
-        _default_n_buckets,
-        _key_buckets_arrow,
-        bucketed_aggregate,
-    )
-
-    n_nb = _default_n_buckets()
-
-    def add_nbucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_nb", pa.array(_key_buckets_arrow(batch, ["src"], n_nb), pa.int64())
-        )
+    from gdal_boots_ray.stages.agg import bucketed_aggregate, exchange
 
     SUPP = 1_000_000_000
 
@@ -8302,14 +8244,12 @@ def q_pagerank_parts(sf_dir: str, iters: int = 3):
         batch_format="pyarrow",
     )
     ecols = ["src", "dst", "d_"]
-    edges_d = (
-        e_side.select_columns(ecols)
-        .union(d_side.select_columns(ecols))
-        .map_batches(add_nbucket, batch_format="pyarrow")
-        .groupby("_nb")
-        .map_groups(attach_deg, batch_format="pandas")
-        .materialize()  # static per-iteration input: pin it once
-    )
+    edges_d = exchange(
+        [e_side.select_columns(ecols), d_side.select_columns(ecols)],
+        ["src"],
+        attach_deg,
+        batch_format="pandas",
+    ).materialize()  # static per-iteration input: pin it once
 
     # r_0 = 1e6 for every node (nodes = deg keys)
     r = deg.map_batches(
@@ -8356,12 +8296,11 @@ def q_pagerank_parts(sf_dir: str, iters: int = 3):
             batch_format="pyarrow",
         )
         cols = ["src", "dst", "d", "r_"]
-        contribs = (
-            ed_side.select_columns(cols)
-            .union(r_side.select_columns(cols))
-            .map_batches(add_nbucket, batch_format="pyarrow")
-            .groupby("_nb")
-            .map_groups(scatter, batch_format="pandas")
+        contribs = exchange(
+            [ed_side.select_columns(cols), r_side.select_columns(cols)],
+            ["src"],
+            scatter,
+            batch_format="pandas",
         )
         summed = bucketed_aggregate(contribs, ["node"], {"r": "sum"})
         r = summed.map_batches(
@@ -8396,15 +8335,9 @@ def q_part_mad(sf_dir: str):
     pandas group per part)."""
     import pandas as pd
 
-    from gdal_boots_ray.stages.agg import _default_n_buckets, _key_buckets_arrow
+    from gdal_boots_ray.stages.agg import exchange
 
     ds = _read(f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_extendedprice"])
-    n_pb = _default_n_buckets()
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_pb", pa.array(_key_buckets_arrow(batch, ["l_partkey"], n_pb), pa.int64())
-        )
 
     def _disc_idx(n: np.ndarray) -> np.ndarray:
         # percentile_disc(0.5): first sorted index with cum >= 0.5*n
@@ -8430,11 +8363,7 @@ def q_part_mad(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_pb")
-        .map_groups(mad, batch_format="pandas")
-    )
+    return exchange(ds, ["l_partkey"], mad, batch_format="pandas")
 
 
 def q_revenue_autocorr(sf_dir: str, lag_days: int = 7):
@@ -8787,14 +8716,9 @@ def q_events_ntile(sf_dir: str, n_tiles_q: int = 4):
     import pandas as pd
     import ray.data as rd
 
-    from gdal_boots_ray.stages.agg import _default_n_buckets
+    from gdal_boots_ray.stages.agg import exchange
 
     ev = _read(f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "value"])
-    nb = _default_n_buckets()
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy()
-        return batch.append_column("_bucket", pa.array((u * 2654435761 % 2**31) % nb))
 
     def ntile_counts(g: pd.DataFrame) -> pd.DataFrame:
         d = g.sort_values(["user_id", "value", "event_id"], kind="mergesort")
@@ -8817,11 +8741,7 @@ def q_events_ntile(sf_dir: str, n_tiles_q: int = 4):
         agg["sum_value"] = agg["sum_value"].round(6)
         return agg
 
-    return (
-        ev.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(ntile_counts, batch_format="pandas")
-    )
+    return exchange(ev, ["user_id"], ntile_counts, batch_format="pandas")
 
 
 def q_tile_geohash(sf_dir: str, precision: int = 6):
@@ -9454,7 +9374,7 @@ ORACLE_SQL: Dict[str, str] = {
         ),
         s AS (
             SELECT l_partkey, count(*) AS n,
-                   sum(cents) AS s, sum(cents * cents) AS q
+                   sum(cents) AS s, sum(CAST(cents AS HUGEINT) * cents) AS q
             FROM c GROUP BY l_partkey
         )
         SELECT c.l_partkey, c.l_orderkey, c.l_linenumber,

@@ -9,8 +9,13 @@ dozens of groups, pathological for millions of tiny groups (30s for a
 2. **bucketed final**: hash keys into a bounded number of buckets,
    shuffle once on the small partials, combine each bucket vectorized.
 
-This is the combiner/pre-aggregation pattern the Ray guide recommends
-before any wide groupby; exposed here as a reusable helper.
+:func:`exchange` is the one bucketed shuffle: it owns the key hash
+(:func:`_key_buckets_arrow`), the bucket count
+(:func:`_default_n_buckets`) and the bucket column, and every
+bucket-at-a-time reducer in the package (aggregate, top-k, hash join,
+knn merge, text pair exchanges, the bucketed queries) runs through it.
+Shuffles whose reducer must see exactly one key per call (cell
+joins, range partitions) stay plain ``groupby(key).map_groups``.
 """
 
 from __future__ import annotations
@@ -34,23 +39,10 @@ def _default_n_buckets() -> int:
         return 32
 
 
-def _key_buckets(batch: pd.DataFrame, keys: Sequence[str], n_buckets: int) -> np.ndarray:
-    """Deterministic hash of the key columns into ``n_buckets``."""
-    h = np.zeros(len(batch), dtype=np.uint64)
-    for k in keys:
-        col = batch[k]
-        if col.dtype == object:
-            vals = pd.util.hash_array(col.to_numpy().astype(str)).astype(np.uint64)
-        else:
-            vals = col.to_numpy().astype(np.uint64, copy=False)
-        h = h * np.uint64(1000003) + vals
-    return (h % np.uint64(n_buckets)).astype(np.int64)
-
-
 def _key_buckets_arrow(batch: pa.Table, keys: Sequence[str], n_buckets: int) -> np.ndarray:
-    """Arrow-native twin of :func:`_key_buckets` — same hash, same
-    bucket assignment, but reads the key columns straight off the
-    Arrow table (no DataFrame wrapper in the exchange hot path)."""
+    """Deterministic hash of the key columns into ``n_buckets``, read
+    straight off the Arrow table (no DataFrame wrapper in the exchange
+    hot path)."""
     h = np.zeros(batch.num_rows, dtype=np.uint64)
     for k in keys:
         col = batch.column(k)
@@ -61,6 +53,48 @@ def _key_buckets_arrow(batch: pa.Table, keys: Sequence[str], n_buckets: int) -> 
             vals = col.to_numpy(zero_copy_only=False).astype(np.uint64, copy=False)
         h = h * np.uint64(1000003) + vals
     return (h % np.uint64(n_buckets)).astype(np.int64)
+
+
+_BUCKET = "_bucket"
+
+
+def exchange(
+    inputs,
+    keys: Sequence[str],
+    fn,
+    n_buckets: Optional[int] = None,
+    batch_format: str = "pyarrow",
+):
+    """The bucketed shuffle: hash ``keys`` into ``n_buckets`` buckets
+    (default :func:`_default_n_buckets`), co-shuffle once on the
+    bucket, and call ``fn`` once per bucket.
+
+    ``inputs`` is one Dataset or a list of Datasets with identical
+    schemas (unioned after each gets its bucket column, so that map
+    fuses with the caller's own per-batch map).  ``fn`` receives every
+    row of its bucket — all rows of any one key arrive in the same
+    call, many keys share a call — as a ``batch_format`` batch without
+    the bucket column.  Lazy: no schema probe, no materialization.
+    """
+    keys = list(keys)
+    if n_buckets is None:
+        n_buckets = _default_n_buckets()
+
+    def tag(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            _BUCKET, pa.array(_key_buckets_arrow(batch, keys, n_buckets), pa.int64())
+        )
+
+    def call(g):
+        if batch_format == "pandas":
+            return fn(g.drop(columns=[_BUCKET]))
+        return fn(g.drop_columns([_BUCKET]))
+
+    if not isinstance(inputs, (list, tuple)):
+        inputs = [inputs]
+    tagged = [ds.map_batches(tag, batch_format="pyarrow") for ds in inputs]
+    both = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+    return both.groupby(_BUCKET).map_groups(call, batch_format=batch_format)
 
 
 def bucketed_aggregate(
@@ -81,9 +115,6 @@ def bucketed_aggregate(
     parallelism at a constant.
     """
     keys = list(keys)
-    if n_buckets is None:
-        n_buckets = _default_n_buckets()
-
     spec_items = list(agg.items())
 
     def _arrow_agg(batch: pa.Table, items) -> pa.Table:
@@ -100,21 +131,16 @@ def bucketed_aggregate(
             cols[name] = res.column(f"{src}_{how}")
         return pa.table(cols)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        out = _arrow_agg(batch, spec_items)
-        return out.append_column(
-            "_bucket", pa.array(_key_buckets_arrow(out, keys, n_buckets), pa.int64())
-        )
-
     second = {"count": "sum"}  # counts combine by summing
-
     final_items = [(name, second.get(how, how)) for name, how in spec_items]
 
-    def final(g: pa.Table) -> pa.Table:
-        return _arrow_agg(g.drop_columns(["_bucket"]), final_items)
+    def partial(batch: pa.Table) -> pa.Table:
+        return _arrow_agg(batch, spec_items)
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return partials.groupby("_bucket").map_groups(final, batch_format="pyarrow")
+    def final(g: pa.Table) -> pa.Table:
+        return _arrow_agg(g, final_items)
+
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"), keys, final, n_buckets)
 
 
 def grouped_top_k(
@@ -134,14 +160,12 @@ def grouped_top_k(
     only exchange moves <= k x (groups present in that batch) rows —
     never raw data — into a bucketed final that re-applies the same
     top-k per group.  ``tie_cols`` (ascending) make the result
-    deterministic under ties; the shuffle fan-out scales with the
-    cluster via ``_default_n_buckets``.  Semantics follow the
+    deterministic under ties; the final runs through :func:`exchange`,
+    so its fan-out scales with the cluster.  Semantics follow the
     reference's ordered-read idiom (gdal.py feature iteration is
     deterministic) lifted to a distributed setting.
     """
     keys = list(keys)
-    if n_buckets is None:
-        n_buckets = _default_n_buckets()
     by = [order_col] + list(tie_cols)
     ascending = [not descending] + [True] * len(tie_cols)
 
@@ -181,20 +205,7 @@ def grouped_top_k(
         pos = np.arange(n) - np.repeat(starts, runlen)
         return t.take(pa.array(order[pos < k], pa.int64()))
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        out = _topk(batch)
-        return out.append_column(
-            "_bucket", pa.array(_key_buckets_arrow(out, keys, n_buckets), pa.int64())
-        )
-
-    def final_topk(g: pa.Table) -> pa.Table:
-        return _topk(g.drop_columns(["_bucket"]))
-
-    return (
-        ds.map_batches(partial_topk, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(final_topk, batch_format="pyarrow")
-    )
+    return exchange(ds.map_batches(_topk, batch_format="pyarrow"), keys, _topk, n_buckets)
 
 
 def approx_count_distinct(ds, col: str, n_buckets: int = 64) -> float:

@@ -459,8 +459,8 @@ def hash_join(
     null-padded on no match); all run the same single co-shuffle.
 
     Neither side is broadcast or driver-materialized: both stream
-    through a key-hash bucketing stage (fan-out scales with the
-    cluster via ``_default_n_buckets``), co-shuffle ONCE on the
+    through ``stages.agg.exchange`` (key-hash buckets whose fan-out
+    scales with the cluster), co-shuffle ONCE on the
     bucket, and each bucket merges vectorized (Arrow take + numpy
     searchsorted, no pandas frame in the exchange).  This is
     the partitioned hash join a SQL engine plans for orders ⋈
@@ -471,10 +471,7 @@ def hash_join(
     Skew: one hot key still lands in one bucket; salt upstream with
     ``stages.skew`` if a single key's rows exceed a worker.
     """
-    from gdal_boots_ray.stages.agg import _default_n_buckets, _key_buckets_arrow
-
-    if n_buckets is None:
-        n_buckets = _default_n_buckets()
+    from gdal_boots_ray.stages.agg import exchange
 
     def _types(ds, cols):
         try:
@@ -499,13 +496,12 @@ def hash_join(
             out[f"l_{c}"] = batch.column(c) if kind == 0 else pa.nulls(n, lt.get(c))
         for c in right_cols:
             out[f"r_{c}"] = batch.column(c) if kind == 1 else pa.nulls(n, rt.get(c))
-        t = pa.table(out)
-        bucket = _key_buckets_arrow(t, ["k"], n_buckets)
-        return t.append_column("_bucket", pa.array(bucket, pa.int64()))
+        return pa.table(out)
 
-    both = left_ds.map_batches(lambda b: tag(b, 0), batch_format="pyarrow").union(
-        right_ds.map_batches(lambda b: tag(b, 1), batch_format="pyarrow")
-    )
+    sides = [
+        left_ds.map_batches(lambda b: tag(b, 0), batch_format="pyarrow"),
+        right_ds.map_batches(lambda b: tag(b, 1), batch_format="pyarrow"),
+    ]
 
     def _keys_np(tbl: pa.Table) -> np.ndarray:
         k = tbl.column("k")
@@ -571,7 +567,7 @@ def hash_join(
             return pa.concat_tables([inner, pa.table(cols)], promote_options="default")
         raise ValueError(f"unknown join how={how!r}")
 
-    return both.groupby("_bucket").map_groups(merge, batch_format="pyarrow")
+    return exchange(sides, ["k"], merge, n_buckets)
 
 
 def knn_brute_force(embeddings_ds, queries: np.ndarray, k: int, query_ids: Optional[np.ndarray] = None):

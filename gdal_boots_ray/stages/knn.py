@@ -301,28 +301,12 @@ def spatial_knn_dataset(
         return merge
 
     def merge_by_bucket(cand, ring: int, accept_all: bool):
-        """Hash qid into a bounded number of buckets (same shape as
-        stages.agg.grouped_top_k) so merge fan-out scales with the
-        cluster, not the query count."""
-        from gdal_boots_ray.stages.agg import _default_n_buckets
+        """Merge through ``stages.agg.exchange`` keyed on qid (same
+        shape as stages.agg.grouped_top_k) so merge fan-out scales with
+        the cluster, not the query count."""
+        from gdal_boots_ray.stages.agg import exchange
 
-        nb = _default_n_buckets()
-
-        def add_qb(batch: pa.Table) -> pa.Table:
-            q = batch.column("qid").to_numpy().astype(np.uint64)
-            qb = ((q * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)) % np.uint64(nb)
-            return batch.append_column("_qb", pa.array(qb.astype(np.int64), pa.int64()))
-
-        fn = make_merge(ring, accept_all)
-
-        def merge(g: pa.Table) -> pa.Table:
-            return fn(g.drop_columns(["_qb"]))
-
-        return (
-            cand.map_batches(add_qb, batch_format="pyarrow")
-            .groupby("_qb")
-            .map_groups(merge, batch_format="pyarrow")
-        )
+        return exchange(cand, ["qid"], make_merge(ring, accept_all))
 
     def probe(remaining_ds, ring: int):
         exploded = remaining_ds.map_batches(make_explode(ring), batch_format="pyarrow")

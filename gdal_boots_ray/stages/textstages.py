@@ -276,10 +276,6 @@ def prefix_jaccard_candidate_pairs(
     # stand-in so the bucket count scales with corpus size
     n_buckets = max(32, (int(n_docs) * 64) // max(rows_per_bucket, 1))
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        sh = batch.column("sh").to_numpy()
-        return batch.append_column("bucket", pa.array((sh % n_buckets).astype(np.int64), pa.int64()))
-
     def pairs(g: pa.Table) -> pa.Table:
         # lexsort-run replacement for the per-shingle pandas groupby
         sh = g.column("sh").to_numpy()
@@ -318,13 +314,9 @@ def prefix_jaccard_candidate_pairs(
             }
         )
 
-    cand = (
-        rows.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pairs, batch_format="pyarrow")
-    )
-    from gdal_boots_ray.stages.agg import bucketed_aggregate
+    from gdal_boots_ray.stages.agg import bucketed_aggregate, exchange
 
+    cand = exchange(rows, ["sh"], pairs, n_buckets)
     out = bucketed_aggregate(cand, ["doc_a", "doc_b"], {"n_tokens_shared": "count"})
     return out.select_columns(["doc_a", "doc_b", "n_tokens_shared"])
 
@@ -430,10 +422,6 @@ def band_pairs_from_rows(
     # count; pair generation inside each bucket iterates its actual
     # band buckets vectorized (a per-band-key map_groups pays Ray's
     # per-group overhead once per distinct signature)
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        bk = batch.column("band_key").to_numpy()
-        return batch.append_column("bucket", pa.array(bk % n_buckets, pa.int64()))
-
     def pairs(g: pa.Table) -> pa.Table:
         # one lexsort replaces the per-band-key pandas groupby: band
         # runs are contiguous slices, doc ids deduped + ascending
@@ -470,16 +458,12 @@ def band_pairs_from_rows(
             }
         )
 
-    cand = (
-        band_rows.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pairs, batch_format="pyarrow")
-    )
+    from gdal_boots_ray.stages.agg import bucketed_aggregate, exchange
+
+    cand = exchange(band_rows, ["band_key"], pairs, n_buckets)
     # dedup pairs colliding in multiple bands: partial->bucketed final
     # count (a bare multi-key groupby.aggregate sort-reduces per tiny
     # group and is ~10x slower here)
-    from gdal_boots_ray.stages.agg import bucketed_aggregate
-
     out = bucketed_aggregate(cand, ["doc_a", "doc_b"], {"n_bands": "count"})
     return out.select_columns(["doc_a", "doc_b", "n_bands"])
 
@@ -507,10 +491,8 @@ def attach_pair_columns(
     missing either end is dropped, and a pair duplicated k times
     upstream is emitted k times (both exactly as the chained joins
     would; doc ids must be unique in ``docs_ds``)."""
-    from gdal_boots_ray.stages.agg import _default_n_buckets, _key_buckets_arrow
+    from gdal_boots_ray.stages.agg import exchange
 
-    if n_buckets is None:
-        n_buckets = _default_n_buckets()
     try:
         vt = docs_ds.schema().base_schema.field(val_col).type
     except Exception:
@@ -522,7 +504,7 @@ def attach_pair_columns(
         n = batch.num_rows
         a_np = a.to_numpy()
         b_np = b.to_numpy()
-        t = pa.table(
+        return pa.table(
             {
                 "k": pa.array(np.concatenate([a_np, b_np]), pa.int64()),
                 "a": pa.array(np.concatenate([a_np, a_np]), pa.int64()),
@@ -533,13 +515,10 @@ def attach_pair_columns(
                 "val": pa.nulls(2 * n, vt),
             }
         )
-        return t.append_column(
-            "_bucket", pa.array(_key_buckets_arrow(t, ["k"], n_buckets), pa.int64())
-        )
 
     def doc_rows(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        t = pa.table(
+        return pa.table(
             {
                 "k": batch.column("doc_id").cast(pa.int64()),
                 "a": pa.nulls(n, pa.int64()),
@@ -548,13 +527,11 @@ def attach_pair_columns(
                 "val": batch.column(val_col),
             }
         )
-        return t.append_column(
-            "_bucket", pa.array(_key_buckets_arrow(t, ["k"], n_buckets), pa.int64())
-        )
 
-    both = pairs_ds.map_batches(probes, batch_format="pyarrow").union(
-        docs_ds.map_batches(doc_rows, batch_format="pyarrow")
-    )
+    sides = [
+        pairs_ds.map_batches(probes, batch_format="pyarrow"),
+        docs_ds.map_batches(doc_rows, batch_format="pyarrow"),
+    ]
 
     def fetch(g: pa.Table) -> pa.Table:
         side = g.column("side").to_numpy()
@@ -570,7 +547,7 @@ def attach_pair_columns(
             }
         )
         if not len(didx) or not len(pidx):
-            return empty.append_column("_pb", pa.array([], pa.int64()))
+            return empty
         order = np.argsort(k[didx], kind="mergesort")
         dks = k[didx][order]
         pos = np.searchsorted(dks, k[pidx])
@@ -578,7 +555,7 @@ def attach_pair_columns(
         rows = pidx[ok]
         drows = didx[order[pos[ok]]]
         t = g.take(pa.array(rows, pa.int64()))
-        out = pa.table(
+        return pa.table(
             {
                 "a": t.column("a"),
                 "b": t.column("b"),
@@ -586,11 +563,8 @@ def attach_pair_columns(
                 "val": g.column("val").take(pa.array(drows, pa.int64())),
             }
         )
-        return out.append_column(
-            "_pb", pa.array(_key_buckets_arrow(out, ["a", "b"], n_buckets), pa.int64())
-        )
 
-    fetched = both.groupby("_bucket").map_groups(fetch, batch_format="pyarrow")
+    fetched = exchange(sides, ["k"], fetch, n_buckets)
 
     def zip_pair(g: pa.Table) -> pa.Table:
         a = g.column("a").to_numpy()
@@ -633,7 +607,7 @@ def attach_pair_columns(
             }
         )
 
-    return fetched.groupby("_pb").map_groups(zip_pair, batch_format="pyarrow")
+    return exchange(fetched, ["a", "b"], zip_pair, n_buckets)
 
 
 def attach_doc_column(

@@ -2,47 +2,43 @@
 throughput metrics emitted").
 
 ``run_with_report`` consumes a Dataset (to_pandas for small results or
-a sink callback), parses ``ds.stats()`` into structured per-operator
-metrics (wall seconds, rows, rows/s, UDF time), and writes a JSON run
-report next to the output (or a given path)."""
+a sink callback), reads Ray Data's structured stats summary into
+per-operator metrics (wall seconds, rows, rows/s, UDF time), and
+writes a JSON run report next to the output (or a given path)."""
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import time
 from typing import Callable, Optional
 
-_OP_RE = re.compile(r"Operator (\d+) (.+?): .*?executed(?:,.*)? in ([\d.]+)s", re.S)
-_ROWS_RE = re.compile(r"Output num rows per block: .*?, (\d+) total")
-_UDF_RE = re.compile(r"UDF time: .*?, ([\d.]+)(us|ms|s) total")
 
-_UNIT = {"us": 1e-6, "ms": 1e-3, "s": 1.0}
+def _operator_stats(summary) -> list:
+    """Every operator of a stats summary, its ``parents`` included, so
+    the inputs of a union or groupby still show up."""
+    ops = list(summary.operators_stats)
+    for parent in summary.parents:
+        ops.extend(_operator_stats(parent))
+    return ops
 
 
-def parse_stats(stats: str) -> list:
-    """ds.stats() text -> [{operator, wall_s, rows, rows_per_s, udf_s}]."""
-    ops = []
-    blocks = re.split(r"\nOperator ", stats)
-    for blk in blocks:
-        m = re.match(r"(\d+) (.+?): .*?in ([\d.]+)s", blk, re.S)
-        if not m:
-            continue
-        rows_m = _ROWS_RE.search(blk)
-        udf_m = _UDF_RE.search(blk)
-        wall = float(m.group(3))
-        rows = int(rows_m.group(1)) if rows_m else None
-        ops.append(
+def stage_stats(ds) -> list:
+    """Executed Dataset -> [{operator, wall_s, rows, rows_per_s, udf_s}]."""
+    stages = []
+    for op in _operator_stats(ds._get_stats_summary()):
+        wall = op.time_total_s
+        rows = op.output_num_rows["sum"] if op.output_num_rows else None
+        stages.append(
             {
-                "operator": m.group(2).strip().split("\n")[0][:100],
+                "operator": op.operator_name[:100],
                 "wall_s": wall,
                 "rows": rows,
                 "rows_per_s": round(rows / wall, 2) if rows and wall > 0 else None,
-                "udf_s": round(float(udf_m.group(1)) * _UNIT[udf_m.group(2)], 3) if udf_m else None,
+                "udf_s": round(op.udf_time["sum"], 3) if op.udf_time else None,
             }
         )
-    return ops
+    return stages
 
 
 def run_with_report(ds, report_path: str, consume: Optional[Callable] = None, extra: Optional[dict] = None):
@@ -53,7 +49,7 @@ def run_with_report(ds, report_path: str, consume: Optional[Callable] = None, ex
     wall = time.perf_counter() - t0
     report = {
         "wall_s": round(wall, 3),
-        "stages": parse_stats(ds.stats()),
+        "stages": stage_stats(ds),
         "extra": extra or {},
     }
     os.makedirs(os.path.dirname(report_path) or ".", exist_ok=True)

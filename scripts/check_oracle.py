@@ -1,6 +1,8 @@
 """Local stand-in for the driver's correctness gate: run every
 queries() entry AND its oracle_sql() twin over the same sf dir,
 compare row count, column names, and an order-insensitive value hash.
+Every OK / FAIL / ROWS line ends with the engine result's value hash,
+so two runs (e.g. before and after a change) can be diffed line by line.
 
 Usage: python scripts/check_oracle.py [sf_dir] [query ...]
 """
@@ -84,24 +86,29 @@ def main():
             print(f"FAIL  {name}: ray error: {type(e).__name__}: {e}")
             continue
         dt = time.time() - t0
+        mine_hash = value_hash(mine)
         sql = oracles.get(name)
         if sql is None:
-            print(f"ROWS  {name}: {len(mine)} rows, cols={sorted(mine.columns)} ({dt:.1f}s) [no oracle]")
+            print(
+                f"ROWS  {name}: {len(mine)} rows, cols={sorted(mine.columns)} ({dt:.1f}s) [no oracle]"
+                f" value_hash={mine_hash}"
+            )
             continue
         try:
             ref = con.execute(sql).fetchdf()
         except Exception as e:
             failures.append(name)
-            print(f"FAIL  {name}: sql error: {e}")
+            print(f"FAIL  {name}: sql error: {e} value_hash={mine_hash}")
             continue
         ok_rows = len(mine) == len(ref)
         ok_cols = sorted(mine.columns) == sorted(ref.columns)
-        ok_hash = ok_cols and value_hash(mine) == value_hash(ref)
+        ok_hash = ok_cols and mine_hash == value_hash(ref)
         status = "OK  " if (ok_rows and ok_cols and ok_hash) else "FAIL"
         if status == "FAIL":
             failures.append(name)
         print(
             f"{status}  {name}: rows {len(mine)}/{len(ref)} cols_ok={ok_cols} hash_ok={ok_hash} ({dt:.1f}s)"
+            f" value_hash={mine_hash}"
         )
         if status == "FAIL" and ok_cols:
             m = mine.sort_values(sorted(mine.columns)).head(5)

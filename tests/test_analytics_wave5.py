@@ -88,6 +88,54 @@ def test_order_percentile_min_rank(ray_session):
     assert (got["pct_rank"].to_numpy() == od["pct"].to_numpy()).all()  # bit-exact
 
 
+def _twin(name, sf_dir, table):
+    import duckdb
+
+    from gdal_boots_ray.pipelines.queries import ORACLE_SQL
+
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW {table} AS SELECT * FROM read_parquet('{sf_dir}/{table}.parquet')")
+    return con.execute(ORACLE_SQL[name]).fetchdf()
+
+
+def test_price_outliers_exact_past_int64(ray_session, tmp_path):
+    """At 10^10 cents, c^2 and n*Q wrap int64: the exact path must flag
+    only the 3x10^10 row, as the twin does in HUGEINT."""
+    from gdal_boots_ray.pipelines.queries import QUERIES
+
+    pd.DataFrame(
+        {
+            "l_partkey": np.full(10, 7, np.int64),
+            "l_orderkey": np.arange(1, 11, dtype=np.int64),
+            "l_linenumber": np.ones(10, np.int64),
+            "l_extendedprice": [1e8] * 9 + [3e8],
+        }
+    ).to_parquet(tmp_path / "lineitem.parquet")
+    got = QUERIES["price_outliers"](str(tmp_path)).to_pandas()
+    want = _twin("price_outliers", tmp_path, "lineitem")
+    cols = ["l_partkey", "l_orderkey", "l_linenumber", "price_cents"]
+
+    def rows(df):
+        return sorted(map(tuple, df[cols].astype(np.int64).to_numpy().tolist()))
+
+    assert rows(got) == rows(want) == [(7, 10, 1, 3 * 10**10)]
+
+
+def test_order_percentile_one_row(ray_session, tmp_path):
+    """percent_rank of a one-row table is 0.0 (DuckDB), not 0/0."""
+    from gdal_boots_ray.pipelines.queries import QUERIES
+
+    pd.DataFrame({"o_orderkey": [42], "o_totalprice": [123.45]}).to_parquet(
+        tmp_path / "orders.parquet"
+    )
+    got = QUERIES["order_percentile"](str(tmp_path)).to_pandas()
+    want = _twin("order_percentile", tmp_path, "orders")
+    assert want["pct_rank"].tolist() == [0.0]
+    assert got["o_orderkey"].tolist() == want["o_orderkey"].tolist() == [42]
+    assert got["price_cents"].tolist() == want["price_cents"].tolist() == [12345]
+    assert got["pct_rank"].tolist() == [0.0]
+
+
 def test_rfm_codes_in_range_and_quartiles(ray_session):
     got = _run("rfm_segments")
     code = got["rfm_code"].to_numpy()

@@ -1,0 +1,90 @@
+"""``stages.agg.exchange``: every key's rows reach exactly one ``fn``
+call, no row is lost or duplicated, and ``fn`` never sees the bucket
+column — for integer (negative too), string and composite keys, one
+or two inputs, one or seven buckets, and an empty input."""
+
+import uuid
+
+import numpy as np
+import pyarrow as pa
+import pytest
+
+COLS = ["k", "s", "v"]
+
+
+def _table(lo: int, hi: int) -> pa.Table:
+    v = np.arange(lo, hi, dtype=np.int64)
+    return pa.table(
+        {
+            "k": pa.array(v % 23 - 11, pa.int64()),  # negative and positive
+            "s": pa.array([f"w{x % 17}" for x in v], pa.string()),
+            "v": pa.array(v, pa.int64()),
+        }
+    )
+
+
+def _tag_call_fn():
+    """``fn`` for the exchange: one row per input row, stamped with a
+    per-call id and the columns this call saw.  Built in a closure so
+    Ray ships it by value (workers cannot import this test module)."""
+    cols = list(COLS)
+
+    def tag_call(g):
+        if not isinstance(g, pa.Table):
+            g = pa.Table.from_pandas(g, preserve_index=False)
+        n = g.num_rows
+        return pa.table(
+            {
+                **{c: g.column(c) for c in cols},
+                "call": pa.array([uuid.uuid4().hex] * n, pa.string()),
+                "seen": pa.array([",".join(g.column_names)] * n, pa.string()),
+            }
+        )
+
+    return tag_call
+
+
+def _datasets(n_inputs: int, n_rows: int = 300):
+    import ray.data as rd
+
+    edges = np.linspace(0, n_rows, n_inputs + 1).astype(int)
+    # several blocks per input, so a bucket gathers rows from many blocks
+    return [
+        rd.from_arrow([_table(a + i, a + i + 25) for i in range(0, b - a, 25)])
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
+
+
+@pytest.mark.parametrize("keys", [["k"], ["s"], ["k", "s"]])
+@pytest.mark.parametrize("n_inputs", [1, 2])
+@pytest.mark.parametrize("n_buckets", [1, 7])
+def test_each_key_reaches_one_call(ray_session, keys, n_inputs, n_buckets):
+    from gdal_boots_ray.stages.agg import exchange
+
+    inputs = _datasets(n_inputs)
+    out = exchange(inputs if n_inputs > 1 else inputs[0], keys, _tag_call_fn(), n_buckets).to_pandas()
+
+    assert set(out["seen"]) == {",".join(COLS)}
+    assert (out.groupby(keys)["call"].nunique() == 1).all()
+    assert out["call"].nunique() <= n_buckets
+    want = _table(0, 300).to_pandas()
+    got = out[COLS].sort_values("v").reset_index(drop=True)
+    assert got.equals(want)  # same multiset: v is unique per row
+
+
+@pytest.mark.parametrize("batch_format", ["pyarrow", "pandas"])
+def test_batch_formats_drop_the_bucket_column(ray_session, batch_format):
+    from gdal_boots_ray.stages.agg import exchange
+
+    out = exchange(_datasets(2), ["k", "s"], _tag_call_fn(), 7, batch_format=batch_format).to_pandas()
+    assert set(out["seen"]) == {",".join(COLS)}
+    assert sorted(out["v"]) == list(range(300))
+
+
+def test_empty_input(ray_session):
+    import ray.data as rd
+
+    from gdal_boots_ray.stages.agg import exchange
+
+    out = exchange(rd.from_arrow(_table(0, 0)), ["k"], _tag_call_fn(), 7).to_pandas()
+    assert len(out) == 0

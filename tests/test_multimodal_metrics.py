@@ -231,7 +231,7 @@ class TestRealMediaCodecs:
 def test_metrics_report(ray_session, tmp_path):
     import ray.data as rd
 
-    from gdal_boots_ray.state.metrics import parse_stats, run_with_report
+    from gdal_boots_ray.state.metrics import run_with_report
 
     ds = rd.range(1000).map_batches(lambda b: b, batch_format="pyarrow")
     path = str(tmp_path / "report.json")
@@ -240,4 +240,6 @@ def test_metrics_report(ray_session, tmp_path):
     report = json.load(open(path))
     assert report["extra"]["job"] == "test"
     assert report["wall_s"] > 0
-    assert isinstance(report["stages"], list)
+    assert report["stages"]
+    assert [s["rows"] for s in report["stages"]] == [1000]
+    assert report["stages"][0]["wall_s"] > 0
