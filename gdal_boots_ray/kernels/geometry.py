@@ -565,7 +565,7 @@ def buffer_convex_ring(
         raise ValueError("buffer_convex_ring: repeated vertex")
     cross = d[:, 0] * np.roll(d[:, 1], -1) - d[:, 1] * np.roll(d[:, 0], -1)
     sgn = np.sign(np.sum(cross))
-    if sgn == 0 or (np.sign(cross) == -sgn).any():
+    if sgn == 0 or (np.sign(cross) != sgn).any():
         raise ValueError("buffer_convex_ring: ring is not strictly convex")
     # outward unit normal per edge: right of travel for CW (sgn<0),
     # left for CCW (sgn>0)

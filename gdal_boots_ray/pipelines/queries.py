@@ -2253,6 +2253,8 @@ def q_embedding_cov(sf_dir: str):
 
     def partial(batch: pa.Table) -> pa.Table:
         emb = batch.column("embedding").combine_chunks()
+        if not len(emb):
+            return pa.table({"dim": pa.array([], pa.int64()), "part": pa.array([], pa.binary())})
         dim = len(emb[0])
         x = emb.flatten().to_numpy(zero_copy_only=False).reshape(-1, dim).astype(np.float64)
         ia, ib = np.triu_indices(dim)
@@ -2266,7 +2268,7 @@ def q_embedding_cov(sf_dir: str):
         )
 
     rows = ds.map_batches(partial, batch_format="pyarrow").take_all()
-    dim = int(rows[0]["dim"])
+    dim = int(rows[0]["dim"]) if rows else 0
     total = np.zeros(dim * (dim + 1) // 2, np.int64)
     for r in rows:
         total += np.frombuffer(r["part"], np.int64)

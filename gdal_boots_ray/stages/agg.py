@@ -13,9 +13,10 @@ dozens of groups, pathological for millions of tiny groups (30s for a
 (:func:`_key_buckets_arrow`), the bucket count
 (:func:`_default_n_buckets`) and the bucket column, and every
 bucket-at-a-time reducer in the package (aggregate, top-k, hash join,
-knn merge, text pair exchanges, the bucketed queries) runs through it.
-Shuffles whose reducer must see exactly one key per call (cell
-joins, range partitions) stay plain ``groupby(key).map_groups``.
+the cell joins, knn merge, text pair exchanges, the bucketed queries)
+runs through it.  Shuffles whose reducer still expects exactly one key
+per call (``asof_join``, range partitions) stay plain
+``groupby(key).map_groups``.
 """
 
 from __future__ import annotations

@@ -6,10 +6,12 @@ Join strategies (SURVEY §2.6):
   (country/AOI sets) — ``ray.put`` the parsed rings once; each actor
   ``ray.get``s them in ``__init__`` and tests every batch of points /
   tile centers vectorized (ray-casting, even-odd).  No shuffle.
-- **Shuffle PIP** (`cell_pip_join`): both sides large — explode each
-  side to covering grid cells, groupby(cell), per-group PIP, dedup on
-  (poly_id, row key).  The cell id is the single partitioning key
-  reused across stages; hot cells can be salted upstream.
+- **Shuffle PIP** (`cell_pip_join`): both sides large — polygons
+  explode to their covering grid cells, points carry their home cell,
+  and both co-shuffle once through ``stages.agg.exchange`` keyed on the
+  cell.  Each bucket runs one PIP call per polygon over that polygon's
+  points in the bucket; a pair meets only in the point's home cell, so
+  there is no dedup.  ``interval_join`` is the same plan in 1-D.
 - **Point sampling join** (`SampleTilesAtPoints`): the distributed
   ``values_by_points`` (reference gdal.py:897-931) — points carry the
   target tile key; the stage decodes/views tile pixels and gathers
@@ -26,6 +28,7 @@ import pyarrow as pa
 import ray
 
 from gdal_boots_ray.kernels.geometry import points_in_rings, polygon_rings
+from gdal_boots_ray.stages.agg import exchange
 from gdal_boots_ray.stages.decode import pixels_view
 
 
@@ -148,19 +151,21 @@ def cell_pip_join(
     string]) — a driver-side list of GeoJSON feature dicts is also
     accepted and converted for the small/legacy callers.
 
-    Physical plan: each polygon row explodes to its envelope's
-    covering grid cells (a Dataset map, so the polygon side scales out
-    too); each point carries its single home cell; both co-shuffle
-    once on ``cell`` (groupby) and every cell group parses its local
-    polygons once and runs vectorized ray-casting over the group's
-    points.  A matching (point, polygon) pair meets in EXACTLY the
-    point's home cell — the polygon's covering cells include every
-    cell it touches — so matches are globally unique and no dedup
-    shuffle is needed.
+    Physical plan: each polygon row explodes to the covering grid
+    cells of its envelope (a Dataset map, so the polygon side scales
+    out too); each point carries its single home cell; both co-shuffle
+    once through ``stages.agg.exchange`` keyed on ``cell``.  Each
+    bucket sorts its points by cell, slices every (polygon, cell)
+    row's candidates out of that order, and parses each distinct
+    (poly_id, geom) once for one vectorized ray-casting call over all
+    of its candidates in the bucket.  A matching (point, polygon) pair
+    meets in EXACTLY the point's home cell — the polygon's covering
+    cells include every cell it touches — so matches are globally
+    unique and no dedup shuffle is needed.
 
     Partitioning assumption: a polygon spans few grid cells at the
     chosen ``cell_res`` (envelope explosion is exact; res only
-    affects fan-out).  Hot cells can be salted upstream (stages.skew).
+    affects fan-out).  A hot cell lands in one bucket.
     """
     import json
 
@@ -185,8 +190,12 @@ def cell_pip_join(
         out_idx: List[int] = []
         for i, gj in enumerate(geoms):
             rings = polygon_rings(json.loads(gj))
-            ext = rings[0]
-            env = (ext[:, 0].min(), ext[:, 1].min(), ext[:, 0].max(), ext[:, 1].max())
+            if not rings:
+                continue
+            # the envelope of every ring: MultiPolygon parts may lie
+            # outside the first part's box
+            xy = np.concatenate(rings)
+            env = (xy[:, 0].min(), xy[:, 1].min(), xy[:, 0].max(), xy[:, 1].max())
             cc = grid_cells_covering_bounds(env, cell_res)
             out_cell.extend(cc.tolist())
             out_idx.extend([i] * len(cc))
@@ -217,60 +226,52 @@ def cell_pip_join(
             }
         )
 
-    both = points_ds.map_batches(tag_points, batch_format="pyarrow").union(
-        polygons.map_batches(explode_polys, batch_format="pyarrow")
-    )
-
-    def group_pip(g: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {key_col: pa.array([], pa.int64()), "poly_id": pa.array([], pa.int64())}
-        )
-        pm = g.column("kind").to_numpy() == 1
-        if not pm.any() or pm.all():
-            return empty
+    def bucket_pip(g: pa.Table) -> pa.Table:
+        kind = g.column("kind").to_numpy()
+        cell = g.column("cell").to_numpy()
+        pt = np.flatnonzero(kind == 0)
+        pt = pt[np.argsort(cell[pt], kind="stable")]
+        poly = np.flatnonzero(kind == 1)
+        # each (polygon, cell) row's candidates: its cell's slice of
+        # the cell-sorted points
+        lo = np.searchsorted(cell[pt], cell[poly], side="left")
+        cnt = np.searchsorted(cell[pt], cell[poly], side="right") - lo
+        keep = cnt > 0
+        poly, lo, cnt = poly[keep], lo[keep], cnt[keep]
+        # one ring parse and one PIP call per distinct (poly_id, geom);
+        # every row stays, so a duplicated polygon row pairs twice
         ids = g.column("id").to_numpy()
-        px = g.column("x").to_numpy()[~pm]
-        py = g.column("y").to_numpy()[~pm]
-        pids = ids[~pm]
-        geoms = g.column("geom").to_numpy(zero_copy_only=False)
-        poly_rows = list(zip(ids[pm], geoms[pm]))
-        all_rings = [polygon_rings(json.loads(gj)) for _, gj in poly_rows]
-        out_keys: List[np.ndarray] = []
-        out_polys: List[np.ndarray] = []
-        if len(poly_rows) >= 16:
-            # many polygons share this cell: STRtree over their
-            # envelopes prunes to bbox candidates before ray-casting
-            from gdal_boots_ray.kernels.strtree import STRtree, rings_bbox
-
-            tree = STRtree(np.array([rings_bbox(r) for r in all_rings]).reshape(-1, 4))
-            cand_pt, cand_poly = tree.query_points(px, py)
-            order = np.argsort(cand_poly, kind="stable")
-            cand_pt, cand_poly = cand_pt[order], cand_poly[order]
-            bounds = np.searchsorted(cand_poly, np.arange(len(poly_rows) + 1))
-            for j, (poly_id, _) in enumerate(poly_rows):
-                pts = cand_pt[bounds[j] : bounds[j + 1]]
-                if not len(pts):
-                    continue
-                inside = points_in_rings(px[pts], py[pts], all_rings[j])
-                hits = pids[pts[inside]]
-                out_keys.append(hits)
-                out_polys.append(np.full(len(hits), poly_id, np.int64))
-        else:
-            for (poly_id, _), rings in zip(poly_rows, all_rings):
-                inside = points_in_rings(px, py, rings)
-                hits = pids[inside]
-                out_keys.append(hits)
-                out_polys.append(np.full(len(hits), poly_id, np.int64))
-        if not out_keys:
-            return empty
+        geoms = g.column("geom").take(pa.array(poly, pa.int64())).to_pylist()
+        codes: Dict[tuple, int] = {}
+        code = np.array([codes.setdefault(k, len(codes)) for k in zip(ids[poly].tolist(), geoms)], np.int64)
+        order = np.argsort(code, kind="stable")
+        code, lo, cnt = code[order], lo[order], cnt[order]
+        cand = pt[np.repeat(lo, cnt) + _concat_ranges(cnt)]
+        bounds = np.searchsorted(np.repeat(code, cnt), np.arange(len(codes) + 1))
+        x = g.column("x").to_numpy()
+        y = g.column("y").to_numpy()
+        out_keys: List[np.ndarray] = [np.empty(0, np.int64)]
+        out_polys: List[np.ndarray] = [np.empty(0, np.int64)]
+        for j, (poly_id, gj) in enumerate(codes):
+            c = cand[bounds[j] : bounds[j + 1]]
+            hits = ids[c[points_in_rings(x[c], y[c], polygon_rings(json.loads(gj)))]]
+            out_keys.append(hits)
+            out_polys.append(np.full(len(hits), poly_id, np.int64))
         return pa.table(
             {
-                key_col: pa.array(np.concatenate(out_keys).astype(np.int64), pa.int64()),
+                key_col: pa.array(np.concatenate(out_keys), pa.int64()),
                 "poly_id": pa.array(np.concatenate(out_polys), pa.int64()),
             }
         )
 
-    return both.groupby("cell").map_groups(group_pip, batch_format="pyarrow")
+    return exchange(
+        [
+            points_ds.map_batches(tag_points, batch_format="pyarrow"),
+            polygons.map_batches(explode_polys, batch_format="pyarrow"),
+        ],
+        ["cell"],
+        bucket_pip,
+    )
 
 
 def asof_join(
@@ -365,8 +366,11 @@ def interval_join(
     """Distributed RANGE join: each point row joins every interval row
     with ``lo <= val < hi`` — the 1-D analog of the cell PIP join.
     Both sides stream: intervals explode to covering value-grid cells
-    inside map_batches, points carry their single home cell, one
-    co-shuffle on the cell, exact filter per group.  A match meets
+    inside map_batches, points carry their single home cell, and both
+    co-shuffle once through ``stages.agg.exchange`` keyed on the cell.
+    Each bucket sorts its points by (cell, value) and finds every
+    interval row's [lo, hi) slice of its cell with one sort of points
+    and bounds, with no loop over cells or intervals.  A match meets
     exactly in the point's home cell, so no dedup pass.
 
     ``cell_width`` trades interval fan-out (hi-lo)/width against group
@@ -409,37 +413,43 @@ def interval_join(
             }
         )
 
-    both = points_ds.map_batches(tag_points, batch_format="pyarrow").union(
-        intervals_ds.map_batches(explode_intervals, batch_format="pyarrow")
-    )
-
-    def group_join(g: pa.Table) -> pa.Table:
-        im = g.column("kind").to_numpy() == 1
-        pm = np.flatnonzero(~im)
-        iv = np.flatnonzero(im)
-        if not len(pm) or not len(iv):
-            return pa.table(
-                {point_key_col: pa.array([], pa.int64()), iv_key_col: pa.array([], pa.int64())}
-            )
-        # sort points once, then each interval [lo, hi) is a
-        # searchsorted slice — O((n+m) log n), no loop over intervals
+    def bucket_join(g: pa.Table) -> pa.Table:
+        kind = g.column("kind").to_numpy()
+        cell = g.column("cell").to_numpy()
+        pm = np.flatnonzero(kind == 0)
+        iv = np.flatnonzero(kind == 1)
         ids = g.column("id").to_numpy()
-        v = g.column("v").to_numpy()[pm]
-        order = np.argsort(v, kind="mergesort")
-        vs = v[order]
-        pids = ids[pm][order]
-        start = np.searchsorted(vs, g.column("lo").to_numpy()[iv], side="left")
-        end = np.searchsorted(vs, g.column("hi").to_numpy()[iv], side="left")
+        v = g.column("v").to_numpy()
+        pts = pm[np.lexsort((v[pm], cell[pm]))]
+        # interval i joins pts[start:end], where start / end count the
+        # points sorting before its lo / hi in one (cell, value) lexsort
+        # of points and bounds; a bound sorts ahead of an equal point
+        # (searchsorted side="left") and NaN sorts last
+        ev_cell = np.concatenate([cell[pm], cell[iv], cell[iv]])
+        ev_val = np.concatenate([v[pm], g.column("lo").to_numpy()[iv], g.column("hi").to_numpy()[iv]])
+        is_pt = np.concatenate([np.ones(len(pm), np.int64), np.zeros(2 * len(iv), np.int64)])
+        order = np.lexsort((is_pt, ev_val, ev_cell))
+        before = np.empty(len(order), np.int64)
+        before[order] = np.cumsum(is_pt[order]) - is_pt[order]
+        start = before[len(pm) : len(pm) + len(iv)]
+        end = before[len(pm) + len(iv) :]
         cnt = np.maximum(end - start, 0)
         idx = np.repeat(start, cnt) + _concat_ranges(cnt)
         return pa.table(
             {
-                point_key_col: pa.array(pids[idx].astype(np.int64), pa.int64()),
-                iv_key_col: pa.array(np.repeat(ids[iv], cnt).astype(np.int64), pa.int64()),
+                point_key_col: pa.array(ids[pts[idx]], pa.int64()),
+                iv_key_col: pa.array(np.repeat(ids[iv], cnt), pa.int64()),
             }
         )
 
-    return both.groupby("cell").map_groups(group_join, batch_format="pyarrow")
+    return exchange(
+        [
+            points_ds.map_batches(tag_points, batch_format="pyarrow"),
+            intervals_ds.map_batches(explode_intervals, batch_format="pyarrow"),
+        ],
+        ["cell"],
+        bucket_join,
+    )
 
 
 def hash_join(
@@ -471,7 +481,6 @@ def hash_join(
     Skew: one hot key still lands in one bucket; salt upstream with
     ``stages.skew`` if a single key's rows exceed a worker.
     """
-    from gdal_boots_ray.stages.agg import exchange
 
     def _types(ds, cols):
         try:

@@ -204,3 +204,6 @@ def test_buffer_convex_ring_orientation_and_errors():
     bad = np.array([[0, 0], [2, 1], [4, 0], [2, 0.5], [2, -2]], dtype=float)
     with _pytest.raises(ValueError):
         buffer_convex_ring(bad, 1.0)
+    collinear = np.array([[0, 0], [2, 0], [4, 0], [4, 4], [0, 4]], dtype=float)
+    with _pytest.raises(ValueError):
+        buffer_convex_ring(collinear, 1.0)

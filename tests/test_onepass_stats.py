@@ -67,6 +67,24 @@ def test_embedding_cov_block_invariant(ray_mod):
     assert np.array_equal(base["sxy"].to_numpy(), split["sxy"].to_numpy())
 
 
+def test_embedding_cov_empty_input(ray_mod):
+    """No embedding rows: zero result rows, as the SQL twin's GROUP BY
+    gives, instead of an IndexError."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    import gdal_boots_ray.pipelines.queries as q
+
+    emb = pq.read_table(f"{SF}/embeddings.parquet", columns=["embedding"])
+    q._read, saved = (lambda path, columns=None, **kw: rd.from_arrow(emb.slice(0, 0))), q._read
+    try:
+        out = q.q_embedding_cov(SF)
+    finally:
+        q._read = saved
+    assert out.num_rows == 0
+    assert out.column_names == ["dim_a", "dim_b", "sxy"]
+
+
 def test_poly_geodesic_against_planar(ray_mod):
     """At ~3 km diamond scale the geodesic area must equal the planar
     (projected-metre) area corrected by the spherical-mercator areal
