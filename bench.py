@@ -136,7 +136,6 @@ def run_bench() -> dict:
         "dedup_exact",
         "minhash_pairs",
         "events_window",
-        "q1_pricing",
         "revenue_by_segment",
         "event_gaps",
         "top_terms",
@@ -164,7 +163,6 @@ def run_bench() -> dict:
         "recode_stats_zstd",
         "recode_stats_lerc",
         "recode_stats_webp",
-        "audio_flac",
         "line_dedup",
         "pii_scrub",
         "tile_augment",
@@ -185,17 +183,7 @@ def run_bench() -> dict:
         "tile_temporal_interp",
         "poly_buffer",
         "cohort_retention",
-        "basket_pairs",
-        "price_outliers",
-        "customer_gini",
-        "order_percentile",
-        "rfm_segments",
-        "pagerank_parts",
-        "part_mad",
-        "revenue_autocorr",
-        "revenue_ma7",
         "tile_glcm",
-        "nation_hhi",
         "tile_spatial_autocorr",
     )
     for name in query_names:

@@ -28,7 +28,7 @@ import time
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="flagship spatial-join + tiling job")
-    ap.add_argument("--images", required=True, help="images table (parquet dir / lance)")
+    ap.add_argument("--images", required=True, help="images table (parquet file or dir of part-*.parquet)")
     ap.add_argument("--out", required=True, help="CLUSTER-SHARED output root")
     ap.add_argument("--cell-res", type=float, default=5000.0)
     ap.add_argument("--batch-size", type=int, default=64)

@@ -3,7 +3,7 @@
 (reference options.py:66-80 lists ZSTD in the GTiff compression enum;
 options.py previously raised NotImplementedError for it).
 
-Same ethos as the in-repo JPEG 2000 / FLAC codecs: no external
+Same ethos as the in-repo JPEG 2000 / LERC codecs: no external
 library, the wire format is the published spec, and every decoder
 path the encoder can emit is exercised by byte round-trips.
 

@@ -1,6 +1,6 @@
 """The flagship spatial-join + tiling pipeline.
 
-North-star shape (BASELINE.json): read the Lance-shaped images table →
+North-star shape (BASELINE.json): read the parquet images table →
 vectorized bounds + cell ids (grid + S2) → broadcast PIP join against
 the polygon side → band-0 decode of the matched tiles only → per-(poly,
 tile) zonal partials → per-polygon final aggregate, all in one
@@ -11,7 +11,7 @@ driver (``combine_zonal_partials``).
 Two Dataset builders run the worker: ``_read_in_task`` for parquet
 tables and the resumable run (each file's task also writes that file's
 partials as its checkpoint partition), and ``fused_partials`` over an
-existing Dataset (a Lance table, ``entry()``'s synthesized tiles).
+existing Dataset (``entry()``'s synthesized tiles).
 
 Streaming end-to-end: no take_all/materialize on the big side; the
 result is a small per-polygon aggregate table.
@@ -124,20 +124,11 @@ def run_flagship(
 
     A parquet table runs the read-in-task plan, its files listed
     ``input_reps`` times; ``num_cpus_hint`` (default: the cluster CPU
-    count) sizes its tasks.  A Lance table is read as a Dataset and
-    mapped by ``fused_partials``; it takes no ``input_reps``.
+    count) sizes its tasks.
     """
-    from gdal_boots_ray.sources.imagetable import is_lance_dataset, read_image_table
-
-    lance = is_lance_dataset(images_path)
-    if lance and input_reps > 1:
-        raise ValueError(f"input_reps={input_reps} needs a parquet table, not the Lance dataset {images_path!r}")
     if polygons is None:
         polygons = nation_polygons(np.arange(25))
     poly_ref = put_polygons(polygons)
-    if lance:
-        ds = read_image_table(images_path, columns=IMAGE_COLS)
-        return fused_partials(ds, poly_ref, cell_res, s2_level, with_s2, batch_size)
     if num_cpus_hint is None:
         num_cpus_hint = int(ray.cluster_resources().get("CPU", 8))
     files = _input_files(images_path) * max(1, input_reps)
@@ -153,11 +144,12 @@ def _input_files(images_path: str) -> list:
 
 
 def fused_partials(ds, polygons_ref, cell_res, s2_level, with_s2, batch_size):
-    """Dataset of the zonal partials of the image Dataset ``ds``:
-    stateless tasks map one cached ``FusedTileWorker`` per worker
-    process over its ``batch_size`` batches.  For inputs that already
-    are a Dataset; a parquet table goes through ``_read_in_task``
-    instead, which keeps the payload out of the object store."""
+    """Dataset of the zonal partials of the image Dataset ``ds`` (the
+    tiles ``entry()`` synthesizes): stateless tasks map one cached
+    ``FusedTileWorker`` per worker process over its ``batch_size``
+    batches.  ``run_flagship`` reads a parquet table through
+    ``_read_in_task`` instead, which keeps the payload out of the
+    object store."""
 
     def fused(batch, _cache={}):
         worker = _cache.get("w")

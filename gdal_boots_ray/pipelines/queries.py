@@ -16,6 +16,7 @@ rounded identically on both sides.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Dict, Optional
 
@@ -1160,43 +1161,39 @@ def q_tile_glcm(sf_dir: str, levels_shift: int = 4):
     return ds.map_batches(glcm, batch_format="pyarrow")
 
 
+def _lag1_corr(band: np.ndarray):
+    """``(n_pairs, r)``: the horizontal lag-1 Pearson r of ``band``
+    over its (pixel, east-neighbor) pairs, from integer moments.  r
+    replays the twin's exact IEEE tree (cast num -> double, cast each
+    variance -> double, multiply, sqrt, divide) and is None when a
+    variance is zero (a constant tile or east-shifted band), where the
+    twin's division by zero gives NULL."""
+    b0 = band.astype(np.int64)
+    a, b = b0[:, :-1], b0[:, 1:]
+    n = a.size
+    sx, sy = int(a.sum()), int(b.sum())
+    sxx, syy, sxy = int((a * a).sum()), int((b * b).sum()), int((a * b).sum())
+    num = n * sxy - sx * sy
+    den = float(n * sxx - sx * sx) * float(n * syy - sy * sy)
+    return n, (float(num) / math.sqrt(den) if den != 0 else None)
+
+
 def q_tile_spatial_autocorr(sf_dir: str):
     """Per-tile spatial autocorrelation (horizontal lag-1 Pearson —
     the Moran's-I-flavored texture statistic remote sensing uses to
-    separate smooth from noisy tiles).  Integer moments over
-    (pixel, east-neighbor) pairs; the final r replays the twin's
-    exact IEEE tree (cast num -> double, cast each variance ->
-    double, multiply, sqrt, divide) — the same determinism recipe as
-    revenue_autocorr, here per tile.  Pure map over decoded tiles:
-    one row per image, no exchange."""
-    import math
-
+    separate smooth from noisy tiles), by ``_lag1_corr`` of band 0.
+    Pure map over decoded tiles: one row per image, no exchange."""
     from gdal_boots_ray.stages.decode import batch_pixel_views
 
     ds = _tiles_dataset(sf_dir, decode=True)
 
     def autocorr(batch: pa.Table) -> pa.Table:
-        views = batch_pixel_views(batch)
-        ids = batch.column("image_id").to_pylist()
-        m = len(ids)
-        n_pairs = np.empty(m, np.int64)
-        corr = np.empty(m, np.float64)
-        for i, img in enumerate(views):
-            b0 = (img if img.ndim == 2 else img[0]).astype(np.int64)
-            a, b = b0[:, :-1], b0[:, 1:]
-            n = a.size
-            sx, sy = int(a.sum()), int(b.sum())
-            sxx, syy, sxy = int((a * a).sum()), int((b * b).sum()), int((a * b).sum())
-            num = n * sxy - sx * sy
-            d1 = n * sxx - sx * sx
-            d2 = n * syy - sy * sy
-            n_pairs[i] = n
-            corr[i] = float(num) / math.sqrt(float(d1) * float(d2))
+        rows = [_lag1_corr(img if img.ndim == 2 else img[0]) for img in batch_pixel_views(batch)]
         return pa.table(
             {
-                "image_id": pa.array(ids, pa.string()),
-                "n_pairs": pa.array(n_pairs),
-                "lag1_corr": pa.array(corr),
+                "image_id": pa.array(batch.column("image_id").to_pylist(), pa.string()),
+                "n_pairs": pa.array([n for n, _ in rows], pa.int64()),
+                "lag1_corr": pa.array([r for _, r in rows], pa.float64()),
             }
         )
 
@@ -3323,58 +3320,6 @@ def q_salted_cell_counts(sf_dir: str):
     return out.map_batches(cast, batch_format="pyarrow")
 
 
-def q_q1_pricing(sf_dir: str):
-    import ray.data as rd
-    from ray.data.aggregate import Count, Mean, Sum
-
-    li = _read(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "l_shipdate"],
-    )
-    cutoff = np.datetime64("1998-09-02T00:00:00.000000")
-
-    def prep(batch: pa.Table) -> pa.Table:
-        ship = batch.column("l_shipdate").to_numpy()
-        keep = ship <= cutoff
-        batch = batch.filter(pa.array(keep))
-        price = batch.column("l_extendedprice").to_numpy()
-        disc = batch.column("l_discount").to_numpy()
-        return pa.table(
-            {
-                "l_returnflag": batch.column("l_returnflag"),
-                "l_linestatus": batch.column("l_linestatus"),
-                "l_quantity": batch.column("l_quantity"),
-                "l_extendedprice": batch.column("l_extendedprice"),
-                "disc_price": pa.array(price * (1 - disc), pa.float64()),
-            }
-        )
-
-    agg = (
-        li.map_batches(prep, batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("l_quantity", alias_name="sum_qty"),
-            Sum("l_extendedprice", alias_name="sum_base_price"),
-            Sum("disc_price", alias_name="sum_disc_price"),
-            Count(alias_name="count_order"),
-        )
-    )
-
-    def cast(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "l_returnflag": batch.column("l_returnflag"),
-                "l_linestatus": batch.column("l_linestatus"),
-                "sum_qty": pc.round(batch.column("sum_qty").cast(pa.float64()), 2),
-                "sum_base_price": pc.round(batch.column("sum_base_price").cast(pa.float64()), 2),
-                "sum_disc_price": pc.round(batch.column("sum_disc_price").cast(pa.float64()), 2),
-                "count_order": batch.column("count_order").cast(pa.int64()),
-            }
-        )
-
-    return agg.map_batches(cast, batch_format="pyarrow")
-
-
 def _custkey_to_nation_name(sf_dir: str) -> np.ndarray:
     """Dense custkey -> nation-name object array (vectorized fancy-
     index attach; no per-row dict lookups in the hot stage).  Small
@@ -3391,65 +3336,6 @@ def _custkey_to_nation_name(sf_dir: str) -> np.ndarray:
     lookup = np.empty(int(ck.max()) + 1, dtype=object)
     lookup[ck] = names[nk]
     return lookup
-
-
-def q_revenue_by_nation(sf_dir: str):
-    """Broadcast dimension join: customer->nation lookup shipped once
-    via ray.put; orders stream through a stateless partial aggregate,
-    then a tiny groupby merges."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-    from ray.data.aggregate import Count, Sum
-
-    lookup_ref = ray.put(_custkey_to_nation_name(sf_dir))
-
-    orders = _read(f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"])
-
-    class AttachNation:
-        def __init__(self):
-            self.lookup = ray.get(lookup_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ck = batch.column("o_custkey").to_numpy()
-            return pa.table(
-                {"n_name": pa.array(self.lookup[ck]), "o_totalprice": batch.column("o_totalprice")}
-            )
-
-    agg = (
-        orders.map_batches(AttachNation, batch_format="pyarrow", concurrency=(1, 4))
-        .groupby("n_name")
-        .aggregate(Sum("o_totalprice", alias_name="revenue"), Count(alias_name="n_orders"))
-    )
-
-    def cast(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "n_name": batch.column("n_name"),
-                "revenue": pc.round(batch.column("revenue").cast(pa.float64()), 2),
-                "n_orders": batch.column("n_orders").cast(pa.int64()),
-            }
-        )
-
-    return agg.map_batches(cast, batch_format="pyarrow")
-
-
-def q_top_orders(sf_dir: str):
-    import ray.data as rd
-
-    orders = _read(f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_totalprice"])
-    out = orders.sort("o_totalprice", descending=True).limit(10)
-
-    def cast(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "o_orderkey": batch.column("o_orderkey").cast(pa.int64()),
-                "o_custkey": batch.column("o_custkey").cast(pa.int64()),
-                "o_totalprice": batch.column("o_totalprice").cast(pa.float64()),
-            }
-        )
-
-    return out.map_batches(cast, batch_format="pyarrow")
 
 
 def q_top_orders_per_nation(sf_dir: str, k: int = 3):
@@ -3497,71 +3383,10 @@ def q_top_orders_per_nation(sf_dir: str, k: int = 3):
     return top.map_batches(cast, batch_format="pyarrow")
 
 
-def q_revenue_rollup(sf_dir: str):
-    """GROUP BY ROLLUP(segment, orderstatus): the hierarchical
-    subtotal shape of reporting pipelines.  Scale shape: ONE
-    bucketed aggregate at the finest level runs over the joined
-    stream; every coarser level re-aggregates the (output-sized)
-    finest table — the classic rollup-from-finest trick, so raw rows
-    are read exactly once and subtotals cost nothing extra."""
-    import pandas as pd
-    import ray.data as rd
-
-    from gdal_boots_ray.stages.agg import bucketed_aggregate
-    from gdal_boots_ray.stages.joins import hash_join
-
-    orders = _read(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice", "o_orderstatus"]
-    )
-    cust = _read(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"])
-
-    def key_o(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "custkey": batch.column("o_custkey").cast(pa.int64()),
-                "revenue": batch.column("o_totalprice"),
-                "o_orderstatus": batch.column("o_orderstatus"),
-            }
-        )
-
-    def key_c(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {"custkey": batch.column("c_custkey").cast(pa.int64()), "c_mktsegment": batch.column("c_mktsegment")}
-        )
-
-    joined = hash_join(
-        orders.map_batches(key_o, batch_format="pyarrow"),
-        cust.map_batches(key_c, batch_format="pyarrow"),
-        on="custkey",
-        left_cols=["revenue", "o_orderstatus"],
-        right_cols=["c_mktsegment"],
-    )
-    finest = bucketed_aggregate(
-        joined, ["c_mktsegment", "o_orderstatus"], {"revenue": "sum", "n_orders": "count"}
-    ).to_pandas()  # output-sized: segments x statuses rows
-
-    lvl0 = finest.copy()
-    lvl1 = finest.groupby("c_mktsegment", as_index=False)[["revenue", "n_orders"]].sum()
-    lvl1["o_orderstatus"] = "ALL"
-    lvl2 = pd.DataFrame(
-        {
-            "c_mktsegment": ["ALL"],
-            "o_orderstatus": ["ALL"],
-            "revenue": [finest["revenue"].sum()],
-            "n_orders": [finest["n_orders"].sum()],
-        }
-    )
-    out = pd.concat([lvl0, lvl1, lvl2], ignore_index=True)
-    out["revenue"] = np.round(out["revenue"].astype(np.float64), 2)
-    out["n_orders"] = out["n_orders"].astype(np.int64)
-    return out[["c_mktsegment", "o_orderstatus", "revenue", "n_orders"]]
-
-
 def q_revenue_by_segment(sf_dir: str):
     """Two-large-sides relational equi-join with NO broadcast: orders
     and customer co-shuffle once through the bucketed
-    ``hash_join`` (contrast ``revenue_by_nation``, which broadcasts
-    the dimension), then a partial+bucketed aggregate by market
+    ``hash_join``, then a partial+bucketed aggregate by market
     segment.  The shape that survives both sides at 10^9 rows."""
     import ray.data as rd
 
@@ -3662,51 +3487,6 @@ def q_customer_order_counts(sf_dir: str):
                 "c_mktsegment": batch.column("c_mktsegment").cast(pa.string()),
                 "n_orders": pc.fill_null(n.cast(pa.int64()), 0),
                 "spent": pc.round(pc.fill_null(s, 0.0), 2),
-            }
-        )
-
-    return out.map_batches(cast, batch_format="pyarrow")
-
-
-def q_customers_without_orders(sf_dir: str, min_price: float = 400000.0):
-    """Distributed ANTI join (the NOT EXISTS shape): customers with
-    no order above ``min_price``, via the same bucketed co-shuffle as
-    the inner hash join — neither side broadcast or materialized.
-    The price filter prunes the right side at the read."""
-    import pyarrow.compute as _pc
-    import ray.data as rd
-
-    from gdal_boots_ray.stages.joins import hash_join
-
-    cust = _read(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"])
-    orders = _read(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_custkey"],
-        filter=_pc.field("o_totalprice") > min_price,
-    )
-
-    def key_c(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {"custkey": batch.column("c_custkey").cast(pa.int64()), "c_mktsegment": batch.column("c_mktsegment")}
-        )
-
-    def key_o(batch: pa.Table) -> pa.Table:
-        return pa.table({"custkey": batch.column("o_custkey").cast(pa.int64())})
-
-    out = hash_join(
-        cust.map_batches(key_c, batch_format="pyarrow"),
-        orders.map_batches(key_o, batch_format="pyarrow"),
-        on="custkey",
-        left_cols=["c_mktsegment"],
-        right_cols=[],
-        how="anti",
-    )
-
-    def cast(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "custkey": batch.column("custkey").cast(pa.int64()),
-                "c_mktsegment": batch.column("c_mktsegment").cast(pa.string()),
             }
         )
 
@@ -5317,59 +5097,6 @@ def q_doc_fingerprints(sf_dir: str, doc_cap: int = 1500, keep: int = 4):
     return docs.map_batches(fps, batch_format="pyarrow")
 
 
-def q_video_motion(sf_dir: str, n_media: int = 100):
-    """REAL video temporal analysis in the gate: per customer key,
-    synthesize a scrolling-gradient mono Y4M (frame f pixel (y,x) =
-    (k + 5f + x + y) % 256 on an 8x8 grid, 8 frames) and run it
-    through the VideoMotion actor stage (full decode inside the
-    task); the mean-absolute-difference per consecutive-frame pair is
-    closed-form for the DuckDB twin — including the uint8 wraparound
-    pixels whose |diff| is 251, which hash-checks that the engine
-    diffs REAL decoded frames, not the symbolic pattern."""
-    import ray.data as rd
-
-    from gdal_boots_ray.stages.multimodal import VideoMotion
-
-    cust = _read(f"{sf_dir}/customer.parquet", columns=["c_custkey"])
-
-    def synth_y4m(batch: pa.Table) -> pa.Table:
-        from gdal_boots_ray.kernels.media import y4m_encode
-
-        keys = batch.column("c_custkey").to_numpy().astype(np.int64)
-        keys = keys[keys < n_media]
-        yy, xx = np.mgrid[0:8, 0:8]
-        ids, blobs = [], []
-        for k in keys:
-            frames = [((int(k) + 5 * f + xx + yy) % 256).astype(np.uint8) for f in range(8)]
-            ids.append(f"vid-{int(k):08d}")
-            blobs.append(y4m_encode(frames, fps=4.0))
-        return pa.table(
-            {
-                "media_id": pa.array(ids, pa.string()),
-                "bytes": pa.array(blobs, pa.binary()),
-                "fmt": pa.array(["y4m"] * len(ids), pa.string()),
-            }
-        )
-
-    motion = cust.map_batches(synth_y4m, batch_format="pyarrow").map_batches(
-        VideoMotion,
-        batch_format="pyarrow",
-        concurrency=(1, 4),
-        num_cpus=1,
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "media_id": batch.column("media_id"),
-                "frame_idx": batch.column("frame_idx").cast(pa.int64()),
-                "mad": pc.round(batch.column("mad").cast(pa.float64()), 6),
-            }
-        )
-
-    return motion.map_batches(finish, batch_format="pyarrow")
-
-
 def q_fingerprint_dups(sf_dir: str, doc_cap: int = 1500, keep: int = 4):
     """Substring-level near-duplicate detection (the MOSS idiom):
     docs sharing >= 2 of their kept winnowing fingerprints are
@@ -5421,248 +5148,6 @@ def q_fingerprint_dups(sf_dir: str, doc_cap: int = 1500, keep: int = 4):
         )
 
     return pairs.map_batches(finish, batch_format="pyarrow")
-
-
-def q_audio_rms(sf_dir: str, n_media: int = 200):
-    """REAL audio decode in the gate: per customer key, synthesize a
-    float32 RIFF/WAVE square wave of amplitude (k%31+1)/64 and
-    duration 1+(k%3) s, run it through the AudioFeatures actor stage
-    (the real kernels/media.py WAV parser — not the fake), and emit
-    per-window RMS.  A square wave's RMS equals its amplitude exactly,
-    so the DuckDB twin is closed-form over the key grid."""
-    import ray.data as rd
-
-    from gdal_boots_ray.stages.multimodal import AudioFeatures
-
-    cust = _read(f"{sf_dir}/customer.parquet", columns=["c_custkey"])
-
-    def synth_wav(batch: pa.Table) -> pa.Table:
-        from gdal_boots_ray.kernels.media import wav_encode
-
-        keys = batch.column("c_custkey").to_numpy().astype(np.int64)
-        keys = keys[keys < n_media]
-        ids, blobs, srs = [], [], []
-        for k in keys:
-            amp = ((int(k) % 31) + 1) / 64.0
-            dur = 1 + int(k) % 3
-            n = 8000 * dur
-            sig = np.where(np.arange(n) % 2 == 0, amp, -amp).astype(np.float32)
-            ids.append(f"aud-{int(k):08d}")
-            blobs.append(wav_encode(sig, 8000, bits=32))
-            srs.append(8000)
-        return pa.table(
-            {
-                "media_id": pa.array(ids, pa.string()),
-                "bytes": pa.array(blobs, pa.binary()),
-                "fmt": pa.array(["wav"] * len(ids), pa.string()),
-                "sample_rate": pa.array(srs, pa.int32()),
-            }
-        )
-
-    ds = cust.map_batches(synth_wav, batch_format="pyarrow")
-    return ds.map_batches(AudioFeatures, batch_format="pyarrow", concurrency=(1, 4), num_cpus=1)
-
-
-def q_audio_spectrum(sf_dir: str, n_media: int = 200):
-    """Spectral analysis through the REAL WAV decode: per clip, the
-    DFT correlations at the two analytically-exact bins — DC (sum)
-    and Nyquist (alternating-sign sum) — plus total energy, over a
-    synthesized int16 PCM signal  x_n = A1*(-1)^n + A0.  int16
-    samples normalize to exact dyadic rationals in wav_decode, so
-    re-scaling by 2^15 recovers exact integers and all three
-    statistics are integer identities the DuckDB twin states in
-    closed form (N*A0, N*A1, N*(A0^2+A1^2) for even N) — any decode,
-    header, or windowing bug breaks the hash.  Pure map stage."""
-    import ray.data as rd
-
-    cust = _read(f"{sf_dir}/customer.parquet", columns=["c_custkey"])
-
-    def synth_wav(batch: pa.Table) -> pa.Table:
-        from gdal_boots_ray.kernels.media import wav_encode
-
-        keys = batch.column("c_custkey").to_numpy().astype(np.int64)
-        keys = keys[keys < n_media]
-        ids, blobs = [], []
-        for k in keys:
-            a0 = ((int(k) % 7) + 1) * 100
-            a1 = ((int(k) % 31) + 1) * 100
-            n = 8000 * (1 + int(k) % 3)
-            sig = np.where(np.arange(n) % 2 == 0, a1, -a1).astype(np.int64) + a0
-            # wav_encode takes [-1, 1] floats and scales by 32767; m/32767
-            # round-trips to the exact int16 payload m
-            blobs.append(wav_encode(sig / 32767.0, 8000, bits=16))
-            ids.append(f"aud-{int(k):08d}")
-        return pa.table(
-            {
-                "media_id": pa.array(ids, pa.string()),
-                "bytes": pa.array(blobs, pa.binary()),
-            }
-        )
-
-    ds = cust.map_batches(synth_wav, batch_format="pyarrow")
-
-    def spectrum(batch: pa.Table) -> pa.Table:
-        from gdal_boots_ray.kernels.media import wav_decode
-
-        ids = batch.column("media_id").to_pylist()
-        blobs = batch.column("bytes").to_pylist()
-        n_samples = np.empty(len(ids), np.int64)
-        dc = np.empty(len(ids), np.int64)
-        nyq = np.empty(len(ids), np.int64)
-        energy = np.empty(len(ids), np.int64)
-        for i, blob in enumerate(blobs):
-            x, _rate = wav_decode(blob)
-            s = np.rint(np.asarray(x, np.float64) * 32768.0).astype(np.int64)
-            sign = np.where(np.arange(len(s)) % 2 == 0, 1, -1)
-            n_samples[i] = len(s)
-            dc[i] = int(s.sum())
-            nyq[i] = int((s * sign).sum())
-            energy[i] = int((s * s).sum())
-        return pa.table(
-            {
-                "media_id": pa.array(ids, pa.string()),
-                "n_samples": pa.array(n_samples),
-                "dc_sum": pa.array(dc),
-                "nyq_sum": pa.array(nyq),
-                "energy": pa.array(energy),
-            }
-        )
-
-    return ds.map_batches(spectrum, batch_format="pyarrow")
-
-
-def q_audio_flac(sf_dir: str, n_media: int = 200):
-    """REAL FLAC decode in the gate (kernels/flac.py, from-scratch
-    RFC 9639): per customer key, synthesize a STEREO int16 signal
-    left_i = a1*(-1)^i + a0, right_i = a0 - a1*(-1)^i, FLAC-encode it
-    with a key-cycled codec path — all four stereo assignments
-    (independent / left-side / right-side / mid-side by k%4) and
-    fixed-vs-LPC prediction (k%5) — then decode with MD5
-    verification and emit per-channel integer spectral identities
-    (DC / Nyquist / energy sums).  Every value is a closed form over
-    the key grid (dc = n*a0, nyq = +-n*a1, energy = n*(a0^2+a1^2) for
-    even n), so one flipped sample anywhere in the rice / predictor /
-    stereo-reconstruction / CRC chain breaks the hash.  Pure
-    map_batches; nothing crosses a shuffle."""
-    cust = _read(f"{sf_dir}/customer.parquet", columns=["c_custkey"])
-
-    def synth_flac(batch: pa.Table) -> pa.Table:
-        from gdal_boots_ray.kernels.flac import flac_encode
-
-        keys = batch.column("c_custkey").to_numpy().astype(np.int64)
-        keys = keys[keys < n_media]
-        modes = ("independent", "left_side", "right_side", "mid_side")
-        ids, blobs = [], []
-        for k in keys:
-            a0 = ((int(k) % 7) + 1) * 100
-            a1 = ((int(k) % 31) + 1) * 100
-            n = 2000 * (1 + int(k) % 3)
-            sign = np.where(np.arange(n) % 2 == 0, 1, -1).astype(np.int64)
-            left = a1 * sign + a0
-            right = a0 - a1 * sign
-            blobs.append(
-                flac_encode(
-                    np.stack([left, right]), 8000, bits=16, block_size=1024,
-                    stereo_mode=modes[int(k) % 4],
-                    lpc_order=8 if int(k) % 5 == 0 else None,
-                )
-            )
-            ids.append(f"flac-{int(k):08d}")
-        return pa.table(
-            {
-                "media_id": pa.array(ids, pa.string()),
-                "bytes": pa.array(blobs, pa.binary()),
-            }
-        )
-
-    ds = cust.map_batches(synth_flac, batch_format="pyarrow")
-
-    def spectrum(batch: pa.Table) -> pa.Table:
-        from gdal_boots_ray.kernels.flac import flac_decode
-
-        ids = batch.column("media_id").to_pylist()
-        blobs = batch.column("bytes").to_pylist()
-        out_id, out_ch, n_samples, dc, nyq, energy = [], [], [], [], [], []
-        for i, blob in enumerate(blobs):
-            x, _rate, _bits = flac_decode(blob, verify_md5=True)
-            sign = np.where(np.arange(x.shape[1]) % 2 == 0, 1, -1)
-            for ch in range(x.shape[0]):
-                s = x[ch].astype(np.int64)
-                out_id.append(ids[i])
-                out_ch.append(ch)
-                n_samples.append(len(s))
-                dc.append(int(s.sum()))
-                nyq.append(int((s * sign).sum()))
-                energy.append(int((s * s).sum()))
-        return pa.table(
-            {
-                "media_id": pa.array(out_id, pa.string()),
-                "channel": pa.array(out_ch, pa.int64()),
-                "n_samples": pa.array(n_samples, pa.int64()),
-                "dc_sum": pa.array(dc, pa.int64()),
-                "nyq_sum": pa.array(nyq, pa.int64()),
-                "energy": pa.array(energy, pa.int64()),
-            }
-        )
-
-    return ds.map_batches(spectrum, batch_format="pyarrow", num_cpus=1)
-
-
-def q_video_frames(sf_dir: str, n_media: int = 100):
-    """REAL video decode in the gate: per customer key, synthesize a
-    2 s / 4 fps mono Y4M stream whose frame f is the constant value
-    (7k + 13f) % 256, sample one frame every 0.5 s through the
-    VideoFrameSampler actor stage (the real kernels/media.py
-    YUV4MPEG2 parser), and emit each sampled frame's mean pixel value
-    — closed-form for the DuckDB twin."""
-    import ray.data as rd
-
-    from gdal_boots_ray.stages.decode import batch_pixel_views
-    from gdal_boots_ray.stages.multimodal import VideoFrameSampler
-
-    cust = _read(f"{sf_dir}/customer.parquet", columns=["c_custkey"])
-
-    def synth_y4m(batch: pa.Table) -> pa.Table:
-        from gdal_boots_ray.kernels.media import y4m_encode
-
-        keys = batch.column("c_custkey").to_numpy().astype(np.int64)
-        keys = keys[keys < n_media]
-        ids, blobs = [], []
-        for k in keys:
-            frames = [np.full((8, 8), (7 * int(k) + 13 * f) % 256, np.uint8) for f in range(8)]
-            ids.append(f"vid-{int(k):08d}")
-            blobs.append(y4m_encode(frames, fps=4.0))
-        return pa.table(
-            {
-                "media_id": pa.array(ids, pa.string()),
-                "bytes": pa.array(blobs, pa.binary()),
-                "fmt": pa.array(["y4m"] * len(ids), pa.string()),
-                "duration_s": pa.array([2.0] * len(ids), pa.float64()),
-                "fps": pa.array([4.0] * len(ids), pa.float64()),
-            }
-        )
-
-    sampled = cust.map_batches(synth_y4m, batch_format="pyarrow").map_batches(
-        VideoFrameSampler,
-        batch_format="pyarrow",
-        fn_constructor_kwargs={"every_s": 0.5},
-        concurrency=(1, 4),
-        num_cpus=1,
-    )
-
-    def frame_stats(batch: pa.Table) -> pa.Table:
-        views = batch_pixel_views(batch)
-        means = np.array([float(v.mean()) for v in views], np.float64)
-        return pa.table(
-            {
-                "media_id": batch.column("media_id"),
-                "frame_idx": batch.column("frame_idx").cast(pa.int64()),
-                "t_s": batch.column("t_s").cast(pa.float64()),
-                "mean_v": pa.array(np.round(means, 6), pa.float64()),
-            }
-        )
-
-    return sampled.map_batches(frame_stats, batch_format="pyarrow")
 
 
 def q_psnr_fidelity(sf_dir: str, quantize_bits: int = 5, min_db: float = 40.0):
@@ -7735,828 +7220,6 @@ def q_cohort_retention(sf_dir: str):
     return out.map_batches(cast, batch_format="pyarrow")
 
 
-def q_basket_pairs(sf_dir: str, min_count: int = 2):
-    """Market-basket co-occurrence with lift (the association-rule
-    primitive behind recommender candidate generation): every pair
-    of distinct parts ordered together at least ``min_count`` times,
-    with pair support and lift = P(a,b) / (P(a)·P(b)).  Plan: ONE
-    bucketed order-key exchange (orders hash into ~2xCPU buckets, so
-    group count is BOUNDED — never one pandas group per order, which
-    is pathological at 150k+ orders); inside a bucket, pair fan-out is
-    fully vectorized by grouping order-runs BY SIZE (TPC-H orders hold
-    <= 7 lineitems, so <= 7 stacked triu_indices gathers emit every
-    pair, item row and order marker with zero per-order Python work).
-    A bucketed partial->final SUM aggregates all three row kinds at
-    once; item counts and the order total are #parts + 1 rows — they
-    come back to the driver and broadcast as a closure dict; the pair
-    stream never leaves the cluster.  Lift is ONE IEEE division of
-    two exactly-representable integer products (counts < 2^26), so
-    the DuckDB twin hash-matches bit for bit."""
-    import pandas as pd
-
-    from gdal_boots_ray.stages.agg import bucketed_aggregate, exchange
-
-    ds = _read(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"])
-
-    def explode(g: pd.DataFrame) -> pd.DataFrame:
-        ok = g["l_orderkey"].to_numpy().astype(np.int64)
-        pk = g["l_partkey"].to_numpy().astype(np.int64)
-        order = np.lexsort((pk, ok))
-        ok, pk = ok[order], pk[order]
-        # dedup (order, part) then split into per-order runs
-        keep = np.r_[True, (ok[1:] != ok[:-1]) | (pk[1:] != pk[:-1])]
-        ok, pk = ok[keep], pk[keep]
-        starts = np.flatnonzero(np.r_[True, ok[1:] != ok[:-1]])
-        runlen = np.diff(np.r_[starts, len(ok)])
-        out_a, out_b = [], []
-        for m in np.unique(runlen):  # <= max items/order distinct sizes
-            if m < 2:
-                continue
-            s = starts[runlen == m]
-            items = pk[(s[:, None] + np.arange(m)[None, :])]  # (R, m)
-            ia, ib = np.triu_indices(int(m), k=1)
-            out_a.append(items[:, ia].ravel())
-            out_b.append(items[:, ib].ravel())
-        pa_ = np.concatenate(out_a) if out_a else np.empty(0, np.int64)
-        pb_ = np.concatenate(out_b) if out_b else np.empty(0, np.int64)
-        n_pairs, m_items, n_orders = len(pa_), len(pk), len(starts)
-        return pd.DataFrame(
-            {
-                # kind 0: pair rows, kind 1: per-part item rows,
-                # kind 2: the order-count marker (one per bucket run)
-                "kind": np.concatenate(
-                    [np.zeros(n_pairs, np.int64), np.ones(m_items, np.int64), [2]]
-                ),
-                "pa": np.concatenate([pa_, pk, [-1]]),
-                "pb": np.concatenate([pb_, np.full(m_items, -1, np.int64), [-1]]),
-                "cnt": np.concatenate(
-                    [np.ones(n_pairs + m_items, np.int64), [n_orders]]
-                ),
-            }
-        )
-
-    rows = exchange(ds, ["l_orderkey"], explode, batch_format="pandas")
-    agg = bucketed_aggregate(rows, ["kind", "pa", "pb"], {"cnt": "sum"})
-
-    # item counts + order total: #parts + 1 rows — bounded, driver-side
-    def nonpair(batch: pa.Table) -> pa.Table:
-        kind = batch.column("kind").to_numpy()
-        return batch.filter(pa.array(kind != 0))
-
-    small = agg.map_batches(nonpair, batch_format="pyarrow").to_pandas()
-    n_orders = int(small.loc[small["kind"] == 2, "cnt"].iloc[0])
-    item = dict(
-        zip(
-            small.loc[small["kind"] == 1, "pa"].astype(np.int64),
-            small.loc[small["kind"] == 1, "cnt"].astype(np.int64),
-        )
-    )
-
-    def lift(batch: pa.Table) -> pa.Table:
-        kind = batch.column("kind").to_numpy()
-        keep = kind == 0
-        a = batch.column("pa").to_numpy()[keep].astype(np.int64)
-        b = batch.column("pb").to_numpy()[keep].astype(np.int64)
-        c = batch.column("cnt").to_numpy()[keep].astype(np.int64)
-        keep2 = c >= min_count
-        a, b, c = a[keep2], b[keep2], c[keep2]
-        ca = np.array([item[x] for x in a], np.int64)
-        cb = np.array([item[x] for x in b], np.int64)
-        lf = (c * n_orders).astype(np.float64) / (ca * cb).astype(np.float64)
-        return pa.table(
-            {
-                "part_a": pa.array(a, pa.int64()),
-                "part_b": pa.array(b, pa.int64()),
-                "pair_count": pa.array(c, pa.int64()),
-                "lift": pa.array(lf, pa.float64()),
-            }
-        )
-
-    return agg.map_batches(lift, batch_format="pyarrow")
-
-
-def q_price_outliers(sf_dir: str, k_sigma: int = 2):
-    """Per-group anomaly flags (the data-quality / fraud-screen
-    primitive): every lineitem whose extended price sits more than
-    ``k_sigma`` standard deviations from its part's mean price.
-    The sigma test is INTEGER-EXACT — prices become cents, and
-    |x - mu| > k*sigma is cross-multiplied into
-    (n*c - S)^2 > k^2 * (n*Q - S^2) with S = sum(c), Q = sum(c^2),
-    so no float mean/variance ever exists and the DuckDB twin (which
-    runs the same integer inequality in HUGEINT) hash-matches bit for
-    bit regardless of partial-aggregation order.  Plan: ONE bucketed
-    part-key exchange (parts hash into ~2xCPU buckets — never one
-    pandas group per part, pathological at 20k+ parts); inside a
-    bucket every per-part (n, S, Q) reduces via ``np.add.reduceat``
-    over part-sorted runs, and the inequality evaluates for all rows
-    of all parts at once.  int64 magnitudes are guarded and
-    overflow-escape to Python arbitrary precision for pathological
-    prices or group sizes."""
-    import pandas as pd
-
-    from gdal_boots_ray.stages.agg import exchange
-
-    ds = _read(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_orderkey", "l_linenumber", "l_extendedprice"],
-    )
-    k2 = k_sigma * k_sigma
-
-    def flag(g: pd.DataFrame) -> pd.DataFrame:
-        pk = g["l_partkey"].to_numpy().astype(np.int64)
-        c = np.round(g["l_extendedprice"].to_numpy() * 100.0).astype(np.int64)
-        order = np.argsort(pk, kind="stable")
-        pk, c = pk[order], c[order]
-        starts = np.flatnonzero(np.r_[True, pk[1:] != pk[:-1]])
-        n = np.diff(np.r_[starts, len(pk)])  # per-part row counts
-        # with B = n_max * |c|_max, every int64 intermediate is at most
-        # max(4, k2) * B^2: c^2, Q, n*Q and S^2 are <= B^2, the RHS is
-        # <= k2 * B^2 and (n*c - S)^2 <= 4 * B^2 (Python ints: no wrap)
-        bound = int(n.max()) * max(abs(int(c.max())), abs(int(c.min())))
-        if max(4, k2) * bound * bound < (1 << 63):
-            s = np.add.reduceat(c, starts)
-            q = np.add.reduceat(c * c, starts)
-            rhs = np.repeat(k2 * (n * q - s * s), n)  # per-part stats back to rows
-            out = (np.repeat(n, n) * c - np.repeat(s, n)) ** 2 > rhs
-        else:  # arbitrary precision from per-part Python-int n, S, Q
-            out = np.zeros(len(c), bool)
-            cl = c.tolist()
-            for st, m in zip(starts.tolist(), n.tolist()):
-                part = cl[st : st + m]
-                S = sum(part)
-                rhs = k2 * (m * sum(x * x for x in part) - S * S)
-                out[st : st + m] = [(m * x - S) ** 2 > rhs for x in part]
-        sel = order[out]
-        return pd.DataFrame(
-            {
-                "l_partkey": g["l_partkey"].to_numpy()[sel].astype(np.int64),
-                "l_orderkey": g["l_orderkey"].to_numpy()[sel].astype(np.int64),
-                "l_linenumber": g["l_linenumber"].to_numpy()[sel].astype(np.int64),
-                "price_cents": c[out],
-            }
-        )
-
-    return exchange(ds, ["l_partkey"], flag, batch_format="pandas")
-
-
-def q_customer_gini(sf_dir: str, range_bits: int = 20):
-    """Gini coefficient of customer spend (the inequality statistic:
-    G = (2*sum(i*x_(i)) - (n+1)*sum(x)) / (n*sum(x)) over rank-sorted
-    per-customer cent totals).  No global sort: sum(i*x_(i)) is
-    TIE-INVARIANT, so it decomposes over DISTINCT values — a value x
-    with count c and L smaller elements contributes
-    x*(c*L + c*(c+1)/2) — and exclusive prefix counts L come from the
-    doc_pack-style two-pass scan keyed on the VALUE DOMAIN
-    (rng = cents >> range_bits): per-range count partials, a driver
-    exclusive scan over the ~domain/2^20 range offsets broadcast once,
-    then per-range local cumsums.  Customer totals never sort and
-    never gather; per-range partial moments travel as decimal strings
-    and fold on the driver in Python arbitrary precision, so the
-    result is exact at any scale and matches DuckDB's HUGEINT
-    row_number() twin bit for bit after ONE final double division."""
-    import pandas as pd
-    import ray
-
-    from gdal_boots_ray.stages.agg import bucketed_aggregate
-
-    ds = _read(f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"])
-
-    def cents(batch: pa.Table) -> pa.Table:
-        c = np.round(batch.column("o_totalprice").to_numpy() * 100.0).astype(np.int64)
-        return pa.table(
-            {
-                "o_custkey": batch.column("o_custkey").cast(pa.int64()),
-                "cents": pa.array(c, pa.int64()),
-            }
-        )
-
-    percust = bucketed_aggregate(
-        ds.map_batches(cents, batch_format="pyarrow"), ["o_custkey"], {"cents": "sum"}
-    )
-
-    def value_rows(batch: pa.Table) -> pa.Table:
-        v = batch.column("cents").to_numpy().astype(np.int64)
-        return pa.table(
-            {
-                "v": pa.array(v, pa.int64()),
-                "c": pa.array(np.ones(len(v), np.int64), pa.int64()),
-            }
-        )
-
-    vals = bucketed_aggregate(
-        percust.map_batches(value_rows, batch_format="pyarrow"), ["v"], {"c": "sum"}
-    )
-
-    def add_rng(batch: pa.Table) -> pa.Table:
-        v = batch.column("v").to_numpy().astype(np.int64)
-        return batch.append_column("rng", pa.array(v >> range_bits, pa.int64()))
-
-    vals = vals.map_batches(add_rng, batch_format="pyarrow")
-
-    rparts = bucketed_aggregate(vals, ["rng"], {"c": "sum"}).to_pandas().sort_values("rng")
-    offsets = dict(
-        zip(
-            rparts["rng"].astype("int64"),
-            rparts["c"].astype("int64").cumsum().shift(fill_value=0),
-        )
-    )
-    off_ref = ray.put(offsets)
-
-    def moments(group: pd.DataFrame, _cache={}) -> pd.DataFrame:
-        offs = _cache.get("o")
-        if offs is None:
-            offs = _cache["o"] = ray.get(off_ref)
-        g = group.sort_values("v")
-        v = [int(x) for x in g["v"]]
-        c = [int(x) for x in g["c"]]
-        L = int(offs[int(g["rng"].iloc[0])])
-        s1 = s = n = 0
-        for vi, ci in zip(v, c):  # distinct values per range, <= 2^range_bits rows
-            s1 += vi * (ci * L + ci * (ci + 1) // 2)
-            s += vi * ci
-            n += ci
-            L += ci
-        return pd.DataFrame({"s1": [str(s1)], "s": [str(s)], "n": [str(n)]})
-
-    parts = vals.groupby("rng").map_groups(moments, batch_format="pandas").to_pandas()
-    s1 = sum(int(x) for x in parts["s1"])
-    s = sum(int(x) for x in parts["s"])
-    n = sum(int(x) for x in parts["n"])
-    gini = float(2 * s1 - (n + 1) * s) / float(n * s)
-    return pd.DataFrame(
-        {
-            "n_customers": pd.Series([n], dtype="int64"),
-            "total_cents": pd.Series([s], dtype="int64"),
-            "gini": pd.Series([gini], dtype="float64"),
-        }
-    )
-
-
-def q_order_percentile(sf_dir: str, range_bits: int = 20):
-    """Global PERCENT_RANK() window function at scale: every order's
-    percentile of o_totalprice across the WHOLE table, without a
-    global sort.  SQL's PERCENT_RANK is (rank-1)/(n-1) with rank =
-    min-rank over ties = (#values strictly smaller) + 1, so the only
-    global state needed is the exclusive prefix COUNT below each
-    DISTINCT value — the same value-domain two-pass scan as
-    customer_gini (rng = cents >> range_bits: per-range count
-    partials, driver exclusive scan, broadcast offsets dict, local
-    cumsum per range).  The orders stream then picks up its rank via
-    a bounded per-range merge and performs ONE IEEE division; the
-    full table is touched exactly twice (count pass + rank pass) and
-    rows never leave their range bucket."""
-    import pandas as pd
-    import ray
-
-    from gdal_boots_ray.stages.agg import bucketed_aggregate
-
-    ds = _read(f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"])
-
-    def cents(batch: pa.Table) -> pa.Table:
-        c = np.round(batch.column("o_totalprice").to_numpy() * 100.0).astype(np.int64)
-        return pa.table(
-            {
-                "o_orderkey": batch.column("o_orderkey").cast(pa.int64()),
-                "cents": pa.array(c, pa.int64()),
-                "rng": pa.array(c >> range_bits, pa.int64()),
-            }
-        )
-
-    rows = ds.map_batches(cents, batch_format="pyarrow")
-
-    def value_rows(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "v": batch.column("cents"),
-                "rng": batch.column("rng"),
-                "c": pa.array(np.ones(batch.num_rows, np.int64), pa.int64()),
-            }
-        )
-
-    vals = bucketed_aggregate(
-        rows.map_batches(value_rows, batch_format="pyarrow"), ["rng", "v"], {"c": "sum"}
-    )
-
-    rparts = bucketed_aggregate(vals, ["rng"], {"c": "sum"}).to_pandas().sort_values("rng")
-    counts = rparts["c"].astype("int64")
-    n_total = int(counts.sum())
-    offsets = dict(zip(rparts["rng"].astype("int64"), counts.cumsum().shift(fill_value=0)))
-    off_ref = ray.put(offsets)
-
-    # per-range rank table: distinct value -> exclusive count below it
-    def ranks(group: pd.DataFrame, _cache={}) -> pd.DataFrame:
-        offs = _cache.get("o")
-        if offs is None:
-            offs = _cache["o"] = ray.get(off_ref)
-        g = group.sort_values("v")
-        c = g["c"].to_numpy().astype(np.int64)
-        below = int(offs[int(g["rng"].iloc[0])]) + np.concatenate([[0], np.cumsum(c[:-1])])
-        return pd.DataFrame(
-            {
-                "rng": g["rng"].to_numpy().astype(np.int64),
-                "v": g["v"].to_numpy().astype(np.int64),
-                "below": below.astype(np.int64),
-            }
-        )
-
-    rank_tab = vals.groupby("rng").map_groups(ranks, batch_format="pandas")
-
-    # bounded per-range merge: both sides co-partition on rng, the rank
-    # side holds <= 2^range_bits distinct values per group
-    def join_rank(group: pd.DataFrame) -> pd.DataFrame:
-        tab = group[group["_side"] == 1]
-        lut = dict(zip(tab["v"].astype(np.int64), tab["below"].astype(np.int64)))
-        o = group[group["_side"] == 0]
-        c = o["cents"].to_numpy().astype(np.int64)
-        below = np.array([lut[x] for x in c], np.int64)
-        return pd.DataFrame(
-            {
-                "o_orderkey": o["o_orderkey"].to_numpy().astype(np.int64),
-                "price_cents": c,
-                "pct_rank": below.astype(np.float64) / np.float64(max(n_total - 1, 1)),
-            }
-        )
-
-    import ray.data as rd
-
-    left = rows.map_batches(
-        lambda b: b.append_column("_side", pa.array(np.zeros(b.num_rows, np.int64), pa.int64()))
-        .append_column("v", pa.array(np.full(b.num_rows, -1, np.int64), pa.int64()))
-        .append_column("below", pa.array(np.full(b.num_rows, -1, np.int64), pa.int64())),
-        batch_format="pyarrow",
-    )
-    right = rank_tab.map_batches(
-        lambda b: b.append_column("_side", pa.array(np.ones(b.num_rows, np.int64), pa.int64()))
-        .append_column("o_orderkey", pa.array(np.full(b.num_rows, -1, np.int64), pa.int64()))
-        .append_column("cents", pa.array(np.full(b.num_rows, -1, np.int64), pa.int64())),
-        batch_format="pyarrow",
-    )
-    cols = ["o_orderkey", "cents", "v", "below", "rng", "_side"]
-    both = left.select_columns(cols).union(right.select_columns(cols))
-    return both.groupby("rng").map_groups(join_rank, batch_format="pandas")
-
-
-def q_rfm_segments(sf_dir: str):
-    """RFM customer segmentation (recency / frequency / monetary
-    quartile codes — the classic CRM scoring pipeline): per-customer
-    (days since last order vs the global max order day, order count,
-    cent total), quartile thresholds over each of the three
-    per-customer distributions via the EXACT distributed quantile
-    walk (percentile_disc semantics, histogram partials — never a
-    global sort), and the 3-digit code
-    100*sR + 10*sF + sM with s = 1 + (v>q25) + (v>q50) + (v>q75).
-    Plan: one customer-key bucketed aggregate compresses the orders
-    stream to per-customer rows; the quantile walks and the global
-    max-day run over THAT compressed stream; thresholds broadcast as
-    nine closure integers.  All integer end to end, so the DuckDB
-    twin (same percentile_disc thresholds, same CASE sums)
-    hash-matches exactly."""
-    from gdal_boots_ray.stages.agg import bucketed_aggregate, exact_quantiles
-
-    ds = _read(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderdate", "o_totalprice"]
-    )
-
-    def prep(batch: pa.Table) -> pa.Table:
-        day = batch.column("o_orderdate").cast(pa.int64()).to_numpy() // 86_400_000_000
-        c = np.round(batch.column("o_totalprice").to_numpy() * 100.0).astype(np.int64)
-        return pa.table(
-            {
-                "o_custkey": batch.column("o_custkey").cast(pa.int64()),
-                "last_day": pa.array(day, pa.int64()),
-                "m_cents": pa.array(c, pa.int64()),
-            }
-        )
-
-    prepped = ds.map_batches(prep, batch_format="pyarrow")
-    per = bucketed_aggregate(
-        prepped, ["o_custkey"], {"last_day": "max", "f_cnt": "count", "m_cents": "sum"}
-    )
-
-    def daymax(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as _pc
-
-        return pa.table({"d": pa.array([_pc.max(batch.column("last_day")).as_py()], pa.int64())})
-
-    anchor = int(per.map_batches(daymax, batch_format="pyarrow").to_pandas()["d"].max())
-
-    def rdays(batch: pa.Table) -> pa.Table:
-        ld = batch.column("last_day").to_numpy().astype(np.int64)
-        return pa.table(
-            {
-                "o_custkey": batch.column("o_custkey").cast(pa.int64()),
-                "r_days": pa.array(anchor - ld, pa.int64()),
-                "f_cnt": batch.column("f_cnt").cast(pa.int64()),
-                "m_cents": batch.column("m_cents").cast(pa.int64()),
-            }
-        )
-
-    per = per.map_batches(rdays, batch_format="pyarrow")
-
-    qs = (0.25, 0.5, 0.75)
-    th = {
-        col: exact_quantiles(per, col, qs)[col].astype("int64").tolist()
-        for col in ("r_days", "f_cnt", "m_cents")
-    }
-
-    def score(batch: pa.Table) -> pa.Table:
-        def s(col):
-            v = batch.column(col).to_numpy().astype(np.int64)
-            t = th[col]
-            return 1 + (v > t[0]).astype(np.int64) + (v > t[1]) + (v > t[2])
-
-        code = 100 * s("r_days") + 10 * s("f_cnt") + s("m_cents")
-        return batch.append_column("rfm_code", pa.array(code.astype(np.int64), pa.int64()))
-
-    return per.map_batches(score, batch_format="pyarrow")
-
-
-def q_pagerank_parts(sf_dir: str, iters: int = 3):
-    """Integer-exact PageRank power iteration (the canonical
-    iterative-graph algorithm at scale) over the undirected bipartite
-    part <-> supplier graph from lineitem.  The update is
-    r_{t+1}(v) = 150000 + sum_{u->v} floor(r_t(u)*85 / (100*deg(u)))
-    in micro-units — FLOOR DIVISION makes every iteration integer, so
-    the result is independent of partial-aggregation order and the
-    DuckDB twin (k unrolled CTE stages with the same // arithmetic)
-    hash-matches bit for bit; no float PageRank ever converges
-    reproducibly across cluster sizes, this one does.  Plan: edges
-    dedup once (one pair-key exchange); degree attaches via a
-    BUCKETED co-partitioned union-groupby on src (nodes hash into
-    ~2xCPU buckets — never one pandas group per node — and the merge
-    inside a bucket is a sorted ``np.searchsorted`` gather); each
-    iteration is one bucketed src-key scatter + one dst-key bucketed
-    SUM — 2 exchanges per iteration of narrow integer rows, the
-    textbook Pregel schedule expressed as Ray Data groupbys."""
-    import pandas as pd
-
-    from gdal_boots_ray.stages.agg import bucketed_aggregate, exchange
-
-    SUPP = 1_000_000_000
-
-    ds = _read(f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"])
-
-    def both_dirs(batch: pa.Table) -> pa.Table:
-        p = batch.column("l_partkey").to_numpy().astype(np.int64)
-        s = batch.column("l_suppkey").to_numpy().astype(np.int64) + SUPP
-        return pa.table(
-            {
-                "src": pa.array(np.concatenate([p, s]), pa.int64()),
-                "dst": pa.array(np.concatenate([s, p]), pa.int64()),
-                "c": pa.array(np.ones(2 * len(p), np.int64), pa.int64()),
-            }
-        )
-
-    edges = bucketed_aggregate(
-        ds.map_batches(both_dirs, batch_format="pyarrow"), ["src", "dst"], {"c": "sum"}
-    ).select_columns(["src", "dst"])
-
-    deg = bucketed_aggregate(edges, ["src"], {"d": "count"})
-
-    # attach deg to each edge once (static across iterations); the
-    # per-bucket merge is a sorted searchsorted gather, all vectorized
-    def attach_deg(group: pd.DataFrame) -> pd.DataFrame:
-        tab = group[group["dst"] < 0]
-        keys = tab["src"].to_numpy().astype(np.int64)
-        vals = tab["d_"].to_numpy().astype(np.int64)
-        o = np.argsort(keys)
-        keys, vals = keys[o], vals[o]
-        e = group[group["dst"] >= 0]
-        src = e["src"].to_numpy().astype(np.int64)
-        return pd.DataFrame(
-            {
-                "src": src,
-                "dst": e["dst"].to_numpy().astype(np.int64),
-                "d": vals[np.searchsorted(keys, src)],
-            }
-        )
-
-    e_side = edges.map_batches(
-        lambda b: b.append_column("d_", pa.array(np.full(b.num_rows, -1, np.int64), pa.int64())),
-        batch_format="pyarrow",
-    )
-    d_side = deg.map_batches(
-        lambda b: pa.table(
-            {
-                "src": b.column("src").cast(pa.int64()),
-                "dst": pa.array(np.full(b.num_rows, -1, np.int64), pa.int64()),
-                "d_": b.column("d").cast(pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    ecols = ["src", "dst", "d_"]
-    edges_d = exchange(
-        [e_side.select_columns(ecols), d_side.select_columns(ecols)],
-        ["src"],
-        attach_deg,
-        batch_format="pandas",
-    ).materialize()  # static per-iteration input: pin it once
-
-    # r_0 = 1e6 for every node (nodes = deg keys)
-    r = deg.map_batches(
-        lambda b: pa.table(
-            {
-                "src": b.column("src").cast(pa.int64()),
-                "r": pa.array(np.full(b.num_rows, 1_000_000, np.int64), pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-    def scatter(group: pd.DataFrame) -> pd.DataFrame:
-        tab = group[group["dst"] < 0]
-        keys = tab["src"].to_numpy().astype(np.int64)
-        vals = tab["r_"].to_numpy().astype(np.int64)
-        o = np.argsort(keys)
-        keys, vals = keys[o], vals[o]
-        e = group[group["dst"] >= 0]
-        src = e["src"].to_numpy().astype(np.int64)
-        rv = vals[np.searchsorted(keys, src)]
-        d = e["d"].to_numpy().astype(np.int64)
-        contrib = (rv * 85) // (100 * d)
-        return pd.DataFrame(
-            {"node": e["dst"].to_numpy().astype(np.int64), "r": contrib.astype(np.int64)}
-        )
-
-    for _ in range(iters):
-        r_side = r.map_batches(
-            lambda b: pa.table(
-                {
-                    "src": b.column("src").cast(pa.int64()),
-                    "dst": pa.array(np.full(b.num_rows, -1, np.int64), pa.int64()),
-                    "d": pa.array(np.full(b.num_rows, -1, np.int64), pa.int64()),
-                    "r_": b.column("r").cast(pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        ed_side = edges_d.map_batches(
-            lambda b: b.append_column(
-                "r_", pa.array(np.full(b.num_rows, -1, np.int64), pa.int64())
-            ),
-            batch_format="pyarrow",
-        )
-        cols = ["src", "dst", "d", "r_"]
-        contribs = exchange(
-            [ed_side.select_columns(cols), r_side.select_columns(cols)],
-            ["src"],
-            scatter,
-            batch_format="pandas",
-        )
-        summed = bucketed_aggregate(contribs, ["node"], {"r": "sum"})
-        r = summed.map_batches(
-            lambda b: pa.table(
-                {
-                    "src": b.column("node").cast(pa.int64()),
-                    "r": pa.array(
-                        b.column("r").to_numpy().astype(np.int64) + 150_000, pa.int64()
-                    ),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-
-    return r.map_batches(
-        lambda b: pa.table(
-            {"node": b.column("src").cast(pa.int64()), "pagerank": b.column("r").cast(pa.int64())}
-        ),
-        batch_format="pyarrow",
-    )
-
-
-def q_part_mad(sf_dir: str):
-    """Robust statistics per group — median and MAD (median absolute
-    deviation) of lineitem prices per part, the outlier-resistant
-    sibling of q_price_outliers' sigma rule.  percentile_disc
-    semantics on cent-integers, so everything is exact.  Plan: ONE
-    bucketed part-key exchange; inside a bucket, per-part medians
-    come from ONE lexsort + per-run index gather, deviations from a
-    broadcast-back repeat, and MAD from a second lexsort — all
-    vectorized over every part in the bucket at once (never one
-    pandas group per part)."""
-    import pandas as pd
-
-    from gdal_boots_ray.stages.agg import exchange
-
-    ds = _read(f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_extendedprice"])
-
-    def _disc_idx(n: np.ndarray) -> np.ndarray:
-        # percentile_disc(0.5): first sorted index with cum >= 0.5*n
-        return np.ceil(0.5 * n).astype(np.int64) - 1
-
-    def mad(g: pd.DataFrame) -> pd.DataFrame:
-        pk = g["l_partkey"].to_numpy().astype(np.int64)
-        c = np.round(g["l_extendedprice"].to_numpy() * 100.0).astype(np.int64)
-        o = np.lexsort((c, pk))
-        pk, c = pk[o], c[o]
-        starts = np.flatnonzero(np.r_[True, pk[1:] != pk[:-1]])
-        n = np.diff(np.r_[starts, len(pk)])
-        med = c[starts + _disc_idx(n)]
-        dev = np.abs(c - np.repeat(med, n))
-        o2 = np.lexsort((dev, pk))
-        dev = dev[o2]
-        madv = dev[starts + _disc_idx(n)]
-        return pd.DataFrame(
-            {
-                "l_partkey": pk[starts],
-                "median_cents": med,
-                "mad_cents": madv,
-            }
-        )
-
-    return exchange(ds, ["l_partkey"], mad, batch_format="pandas")
-
-
-def q_revenue_autocorr(sf_dir: str, lag_days: int = 7):
-    """Lag-k autocorrelation of the daily revenue series (the
-    seasonality statistic: Pearson r between revenue(d) and
-    revenue(d+k) over all day pairs where both exist).  Plan: the
-    orders stream compresses to the per-day series with one bucketed
-    SUM (the series is CALENDAR-BOUNDED — ~365 rows/year regardless
-    of data volume, so the driver-side pair join is O(days), not
-    O(rows)); moments accumulate as Python arbitrary-precision
-    integers and the final r replays DuckDB's exact IEEE tree
-    (cast num -> double, cast each variance -> double, multiply,
-    sqrt, divide), so the twin hash-matches bit for bit."""
-    import math
-
-    import pandas as pd
-
-    from gdal_boots_ray.stages.agg import bucketed_aggregate
-
-    ds = _read(f"{sf_dir}/orders.parquet", columns=["o_orderdate", "o_totalprice"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        day = batch.column("o_orderdate").cast(pa.int64()).to_numpy() // 86_400_000_000
-        c = np.round(batch.column("o_totalprice").to_numpy() * 100.0).astype(np.int64)
-        return pa.table(
-            {"day": pa.array(day, pa.int64()), "rev": pa.array(c, pa.int64())}
-        )
-
-    daily = (
-        bucketed_aggregate(
-            ds.map_batches(prep, batch_format="pyarrow"), ["day"], {"rev": "sum"}
-        )
-        .to_pandas()
-        .sort_values("day")
-    )
-    days = daily["day"].astype("int64").to_numpy()
-    rev = daily["rev"].astype("int64").to_numpy()
-    lut = dict(zip(days, rev))
-    n = sx = sy = sxx = syy = sxy = 0
-    for d, x in lut.items():
-        y = lut.get(d + lag_days)
-        if y is None:
-            continue
-        x, y = int(x), int(y)
-        n += 1
-        sx += x
-        sy += y
-        sxx += x * x
-        syy += y * y
-        sxy += x * y
-    num = n * sxy - sx * sy
-    d1 = n * sxx - sx * sx
-    d2 = n * syy - sy * sy
-    r = float(num) / math.sqrt(float(d1) * float(d2))
-    return pd.DataFrame(
-        {
-            "n_pairs": pd.Series([n], dtype="int64"),
-            "autocorr": pd.Series([r], dtype="float64"),
-        }
-    )
-
-
-def q_revenue_ma7(sf_dir: str, window: int = 7):
-    """Trailing 7-day moving average of daily revenue (the
-    RANGE BETWEEN INTERVAL window frame — completes the time-series
-    family next to running_total / sliding windows / autocorr).
-    Plan: one bucketed SUM compresses orders to the CALENDAR-BOUNDED
-    daily series; window sums come from a prefix-sum over the
-    day-indexed dense array (absent days contribute nothing, exactly
-    like SQL's RANGE frame) — integer cents end to end, ONE IEEE
-    division per row, so the DuckDB window twin hash-matches."""
-    import pandas as pd
-
-    from gdal_boots_ray.stages.agg import bucketed_aggregate
-
-    ds = _read(f"{sf_dir}/orders.parquet", columns=["o_orderdate", "o_totalprice"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        day = batch.column("o_orderdate").cast(pa.int64()).to_numpy() // 86_400_000_000
-        c = np.round(batch.column("o_totalprice").to_numpy() * 100.0).astype(np.int64)
-        return pa.table({"day": pa.array(day, pa.int64()), "rev": pa.array(c, pa.int64())})
-
-    daily = (
-        bucketed_aggregate(
-            ds.map_batches(prep, batch_format="pyarrow"), ["day"], {"rev": "sum"}
-        )
-        .to_pandas()
-        .sort_values("day")
-        .reset_index(drop=True)
-    )
-    days = daily["day"].astype("int64").to_numpy()
-    rev = daily["rev"].astype("int64").to_numpy()
-    d0 = int(days.min())
-    dense = np.zeros(int(days.max()) - d0 + 1, np.int64)
-    cnt = np.zeros_like(dense)
-    dense[days - d0] = rev
-    cnt[days - d0] = 1
-    ps = np.concatenate([[0], np.cumsum(dense)])
-    pc = np.concatenate([[0], np.cumsum(cnt)])
-    idx = days - d0
-    lo = np.maximum(idx - (window - 1), 0)
-    wsum = ps[idx + 1] - ps[lo]
-    wcnt = pc[idx + 1] - pc[lo]
-    ma = wsum.astype(np.float64) / wcnt.astype(np.float64)
-    return pd.DataFrame(
-        {
-            "day": pd.Series(days, dtype="int64"),
-            "rev_cents": pd.Series(rev, dtype="int64"),
-            "ma7": pd.Series(ma, dtype="float64"),
-        }
-    )
-
-
-def q_nation_hhi(sf_dir: str):
-    """Herfindahl-Hirschman market-concentration index per nation
-    (the antitrust statistic: 10000 * sum of squared supplier revenue
-    shares).  HHI = 10000 * sum(rev_s^2) / (sum(rev_s))^2 — both
-    moments are exact integers, so ONE IEEE expression replays in the
-    twin.  Plan: lineitem compresses to per-(supplier) revenue with
-    one bucketed SUM; the supplier -> nation map is entity-bounded
-    and broadcasts via ray.put; the per-nation fold runs over the
-    COMPRESSED supplier stream (#suppliers rows, not #lineitems) with
-    Python arbitrary-precision sums (rev^2 partials exceed int64 at
-    scale; DuckDB's HUGEINT does the same on the twin side)."""
-    import pandas as pd
-    import pyarrow.parquet as pq
-    import ray
-
-    from gdal_boots_ray.stages.agg import bucketed_aggregate
-
-    sup = pq.read_table(f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"])
-    nat_of = dict(
-        zip(sup.column("s_suppkey").to_numpy(), sup.column("s_nationkey").to_numpy())
-    )
-    nat_ref = ray.put(nat_of)
-
-    ds = _read(f"{sf_dir}/lineitem.parquet", columns=["l_suppkey", "l_extendedprice"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        c = np.round(batch.column("l_extendedprice").to_numpy() * 100.0).astype(np.int64)
-        return pa.table(
-            {
-                "l_suppkey": batch.column("l_suppkey").cast(pa.int64()),
-                "rev": pa.array(c, pa.int64()),
-            }
-        )
-
-    per_sup = bucketed_aggregate(
-        ds.map_batches(prep, batch_format="pyarrow"), ["l_suppkey"], {"rev": "sum"}
-    )
-
-    def tag(batch: pa.Table, _cache={}) -> pa.Table:
-        m = _cache.get("m")
-        if m is None:
-            m = _cache["m"] = ray.get(nat_ref)
-        sk = batch.column("l_suppkey").to_numpy().astype(np.int64)
-        return pa.table(
-            {
-                "nation": pa.array([int(m[k]) for k in sk], pa.int64()),
-                "rev": batch.column("rev").cast(pa.int64()),
-            }
-        )
-
-    def hhi(g: pd.DataFrame) -> pd.DataFrame:
-        rev = [int(x) for x in g["rev"]]
-        tot = sum(rev)
-        s2 = sum(r * r for r in rev)
-        return pd.DataFrame(
-            {
-                "nation": [int(g["nation"].iloc[0])],
-                "n_suppliers": [len(rev)],
-                "hhi": [10000.0 * float(s2) / float(tot * tot)],
-            }
-        )
-
-    out = per_sup.map_batches(tag, batch_format="pyarrow").groupby("nation").map_groups(
-        hhi, batch_format="pandas"
-    )
-
-    def cast(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "nation": batch.column("nation").cast(pa.int64()),
-                "n_suppliers": batch.column("n_suppliers").cast(pa.int64()),
-                "hhi": batch.column("hhi").cast(pa.float64()),
-            }
-        )
-
-    return out.map_batches(cast, batch_format="pyarrow")
-
-
 def q_point_poly_distance(sf_dir: str):
     """Nearest-feature distance (the ST_Distance / gdal_proximity-
     to-vector primitive): for every sample point, the euclidean
@@ -9226,184 +7889,6 @@ ORACLE_SQL: Dict[str, str] = {
     "recode_stats_webp": _RECODE_STATS_SQL,
     "recode_stats_lerc": _RECODE_STATS_SQL,
     "recode_stats_zstd": _RECODE_STATS_SQL,
-    "nation_hhi": """
-        WITH r AS (
-            SELECT s.s_nationkey AS nat, l.l_suppkey AS sk,
-                   sum(CAST(round(l_extendedprice * 100) AS BIGINT)) AS rev
-            FROM lineitem l JOIN supplier s ON s.s_suppkey = l.l_suppkey
-            GROUP BY 1, 2
-        )
-        SELECT CAST(nat AS BIGINT) AS nation,
-               CAST(count(*) AS BIGINT) AS n_suppliers,
-               10000.0 * CAST(sum(rev * rev) AS DOUBLE)
-                   / CAST(sum(rev) * sum(rev) AS DOUBLE) AS hhi
-        FROM r GROUP BY nat
-    """,
-    "revenue_ma7": """
-        WITH daily AS (
-            SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-                   sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS rev
-            FROM orders GROUP BY 1
-        )
-        SELECT CAST(day AS BIGINT) AS day,
-               CAST(rev AS BIGINT) AS rev_cents,
-               CAST(sum(rev) OVER w AS DOUBLE) / CAST(count(*) OVER w AS DOUBLE) AS ma7
-        FROM daily
-        WINDOW w AS (ORDER BY day RANGE BETWEEN 6 PRECEDING AND CURRENT ROW)
-    """,
-    "revenue_autocorr": """
-        WITH daily AS (
-            SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-                   sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS rev
-            FROM orders GROUP BY 1
-        ),
-        p AS (
-            SELECT a.rev AS x, b.rev AS y
-            FROM daily a JOIN daily b ON b.day = a.day + 7
-        )
-        SELECT CAST(count(*) AS BIGINT) AS n_pairs,
-               CAST(count(*) * sum(x * y) - sum(x) * sum(y) AS DOUBLE)
-                   / sqrt(CAST(count(*) * sum(x * x) - sum(x) * sum(x) AS DOUBLE)
-                        * CAST(count(*) * sum(y * y) - sum(y) * sum(y) AS DOUBLE))
-                   AS autocorr
-        FROM p
-    """,
-    "part_mad": """
-        WITH c AS (
-            SELECT l_partkey, CAST(round(l_extendedprice * 100) AS BIGINT) AS cents
-            FROM lineitem
-        ),
-        m AS (
-            SELECT l_partkey,
-                   percentile_disc(0.5) WITHIN GROUP (ORDER BY cents) AS med
-            FROM c GROUP BY l_partkey
-        ),
-        d AS (
-            SELECT c.l_partkey, abs(c.cents - m.med) AS dev, m.med AS med
-            FROM c JOIN m USING (l_partkey)
-        )
-        SELECT l_partkey,
-               CAST(max(med) AS BIGINT) AS median_cents,
-               CAST(percentile_disc(0.5) WITHIN GROUP (ORDER BY dev) AS BIGINT) AS mad_cents
-        FROM d GROUP BY l_partkey
-    """,
-    "pagerank_parts": """
-        WITH e0 AS (SELECT DISTINCT l_partkey AS p, l_suppkey AS s FROM lineitem),
-        edges AS (
-            SELECT p AS src, 1000000000 + s AS dst FROM e0
-            UNION ALL
-            SELECT 1000000000 + s AS src, p AS dst FROM e0
-        ),
-        deg AS (SELECT src, count(*) AS d FROM edges GROUP BY src),
-        r0 AS (SELECT src AS node, CAST(1000000 AS BIGINT) AS r FROM deg),
-        r1 AS (
-            SELECT e.dst AS node, 150000 + sum((r0.r * 85) // (100 * deg.d)) AS r
-            FROM edges e JOIN deg ON deg.src = e.src JOIN r0 ON r0.node = e.src
-            GROUP BY e.dst
-        ),
-        r2 AS (
-            SELECT e.dst AS node, 150000 + sum((r1.r * 85) // (100 * deg.d)) AS r
-            FROM edges e JOIN deg ON deg.src = e.src JOIN r1 ON r1.node = e.src
-            GROUP BY e.dst
-        ),
-        r3 AS (
-            SELECT e.dst AS node, 150000 + sum((r2.r * 85) // (100 * deg.d)) AS r
-            FROM edges e JOIN deg ON deg.src = e.src JOIN r2 ON r2.node = e.src
-            GROUP BY e.dst
-        )
-        SELECT CAST(node AS BIGINT) AS node, CAST(r AS BIGINT) AS pagerank FROM r3
-    """,
-    "rfm_segments": """
-        WITH per AS (
-            SELECT o_custkey,
-                   (SELECT max(CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000) FROM orders)
-                       - max(CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000) AS r_days,
-                   count(*) AS f_cnt,
-                   CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT) AS m_cents
-            FROM orders GROUP BY o_custkey
-        ),
-        th AS (
-            SELECT
-                percentile_disc(0.25) WITHIN GROUP (ORDER BY r_days) AS r1,
-                percentile_disc(0.50) WITHIN GROUP (ORDER BY r_days) AS r2,
-                percentile_disc(0.75) WITHIN GROUP (ORDER BY r_days) AS r3,
-                percentile_disc(0.25) WITHIN GROUP (ORDER BY f_cnt) AS f1,
-                percentile_disc(0.50) WITHIN GROUP (ORDER BY f_cnt) AS f2,
-                percentile_disc(0.75) WITHIN GROUP (ORDER BY f_cnt) AS f3,
-                percentile_disc(0.25) WITHIN GROUP (ORDER BY m_cents) AS m1,
-                percentile_disc(0.50) WITHIN GROUP (ORDER BY m_cents) AS m2,
-                percentile_disc(0.75) WITHIN GROUP (ORDER BY m_cents) AS m3
-            FROM per
-        )
-        SELECT CAST(o_custkey AS BIGINT) AS o_custkey,
-               CAST(r_days AS BIGINT) AS r_days,
-               CAST(f_cnt AS BIGINT) AS f_cnt,
-               CAST(m_cents AS BIGINT) AS m_cents,
-               CAST(
-                 100 * (1 + (r_days > r1)::INT + (r_days > r2)::INT + (r_days > r3)::INT)
-               + 10 * (1 + (f_cnt > f1)::INT + (f_cnt > f2)::INT + (f_cnt > f3)::INT)
-               +      (1 + (m_cents > m1)::INT + (m_cents > m2)::INT + (m_cents > m3)::INT)
-               AS BIGINT) AS rfm_code
-        FROM per, th
-    """,
-    "order_percentile": """
-        SELECT CAST(o_orderkey AS BIGINT) AS o_orderkey,
-               CAST(round(o_totalprice * 100) AS BIGINT) AS price_cents,
-               CAST(percent_rank() OVER (ORDER BY CAST(round(o_totalprice * 100) AS BIGINT)) AS DOUBLE)
-                   AS pct_rank
-        FROM orders
-    """,
-    "customer_gini": """
-        WITH t AS (
-            SELECT o_custkey,
-                   CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT) AS cents
-            FROM orders GROUP BY o_custkey
-        ),
-        r AS (
-            SELECT cents, row_number() OVER (ORDER BY cents) AS i FROM t
-        )
-        SELECT CAST(count(*) AS BIGINT) AS n_customers,
-               CAST(sum(cents) AS BIGINT) AS total_cents,
-               CAST(2 * sum(i * cents) - (count(*) + 1) * sum(cents) AS DOUBLE)
-                   / CAST(count(*) * sum(cents) AS DOUBLE) AS gini
-        FROM r
-    """,
-    "price_outliers": """
-        WITH c AS (
-            SELECT l_partkey, l_orderkey, l_linenumber,
-                   CAST(round(l_extendedprice * 100) AS BIGINT) AS cents
-            FROM lineitem
-        ),
-        s AS (
-            SELECT l_partkey, count(*) AS n,
-                   sum(cents) AS s, sum(CAST(cents AS HUGEINT) * cents) AS q
-            FROM c GROUP BY l_partkey
-        )
-        SELECT c.l_partkey, c.l_orderkey, c.l_linenumber,
-               c.cents AS price_cents
-        FROM c JOIN s USING (l_partkey)
-        WHERE (n * cents - s) * (n * cents - s) > 4 * (n * q - s * s)
-    """,
-    "basket_pairs": """
-        WITH items AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem),
-        tot AS (SELECT count(DISTINCT l_orderkey) AS n FROM lineitem),
-        cnt AS (SELECT l_partkey, count(*) AS c FROM items GROUP BY l_partkey),
-        pairs AS (
-            SELECT a.l_partkey AS part_a, b.l_partkey AS part_b,
-                   count(*) AS pair_count
-            FROM items a JOIN items b
-              ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey
-            GROUP BY 1, 2
-        )
-        SELECT CAST(part_a AS BIGINT) AS part_a,
-               CAST(part_b AS BIGINT) AS part_b,
-               CAST(pair_count AS BIGINT) AS pair_count,
-               CAST(pair_count * tot.n AS DOUBLE) / (ca.c * cb.c) AS lift
-        FROM pairs, tot
-        JOIN cnt ca ON ca.l_partkey = pairs.part_a
-        JOIN cnt cb ON cb.l_partkey = pairs.part_b
-        WHERE pair_count >= 2
-    """,
     "cohort_retention": """
         WITH f AS (
             SELECT user_id,
@@ -10171,63 +8656,6 @@ ORACLE_SQL: Dict[str, str] = {
         FROM kept a JOIN kept b ON a.h = b.h AND a.doc_id < b.doc_id
         GROUP BY doc_a, doc_b
         HAVING count(*) >= 2
-    """,
-    "audio_spectrum": """
-        WITH c AS (
-            SELECT CAST(c_custkey AS BIGINT) AS k FROM customer WHERE c_custkey < 200
-        ),
-        p AS (
-            SELECT printf('aud-%08d', k) AS media_id,
-                   ((k % 7) + 1) * 100 AS a0,
-                   ((k % 31) + 1) * 100 AS a1,
-                   8000 * (1 + k % 3) AS n
-            FROM c
-        )
-        SELECT media_id, CAST(n AS BIGINT) AS n_samples,
-               CAST(n * a0 AS BIGINT) AS dc_sum,
-               CAST(n * a1 AS BIGINT) AS nyq_sum,
-               CAST(n * (a0 * a0 + a1 * a1) AS BIGINT) AS energy
-        FROM p
-    """,
-    "audio_flac": """
-        WITH c AS (
-            SELECT CAST(c_custkey AS BIGINT) AS k FROM customer WHERE c_custkey < 200
-        ),
-        p AS (
-            SELECT printf('flac-%08d', k) AS media_id,
-                   ((k % 7) + 1) * 100 AS a0,
-                   ((k % 31) + 1) * 100 AS a1,
-                   2000 * (1 + k % 3) AS n
-            FROM c
-        )
-        SELECT media_id, CAST(ch.c AS BIGINT) AS channel,
-               CAST(n AS BIGINT) AS n_samples,
-               CAST(n * a0 AS BIGINT) AS dc_sum,
-               CAST(CASE WHEN ch.c = 0 THEN n * a1 ELSE -n * a1 END AS BIGINT) AS nyq_sum,
-               CAST(n * (a0 * a0 + a1 * a1) AS BIGINT) AS energy
-        FROM p, LATERAL (SELECT unnest(generate_series(0, 1)) AS c) ch
-    """,
-    "audio_rms": """
-        SELECT printf('aud-%08d', k) AS media_id, CAST(wi.w AS BIGINT) AS win,
-               round(((k % 31) + 1) / 64.0, 6) AS rms
-        FROM (SELECT CAST(c_custkey AS BIGINT) AS k FROM customer WHERE c_custkey < 200) keys,
-             LATERAL (SELECT unnest(generate_series(0, CAST(k % 3 AS INT))) AS w) wi
-    """,
-    "video_motion": """
-        SELECT printf('vid-%08d', k) AS media_id, CAST(f AS BIGINT) AS frame_idx,
-               round(avg(abs(((k + 5 * f + x + y) % 256) - ((k + 5 * (f - 1) + x + y) % 256))), 6) AS mad
-        FROM (SELECT CAST(c_custkey AS BIGINT) AS k FROM customer WHERE c_custkey < 100) keys,
-             LATERAL (SELECT unnest(generate_series(1, 7)) AS f) fr,
-             LATERAL (SELECT unnest(generate_series(0, 7)) AS x) gx,
-             LATERAL (SELECT unnest(generate_series(0, 7)) AS y) gy
-        GROUP BY media_id, f
-    """,
-    "video_frames": """
-        SELECT printf('vid-%08d', k) AS media_id, CAST(j AS BIGINT) AS frame_idx,
-               j * 0.5 AS t_s,
-               round(CAST((7 * k + 26 * j) % 256 AS DOUBLE), 6) AS mean_v
-        FROM (SELECT CAST(c_custkey AS BIGINT) AS k FROM customer WHERE c_custkey < 100) keys,
-             LATERAL (SELECT unnest(generate_series(0, 3)) AS j) s
     """,
     "vector_reproject": f"""
         WITH {POLY_SQL_CTE}
@@ -11462,29 +9890,6 @@ ORACLE_SQL: Dict[str, str] = {
                CAST(count(*) AS BIGINT) AS n_tiles
         FROM tiles GROUP BY 1
     """,
-    "q1_pricing": """
-        SELECT l_returnflag, l_linestatus,
-               round(CAST(sum(l_quantity) AS DOUBLE), 2) AS sum_qty,
-               round(CAST(sum(l_extendedprice) AS DOUBLE), 2) AS sum_base_price,
-               round(CAST(sum(l_extendedprice * (1 - l_discount)) AS DOUBLE), 2) AS sum_disc_price,
-               CAST(count(*) AS BIGINT) AS count_order
-        FROM lineitem
-        WHERE l_shipdate <= TIMESTAMP '1998-09-02 00:00:00'
-        GROUP BY 1, 2
-    """,
-    "revenue_by_nation": """
-        SELECT n_name, round(CAST(sum(o_totalprice) AS DOUBLE), 2) AS revenue,
-               CAST(count(*) AS BIGINT) AS n_orders
-        FROM orders
-        JOIN customer ON o_custkey = c_custkey
-        JOIN nation ON c_nationkey = n_nationkey
-        GROUP BY 1
-    """,
-    "top_orders": """
-        SELECT CAST(o_orderkey AS BIGINT) AS o_orderkey, CAST(o_custkey AS BIGINT) AS o_custkey,
-               CAST(o_totalprice AS DOUBLE) AS o_totalprice
-        FROM orders ORDER BY o_totalprice DESC LIMIT 10
-    """,
     "token_quantiles_by_lang": """
         WITH t AS (
             SELECT lang,
@@ -11584,14 +9989,6 @@ ORACLE_SQL: Dict[str, str] = {
         WHERE EXISTS (
             SELECT 1 FROM orders o
             WHERE o.o_custkey = c.c_custkey AND o.o_totalprice > 420000.0
-        )
-    """,
-    "customers_without_orders": """
-        SELECT CAST(c.c_custkey AS BIGINT) AS custkey, c.c_mktsegment
-        FROM customer c
-        WHERE NOT EXISTS (
-            SELECT 1 FROM orders o
-            WHERE o.o_custkey = c.c_custkey AND o.o_totalprice > 400000.0
         )
     """,
     "customer_order_counts": """
@@ -11906,14 +10303,6 @@ ORACLE_SQL: Dict[str, str] = {
         UNION ALL
         SELECT CAST(0.99 AS DOUBLE), CAST(percentile_disc(0.99) WITHIN GROUP (ORDER BY nt) AS BIGINT) FROM t
     """,
-    "revenue_rollup": """
-        SELECT COALESCE(c.c_mktsegment, 'ALL') AS c_mktsegment,
-               COALESCE(o.o_orderstatus, 'ALL') AS o_orderstatus,
-               round(sum(o.o_totalprice), 2) AS revenue,
-               CAST(count(*) AS BIGINT) AS n_orders
-        FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
-        GROUP BY ROLLUP(c.c_mktsegment, o.o_orderstatus)
-    """,
     "revenue_by_segment": """
         SELECT c.c_mktsegment,
                round(CAST(sum(o.o_totalprice) AS DOUBLE), 2) AS revenue,
@@ -11939,21 +10328,9 @@ ORACLE_SQL: Dict[str, str] = {
     """,
 }
 
-# Entry order matters: the driver's CORRECTNESS gate checks the FIRST
-# 50 entries only (r01-r04 evidence).  Round 5 front-loads, in order:
-# the 14 queries that have never had a driver row (the VERDICT r04
-# list), every query BRAND NEW this round (19), and the 17
-# highest-risk plan rewrites — including all six queries the r04
-# ADVICE flagged as rewritten-but-never-driver-re-verified
-# (point_values, dedup_exact, revenue_by_segment, q1_pricing, knn,
-# hilbert_partitions).  Where one refactor touched several siblings,
-# the in-window representative is the sibling with NO prior driver
-# row; the r04-green siblings sit immediately below the marker so an
-# out-of-window sweep hits them first.
+# Order matters: the driver's correctness gate checks only the first 50
+# entries, so moving or deleting an entry changes which queries it covers.
 QUERIES = {
-    # ---- driver window (first 50) -----------------------------------
-    # (a) never driver-checked before r05 (14 names):
-    "audio_spectrum": q_audio_spectrum,
     "bigram_pmi": q_bigram_pmi,
     "cms_sketch": q_cms_sketch,
     "composite_median": q_composite_median,
@@ -11967,18 +10344,13 @@ QUERIES = {
     "tile_bounds_6933": q_tile_bounds_6933,
     "tile_morphology": q_tile_morphology,
     "zonal_majority": q_zonal_majority,
-    # -- NEW in r05: corpus-level exact chunk dedup ------------------
     "line_dedup": q_line_dedup,
-    # -- NEW in r05: from-scratch FLAC + ZSTD + LERC codecs in the gate
-    "audio_flac": q_audio_flac,
     "recode_stats_zstd": q_recode_stats_zstd,
     "recode_stats_lerc": q_recode_stats_lerc,
     "recode_stats_webp": q_recode_stats_webp,
-    # -- NEW in r05: PII scrub + augmentation + BPE pair counts ------
     "pii_scrub": q_pii_scrub,
     "tile_augment": q_tile_augment,
     "bpe_pairs": q_bpe_pairs,
-    # -- NEW in r05 wave 3: gdaldem TPI/TRI/roughness ----------------
     "tile_tpi": q_tile_tpi,
     "tile_bounds_54009": q_tile_bounds_54009,
     "tile_viewshed": q_tile_viewshed,
@@ -11990,80 +10362,25 @@ QUERIES = {
     "point_poly_distance": q_point_poly_distance,
     "event_funnel": q_event_funnel,
     "tile_bounds_54030": q_tile_bounds_54030,
-    # -- NEW in r05 wave 4 --------------------------------------------
     "embedding_cov": q_embedding_cov,
     "poly_geodesic": q_poly_geodesic,
     "tile_temporal_interp": q_tile_temporal_interp,
     "poly_buffer": q_poly_buffer,
-    # -- plan-rewritten and never externally re-checked since --------
-    #    (a) the r05 rewrites: grid_interp bucket index, Arrow
-    #        quantile/HLL exchanges, grouped_top_k order refactor,
-    #        zip_pair multiplicity, jaccard-verify shingle cache,
-    #        LZW final-code width + JPEG photometric kernel fixes,
-    #        tile_warp_bilinear twin tightening;
-    #    (b) the six r04 Arrow-exchange rewrites the r04 ADVICE
-    #        flagged as never driver-re-verified (point_values,
-    #        dedup_exact, revenue_by_segment, q1_pricing, knn,
-    #        hilbert_partitions).
-    #    Where one refactor touched several sibling queries, the
-    #    in-window representative is the sibling with NO prior
-    #    driver row (token_quantiles, simhash_neardup,
-    #    top_orders_per_nation); the r04-green siblings sit
-    #    immediately below the marker.
     "grid_interp": q_grid_interp,
     "point_values": q_point_values,
     "dedup_exact": q_dedup_exact,
     "revenue_by_segment": q_revenue_by_segment,
-    "q1_pricing": q_q1_pricing,
     "knn": q_knn,
     "hilbert_partitions": q_hilbert_partitions,
     "token_quantiles": q_token_quantiles,
     "simhash_neardup": q_simhash_neardup,
     "top_orders_per_nation": q_top_orders_per_nation,
-    # -- NEW in r05 final wave: the three riskiest brand-new plans
-    #    (rewritten bucketed fan-out, iterative Pregel loop,
-    #    value-domain scan + arbitrary-precision fold).  They take the
-    #    window slots of token_quantiles_by_lang / approx_distinct /
-    #    minhash_neardup, which HAVE r04-green driver rows and whose
-    #    r05-touched paths are represented in-window by their
-    #    no-prior-row siblings (token_quantiles, simhash_neardup).
-    "basket_pairs": q_basket_pairs,
-    "pagerank_parts": q_pagerank_parts,
-    "customer_gini": q_customer_gini,
-    # ---- driver window ends here (50 entries above) ----------------
     "token_quantiles_by_lang": q_token_quantiles_by_lang,
     "approx_distinct": q_approx_distinct,
     "minhash_neardup": q_minhash_neardup,
-    # cohort_retention is NEW (wave 4) with no stale row to mask a
-    # regression; it overflowed the window and is gated locally at
-    # sf0.001 + sf0.01 like everything else.  The final-wave entries
-    # below are likewise double-gated locally (sf0.001 + sf0.01) and
-    # pytest-pinned against independent recomputations.
     "cohort_retention": q_cohort_retention,
-    "price_outliers": q_price_outliers,
-    "order_percentile": q_order_percentile,
-    "rfm_segments": q_rfm_segments,
-    "part_mad": q_part_mad,
-    "revenue_autocorr": q_revenue_autocorr,
-    "revenue_ma7": q_revenue_ma7,
     "tile_glcm": q_tile_glcm,
-    "nation_hhi": q_nation_hhi,
     "tile_spatial_autocorr": q_tile_spatial_autocorr,
-    # Everything below is previously-driver-green with its r05-touched
-    # code path (if any) represented in-window by a sibling above:
-    # price_quantiles (same ungrouped-quantile path as
-    # token_quantiles), jaccard_neardup / corpus_clean / minhash_pairs
-    # (same verify cache as minhash_neardup), top_terms / doc_keywords
-    # / capped_sample (same grouped_top_k as top_orders_per_nation),
-    # recode_stats_jpeg (r04-green; the r05 photometric fix changes a
-    # written TIFF tag, not decoded stats — pytest pins the tag),
-    # tile_warp_bilinear (r04-green; the r05 change only tightens the
-    # in-task kernel assertion, the emitted rows are unchanged),
-    # multimodal_neardup (r04-green; the zip_pair path it shares with
-    # in-window simhash_neardup preserves results for deduped callers),
-    # recode_stats_tiff_lzw (r04-green; the r05 LZW fix only changes
-    # encoder output on a boundary case the sf tiles were already
-    # green without — a dedicated regression test + 8k fuzz pin it).
     "recode_stats_jpeg": q_recode_stats_jpeg,
     "tile_warp_bilinear": q_tile_warp_bilinear,
     "multimodal_neardup": q_multimodal_neardup,
@@ -12086,9 +10403,6 @@ QUERIES = {
     "knn_lsh": q_knn_lsh,
     "knn_pq": q_knn_pq,
     "knn_ivfpq": q_knn_ivfpq,
-    "audio_rms": q_audio_rms,
-    "video_frames": q_video_frames,
-    "video_motion": q_video_motion,
     "recode_stats_jp2": q_recode_stats_jp2,
     "recode_stats_jp2_lossy": q_recode_stats_jp2_lossy,
     "pansharpen": q_pansharpen,
@@ -12098,10 +10412,8 @@ QUERIES = {
     "fingerprint_dups": q_fingerprint_dups,
     "embedding_centroids": q_embedding_centroids,
     "event_gaps": q_event_gaps,
-    "customers_without_orders": q_customers_without_orders,
     "customer_order_counts": q_customer_order_counts,
     "running_total": q_running_total,
-    "revenue_rollup": q_revenue_rollup,
     "customers_with_big_orders": q_customers_with_big_orders,
     "tile_geohash": q_tile_geohash,
     "color_relief": q_color_relief,
@@ -12168,7 +10480,5 @@ QUERIES = {
     "events_window": q_events_window,
     "events_sliding": q_events_sliding,
     "salted_cell_counts": q_salted_cell_counts,
-    "revenue_by_nation": q_revenue_by_nation,
-    "top_orders": q_top_orders,
     "stratified_sample": q_stratified_sample,
 }

@@ -373,6 +373,9 @@ def interval_join(
     and bounds, with no loop over cells or intervals.  A match meets
     exactly in the point's home cell, so no dedup pass.
 
+    An interval with a NaN ``lo`` or ``hi`` matches nothing, as
+    ``lo <= val < hi`` is then false for every value.
+
     ``cell_width`` trades interval fan-out (hi-lo)/width against group
     sizes — same contract as cell_res in cell_pip_join."""
 
@@ -394,6 +397,8 @@ def interval_join(
         lo = batch.column(lo_col).to_numpy().astype(np.float64)
         hi = batch.column(hi_col).to_numpy().astype(np.float64)
         ids = batch.column(iv_key_col).to_numpy().astype(np.int64)
+        keep = ~(np.isnan(lo) | np.isnan(hi))
+        lo, hi, ids = lo[keep], hi[keep], ids[keep]
         # vectorized cell fan-out: concatenated aranges via the
         # repeat-offset trick (no Python loop over intervals)
         c0 = np.floor(lo / cell_width).astype(np.int64)

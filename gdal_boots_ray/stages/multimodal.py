@@ -1,19 +1,9 @@
-"""Multimodal column stages: image features, video/audio plumbing.
-
-Images are fully real (our own codecs), as are WAV + Y4M
-(kernels/media.py) and FLAC (kernels/flac.py — from-scratch RFC 9639
-lossless decode).  Lossy video/audio codecs (h264/mp3/ogg) are not
-implementable in this environment, so those stages implement the full
-Ray plumbing — schema, batch shapes, actor signature, output layout —
-around a decoder seam that either raises ``NotImplementedError``
-(default) or runs a deterministic fake for tests
-(``fake_decoder=True``).  Swapping in a real libav/soundfile decoder
-is a one-method change.
-"""
+"""Image column stages: per-image features and the thumbnailing
+resize, both over decoded pixel columns."""
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 import pyarrow as pa
@@ -85,175 +75,3 @@ def make_resize_images(out_px: int, resampling: str = "average"):
         return out_tbl
 
     return fn
-
-
-class VideoFrameSampler:
-    """Frame-sampling stage: rows carry (media_id, bytes, fmt,
-    duration_s, fps); output is one row per sampled frame (media_id,
-    frame_idx, t_s, pixels, w, h, bands).
-
-    ``fmt == 'y4m'`` (YUV4MPEG2, the uncompressed interchange format)
-    decodes for REAL via kernels/media.py — no external codec.
-    Compressed containers (mp4/webm/...) remain a documented seam:
-    NotImplementedError unless ``fake_decoder`` synthesizes
-    deterministic frames (used by the plumbing tests)."""
-
-    def __init__(self, every_s: float = 1.0, fake_decoder: bool = False, frame_px: int = 32):
-        self.every_s = every_s
-        self.fake_decoder = fake_decoder
-        self.frame_px = frame_px
-
-    def decode_frames(self, data, fmt: str, times: np.ndarray, media_id: str):
-        if fmt == "y4m":
-            from gdal_boots_ray.kernels.media import y4m_info, y4m_decode_frames
-
-            info = y4m_info(bytes(data))
-            idx = np.minimum((times * info["fps"]).astype(np.int64), info["n_frames"] - 1)
-            return y4m_decode_frames(bytes(data), idx)
-        if not self.fake_decoder:
-            raise NotImplementedError(
-                "compressed video needs an external codec (e.g. PyAV); this "
-                "environment ships none — y4m decodes for real, the rest is a seam"
-            )
-        rng = np.random.default_rng(abs(hash(media_id)) % (2**32))
-        return [rng.integers(0, 255, (3, self.frame_px, self.frame_px)).astype(np.uint8) for _ in times]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("media_id").to_pylist()
-        fmts = batch.column("fmt").to_pylist()
-        durs = batch.column("duration_s").to_numpy()
-        rows = {k: [] for k in ("media_id", "frame_idx", "t_s")}
-        frames: List[np.ndarray] = []
-        for i, mid in enumerate(ids):
-            times = np.arange(0.0, float(durs[i]), self.every_s)
-            fr = self.decode_frames(batch.column("bytes")[i].as_py(), fmts[i], times, mid)
-            for j, (t, f) in enumerate(zip(times, fr)):
-                rows["media_id"].append(mid)
-                rows["frame_idx"].append(j)
-                rows["t_s"].append(float(t))
-                frames.append(f)
-        n = len(frames)
-        return pa.table(
-            {
-                "media_id": pa.array(rows["media_id"], pa.string()),
-                "frame_idx": pa.array(rows["frame_idx"], pa.int64()),
-                "t_s": pa.array(rows["t_s"], pa.float64()),
-                "pixels": large_binary_from_arrays(frames) if n else pa.array([], pa.large_binary()),
-                "bands": pa.array([f.shape[0] for f in frames], pa.int32()),
-                "h": pa.array([f.shape[1] for f in frames], pa.int32()),
-                "w": pa.array([f.shape[2] for f in frames], pa.int32()),
-            }
-        )
-
-
-class VideoMotion:
-    """Temporal motion features: rows carry (media_id, bytes, fmt)
-    and each video emits one row per consecutive-frame pair with the
-    mean absolute pixel difference — the shot-boundary / static-clip
-    screen a video training-data pipeline runs before expensive
-    models.  The full decode happens inside the actor call (frames
-    never leave the task; only the per-pair scalars do), so the
-    stage streams at whatever batch size the payload dictates.
-
-    ``fmt == 'y4m'`` decodes for REAL via kernels/media.py; other
-    containers are the same documented seam as VideoFrameSampler."""
-
-    def __init__(self, fake_decoder: bool = False, frame_px: int = 32, n_fake_frames: int = 4):
-        self.fake_decoder = fake_decoder
-        self.frame_px = frame_px
-        self.n_fake_frames = n_fake_frames
-
-    def decode_all(self, data, fmt: str, media_id: str):
-        if fmt == "y4m":
-            from gdal_boots_ray.kernels.media import y4m_decode_frames, y4m_info
-
-            info = y4m_info(bytes(data))
-            return y4m_decode_frames(bytes(data), np.arange(info["n_frames"]))
-        if not self.fake_decoder:
-            raise NotImplementedError(
-                "compressed video needs an external codec (e.g. PyAV); this "
-                "environment ships none — y4m decodes for real, the rest is a seam"
-            )
-        rng = np.random.default_rng(abs(hash(media_id)) % (2**32))
-        return [
-            rng.integers(0, 255, (3, self.frame_px, self.frame_px)).astype(np.uint8)
-            for _ in range(self.n_fake_frames)
-        ]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("media_id").to_pylist()
-        fmts = batch.column("fmt").to_pylist()
-        out_id, out_f, out_mad = [], [], []
-        for i, mid in enumerate(ids):
-            frames = self.decode_all(batch.column("bytes")[i].as_py(), fmts[i], mid)
-            for f in range(1, len(frames)):
-                a = frames[f].astype(np.int16)
-                b = frames[f - 1].astype(np.int16)
-                out_id.append(mid)
-                out_f.append(f)
-                out_mad.append(float(np.abs(a - b).mean()))
-        return pa.table(
-            {
-                "media_id": pa.array(out_id, pa.string()),
-                "frame_idx": pa.array(out_f, pa.int64()),
-                "mad": pa.array(out_mad, pa.float64()),
-            }
-        )
-
-
-class AudioFeatures:
-    """Audio feature stage: (media_id, bytes, fmt, sample_rate) ->
-    per-window RMS energy rows.
-
-    ``fmt == 'wav'`` (RIFF PCM u8/s16/s24/s32 + float32) decodes for
-    REAL via kernels/media.py and ``fmt == 'flac'`` via the
-    from-scratch kernels/flac.py (RFC 9639: fixed + LPC predictors,
-    joint stereo, rice/rice2, CRC-verified) — no external codec.
-    Lossy compressed audio (mp3/ogg) remains a documented seam
-    (NotImplementedError / deterministic fake for plumbing tests)."""
-
-    def __init__(self, window_s: float = 1.0, fake_decoder: bool = False):
-        self.window_s = window_s
-        self.fake_decoder = fake_decoder
-
-    def decode_samples(self, data, fmt: str, media_id: str, sr: int) -> np.ndarray:
-        if fmt == "wav":
-            from gdal_boots_ray.kernels.media import wav_decode
-
-            samples, _rate = wav_decode(bytes(data))
-            return samples if samples.ndim == 1 else samples.mean(axis=0)  # downmix
-        if fmt == "flac":
-            from gdal_boots_ray.kernels.flac import flac_decode
-
-            samples, _rate, bits = flac_decode(bytes(data))
-            x = samples.astype(np.float32) / float(1 << (bits - 1))
-            return x if x.ndim == 1 else x.mean(axis=0)  # downmix
-        if not self.fake_decoder:
-            raise NotImplementedError(
-                "lossy audio (mp3/ogg) needs an external codec (e.g. "
-                "soundfile); wav + flac decode for real, the rest is a seam"
-            )
-        rng = np.random.default_rng(abs(hash(media_id)) % (2**32))
-        return rng.normal(size=sr * 3).astype(np.float32)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("media_id").to_pylist()
-        fmts = batch.column("fmt").to_pylist()
-        srs = batch.column("sample_rate").to_numpy()
-        out = {"media_id": [], "win": [], "rms": []}
-        for i, mid in enumerate(ids):
-            samples = self.decode_samples(batch.column("bytes")[i].as_py(), fmts[i], mid, int(srs[i]))
-            wlen = int(self.window_s * srs[i])
-            nwin = len(samples) // wlen
-            trimmed = samples[: nwin * wlen].reshape(nwin, wlen)
-            rms = np.sqrt((trimmed.astype(np.float64) ** 2).mean(axis=1))
-            out["media_id"].extend([mid] * nwin)
-            out["win"].extend(range(nwin))
-            out["rms"].extend(np.round(rms, 6).tolist())
-        return pa.table(
-            {
-                "media_id": pa.array(out["media_id"], pa.string()),
-                "win": pa.array(out["win"], pa.int64()),
-                "rms": pa.array(out["rms"], pa.float64()),
-            }
-        )

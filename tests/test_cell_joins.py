@@ -184,6 +184,9 @@ def test_interval_join_edges_ties_nan(ray_session):
     lo = np.concatenate([np.round(rng.uniform(0.0, 900.0, 30)), [100.0, 150.0, 200.0, 275.0, 300.0, 300.0]])
     hi = np.concatenate([lo[:30] + np.round(rng.uniform(0.0, 200.0, 30)), [150.0, 150.0, 200.0, 325.0, 300.0, 301.0]])
     hi[:5] = lo[:5]  # zero-width intervals
+    # a NaN bound matches nothing, as in the reference lo <= v < hi
+    lo = np.concatenate([lo, [np.nan, 400.0, np.nan]])
+    hi = np.concatenate([hi, [500.0, np.nan, np.nan]])
     iv = np.arange(len(lo), dtype=np.int64)
     # values on every bound (ties at lo and hi), on cell edges, random, and NaN
     vals = np.concatenate([lo, hi, np.arange(0.0, 1100.0, w), rng.uniform(0.0, 1100.0, 200), [np.nan] * 5])

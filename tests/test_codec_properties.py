@@ -1,5 +1,5 @@
 """Hypothesis property tests for the round-5 codec wave: random
-payloads/shapes through FLAC, Zstandard, LERC and VP8L must
+payloads/shapes through Zstandard, LERC and VP8L must
 round-trip bit-exactly (and zstd must stay interoperable with the
 reference libzstd in both directions on every generated case).
 
@@ -14,7 +14,6 @@ import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdal_boots_ray.kernels.flac import flac_decode, flac_encode
 from gdal_boots_ray.kernels.lerc import lerc_decode, lerc_encode
 from gdal_boots_ray.kernels.webp import webp_decode, webp_encode
 from gdal_boots_ray.kernels.zstd import zstd_compress, zstd_decompress
@@ -50,35 +49,6 @@ def test_zstd_roundtrip_and_interop(data):
     assert bytes(_REF_ZSTD.decompress(blob, len(data))) == data
     theirs = bytes(_REF_ZSTD.compress(data))
     assert zstd_decompress(theirs) == data
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    n=st.integers(1, 12000),
-    bits=st.sampled_from([8, 16, 24]),
-    channels=st.integers(1, 2),
-    block_size=st.sampled_from([192, 576, 1024, 4096]),
-    mode=st.sampled_from(["independent", "left_side", "right_side", "mid_side"]),
-    lpc=st.sampled_from([None, 2, 8]),
-    seed=st.integers(0, 2**31 - 1),
-)
-def test_flac_roundtrip(n, bits, channels, block_size, mode, lpc, seed):
-    rng = np.random.default_rng(seed)
-    lim = (1 << (bits - 1)) - 1
-    x = np.clip(
-        np.cumsum(rng.integers(-lim // 64 - 1, lim // 64 + 2, (channels, n)), axis=1),
-        -lim - 1, lim,
-    )
-    if channels == 1:
-        x = x[0]
-    kwargs = {}
-    if channels == 2:
-        kwargs["stereo_mode"] = mode
-    blob = flac_encode(x, 8000, bits=bits, block_size=block_size,
-                       lpc_order=lpc, **kwargs)
-    y, rate, got_bits = flac_decode(blob, verify_md5=True)
-    assert (rate, got_bits) == (8000, bits)
-    assert np.array_equal(y, x)
 
 
 @settings(max_examples=25, deadline=None)

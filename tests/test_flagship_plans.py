@@ -36,9 +36,3 @@ def test_read_in_task_and_dataset_map_plans_agree(ray_session, small_images):
     # integer-valued partial sums: bit-identical across batch splits
     assert (task_plan["sum_v"] == np.floor(task_plan["sum_v"])).all()
 
-
-def test_lance_path_refuses_input_reps(tmp_path):
-    from gdal_boots_ray.pipelines.flagship import run_flagship
-
-    with pytest.raises(ValueError, match="input_reps=2"):
-        run_flagship(str(tmp_path / "t.lance"), input_reps=2)

@@ -1,6 +1,7 @@
-"""One-pass distributed statistics: embedding_cov partials and the
+"""One-pass distributed statistics: embedding_cov partials, the
 geodesic polygon metrics (Chamberlain-Duquette area + haversine
-perimeter) — invariant checks independent of the DuckDB twins."""
+perimeter) and the per-tile lag-1 correlation — invariant checks
+independent of the DuckDB twins."""
 
 import numpy as np
 import pyarrow as pa
@@ -175,3 +176,24 @@ def test_tile_temporal_interp_scalar_replay(ray_mod):
     assert int(row["n_px"]) == w * h
     assert int(row["n_interp"]) == n_interp
     assert int(row["sum_interp"]) == s
+
+
+def test_lag1_corr_constant_tile_is_null():
+    """A zero variance gives None (the twin's NULL), not a division error."""
+    from gdal_boots_ray.pipelines.queries import _lag1_corr
+
+    assert _lag1_corr(np.full((4, 6), 7, np.uint8)) == (20, None)
+    # only the west column varies: the east-shifted band is constant
+    band = np.full((5, 3), 9, np.uint8)
+    band[:, 0] = np.arange(5)
+    assert _lag1_corr(band) == (10, None)
+
+
+def test_lag1_corr_random_tile_matches_corrcoef():
+    from gdal_boots_ray.pipelines.queries import _lag1_corr
+
+    band = np.random.default_rng(3).integers(0, 256, (24, 17)).astype(np.uint8)
+    n, r = _lag1_corr(band)
+    assert n == 24 * 16
+    want = np.corrcoef(band[:, :-1].ravel().astype(np.float64), band[:, 1:].ravel().astype(np.float64))[0, 1]
+    assert r == pytest.approx(want, rel=1e-12)

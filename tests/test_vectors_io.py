@@ -125,16 +125,3 @@ def test_jp2_codec_args_and_ecw_seam():
     with pytest.raises(NotImplementedError):  # ECW stays a seam
         codec_args(ECW())
 
-
-def test_image_table_source_dispatch(ray_session, sf_dir):
-    """read_image_table: parquet fallback streams with column
-    pruning; lance paths fail loudly when pylance is absent."""
-    from gdal_boots_ray.sources.imagetable import is_lance_dataset, lance_available, read_image_table
-
-    ds = read_image_table(f"{sf_dir}/part.parquet", columns=["p_partkey"])
-    assert ds.schema().names == ["p_partkey"]
-    assert ds.count() > 0
-    assert is_lance_dataset("/tmp/foo.lance")
-    if not lance_available():
-        with pytest.raises(ImportError, match="lance"):
-            read_image_table("/tmp/foo.lance")
