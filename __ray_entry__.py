@@ -26,7 +26,7 @@ def entry() -> Any:
     import ray.data as rd
 
     from gdal_boots_ray.pipelines.flagship import combine_zonal_partials, fused_partials
-    from gdal_boots_ray.pipelines.queries import _tiles_dataset
+    from gdal_boots_ray.pipelines.queries._common import _tiles_dataset
     from gdal_boots_ray.sources.fixtures import nation_polygons
     from gdal_boots_ray.stages.joins import put_polygons
 

@@ -38,7 +38,7 @@ def main(argv=None) -> int:
     if not ray.is_initialized():
         ray.init(address=os.environ.get("RAY_ADDRESS", "local"), include_dashboard=False)
 
-    from gdal_boots_ray.pipelines.queries import q_corpus_clean
+    from gdal_boots_ray.pipelines.queries.text import q_corpus_clean
 
     t0 = time.perf_counter()
     clean = q_corpus_clean(

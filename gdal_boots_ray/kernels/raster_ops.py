@@ -158,7 +158,7 @@ def band_descriptions_get(descs, n_bands: int):
     return out
 
 
-def band_descriptions_set(descs, n_bands: int, values) -> list:
+def band_descriptions_set(n_bands: int, values) -> list:
     """Reference ``descriptions = [...]`` semantics: the assigned list
     must match the band count exactly (gdal.py:281-283)."""
     values = list(values)

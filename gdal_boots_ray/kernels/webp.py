@@ -34,7 +34,7 @@ Lossy WebP (VP8) is a different codec entirely and stays a seam.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -309,8 +309,7 @@ def _read_code_lengths(r: _Reader, alphabet: int) -> List[int]:
     return lengths
 
 
-def _write_prefix_code(w: _Writer, lengths: List[int],
-                       symbols_hint: Optional[List[int]] = None) -> None:
+def _write_prefix_code(w: _Writer, lengths: List[int]) -> None:
     nz = [(s, l) for s, l in enumerate(lengths) if l]
     if 1 <= len(nz) <= 2 and all(s < 256 for s, _ in nz):
         w.bits(1, 1)  # simple representation

@@ -37,7 +37,6 @@ def extract_tiles(
     polygons: Sequence[dict],
     out_dir: str,
     encode_fmt: str = "png",
-    concurrency=(1, 8),
     batch_size: int = 64,
 ):
     """Run (or resume) the extraction; returns the run summary dict."""

@@ -13,15 +13,18 @@ dozens of groups, pathological for millions of tiny groups (30s for a
 (:func:`_key_buckets_arrow`), the bucket count
 (:func:`_default_n_buckets`) and the bucket column, and every
 bucket-at-a-time reducer in the package (aggregate, top-k, hash join,
-the cell joins, knn merge, text pair exchanges, the bucketed queries)
-runs through it.  Shuffles whose reducer still expects exactly one key
-per call (``asof_join``, range partitions) stay plain
-``groupby(key).map_groups``.
+the cell joins, the HLL register merge, the zonal histograms, text pair
+exchanges, the bucketed queries) runs through it.  Shuffles whose
+reducer still expects exactly one key per call stay plain
+``groupby(key).map_groups``: ``asof_join``, the knn cell probe,
+``grouped_quantiles``' walk, the mosaic groups, the manifest writer and
+the queries' per-user, per-range, per-cluster, per-query and
+per-LSH-bucket groups.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 import pandas as pd
@@ -229,20 +232,11 @@ def approx_count_distinct(ds, col: str, n_buckets: int = 64) -> float:
         )
 
     def merge(g: pa.Table) -> pa.Table:
+        # elementwise max is associative, so a bucket may hold many keys
         stack = np.stack([np.frombuffer(r, dtype=np.uint8) for r in g.column("reg").to_pylist()])
-        return pa.table(
-            {
-                "bucket": g.column("bucket").slice(0, 1),
-                "reg": pa.array([sketch.hll_merge(stack).tobytes()], pa.binary()),
-            }
-        )
+        return pa.table({"reg": pa.array([sketch.hll_merge(stack).tobytes()], pa.binary())})
 
-    rows = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pyarrow")
-        .to_pandas()
-    )
+    rows = exchange(ds.map_batches(partial, batch_format="pyarrow"), ["bucket"], merge, n_buckets).to_pandas()
     final = sketch.hll_merge(np.stack([np.frombuffer(r, dtype=np.uint8) for r in rows["reg"]]))
     return sketch.hll_estimate(final)
 
@@ -345,6 +339,19 @@ def continuous_quantiles(ds, col: str, qs: Sequence[float], n_hist: int = 8192):
     return pd.DataFrame({"q": out_q, col: out_v})
 
 
+def percentile_disc(vals: np.ndarray, cnts: np.ndarray, qs: Sequence[float]) -> np.ndarray:
+    """SQL ``percentile_disc`` over a histogram: for each q, the first
+    of the ascending ``vals`` whose cumulative count reaches q*n (the
+    same IEEE double product DuckDB computes, so ties agree
+    bit-for-bit).  ``cnts`` are the counts of ``vals``; empty if n = 0."""
+    cum = np.cumsum(cnts)
+    n = int(cum[-1]) if len(cum) else 0
+    if n == 0:
+        return vals[:0]
+    idx = [int(np.searchsorted(cum, q * n, side="left")) for q in qs]
+    return vals[np.minimum(idx, len(vals) - 1)]
+
+
 def grouped_quantiles(
     ds, group_col: str, col: str, qs: Sequence[float], n_buckets: Optional[int] = None
 ):
@@ -379,15 +386,8 @@ def grouped_quantiles(
 
     def walk(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(col)
-        cum = g["cnt"].cumsum().to_numpy()
-        n = int(cum[-1])
-        vals = g[col].to_numpy()
-        out_q, out_v = [], []
-        for q in qs:
-            idx = int(np.searchsorted(cum, q * n, side="left"))
-            out_q.append(float(q))
-            out_v.append(vals[min(idx, len(vals) - 1)])
-        return pd.DataFrame({group_col: g[group_col].iloc[0], "q": out_q, col: out_v})
+        vals = percentile_disc(g[col].to_numpy(), g["cnt"].to_numpy(), qs)
+        return pd.DataFrame({group_col: g[group_col].iloc[0], "q": [float(q) for q in qs], col: vals})
 
     return counts.groupby(group_col).map_groups(walk, batch_format="pandas")
 
@@ -410,24 +410,15 @@ def exact_quantiles(ds, col: str, qs: Sequence[float], n_buckets: Optional[int] 
     qs = list(qs)
 
     def partial(batch: pa.Table) -> pa.Table:
+        # NULL rows are ignored, as by SQL aggregates
         vals, cnts = np.unique(
-            batch.column(col).to_numpy(zero_copy_only=False), return_counts=True
+            batch.column(col).drop_null().to_numpy(zero_copy_only=False), return_counts=True
         )
         return pa.table({col: pa.array(vals), "cnt": pa.array(cnts.astype(np.int64))})
 
     counts = bucketed_aggregate(
         ds.map_batches(partial, batch_format="pyarrow"), [col], {"cnt": "sum"}, n_buckets
     ).to_pandas()
-    counts = counts.sort_values(col).reset_index(drop=True)
-    cum = counts["cnt"].cumsum().to_numpy()
-    n = int(cum[-1]) if len(cum) else 0
-    out_q, out_v = [], []
-    for q in qs:
-        if n == 0:
-            continue
-        # percentile_disc: first value with cum >= q*n (same IEEE
-        # double product DuckDB computes, so ties agree bit-for-bit)
-        idx = int(np.searchsorted(cum, q * n, side="left"))
-        out_q.append(float(q))
-        out_v.append(counts[col].iloc[min(idx, len(counts) - 1)])
-    return pd.DataFrame({"q": out_q, col: out_v})
+    counts = counts.sort_values(col)
+    vals = percentile_disc(counts[col].to_numpy(), counts["cnt"].to_numpy(), qs)
+    return pd.DataFrame({"q": [float(q) for q in qs] if len(vals) else [], col: vals})

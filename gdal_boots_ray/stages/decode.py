@@ -271,7 +271,7 @@ def make_set_band_descriptions(values):
 
     def fn(batch: pa.Table) -> pa.Table:
         bands = batch.column("bands").to_numpy()
-        col = [band_descriptions_set(None, int(b), values) for b in bands]
+        col = [band_descriptions_set(int(b), values) for b in bands]
         if "band_desc" in batch.column_names:
             batch = batch.drop_columns(["band_desc"])
         return batch.append_column("band_desc", pa.array(col, pa.list_(pa.string())))

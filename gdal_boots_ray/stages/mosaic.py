@@ -52,7 +52,7 @@ def mosaic_group(g: pa.Table) -> pa.Table:
     )
 
 
-def mosaic_dataset(ds, concurrency=(1, 8)):
+def mosaic_dataset(ds):
     """groupby(mosaic_key).map_groups(mosaic_group) — the groupby is
     the only shuffle; pixels move once."""
     return ds.groupby("mosaic_key").map_groups(mosaic_group, batch_format="pyarrow")

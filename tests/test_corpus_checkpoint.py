@@ -10,7 +10,7 @@ import pandas as pd
 
 
 def _run(tmp_path, ckpt):
-    from gdal_boots_ray.pipelines.queries import q_corpus_clean
+    from gdal_boots_ray.pipelines.queries.text import q_corpus_clean
 
     out = q_corpus_clean("/root/testdata/sf0.001", checkpoint_dir=str(ckpt))
     df = out if isinstance(out, pd.DataFrame) else out.to_pandas()
@@ -68,7 +68,7 @@ def test_corpus_clean_job_entrypoint(ray_session, tmp_path):
     n = clean.count()
     assert n > 0
     # matches the oracle-checked query result size
-    from gdal_boots_ray.pipelines.queries import q_corpus_clean
+    from gdal_boots_ray.pipelines.queries.text import q_corpus_clean
 
     ref = q_corpus_clean("/root/testdata/sf0.001", checkpoint_dir=str(tmp_path / "ck2"))
     assert n == len(ref.to_pandas() if hasattr(ref, "to_pandas") else ref)

@@ -12,7 +12,7 @@ import __ray_entry__
 
 @pytest.mark.skipif(not os.path.isdir(__ray_entry__._SF0001), reason="sf0.001 test data missing")
 def test_entry_matches_zonal_stats(ray_session):
-    from gdal_boots_ray.pipelines.queries import q_zonal_stats
+    from gdal_boots_ray.pipelines.queries.raster import q_zonal_stats
 
     ds = __ray_entry__.entry()
     assert ds.columns() == ["poly_id", "n_tiles", "n_px", "sum_v", "min_v", "max_v"]

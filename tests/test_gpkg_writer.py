@@ -88,9 +88,9 @@ class TestBandDescriptions:
 
         assert band_descriptions_get(None, 3) == ["", "", ""]
         assert band_descriptions_get(["red"], 3) == ["red", "", ""]
-        assert band_descriptions_set(None, 2, ["B04", "B08"]) == ["B04", "B08"]
+        assert band_descriptions_set(2, ["B04", "B08"]) == ["B04", "B08"]
         with pytest.raises(ValueError):
-            band_descriptions_set(None, 2, ["only-one"])
+            band_descriptions_set(2, ["only-one"])
         with pytest.raises(ValueError):
             band_descriptions_get(["a", "b", "c"], 2)
 

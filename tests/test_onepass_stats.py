@@ -23,7 +23,7 @@ def test_embedding_cov_matches_direct(ray_mod):
     quantized dense computation on the same vectors."""
     import pyarrow.parquet as pq
 
-    from gdal_boots_ray.pipelines.queries import q_embedding_cov
+    from gdal_boots_ray.pipelines.queries.embed import q_embedding_cov
 
     out = q_embedding_cov(SF).to_pandas()
     emb = pq.read_table(f"{SF}/embeddings.parquet", columns=["embedding"])
@@ -51,7 +51,7 @@ def test_embedding_cov_block_invariant(ray_mod):
     rows are split into blocks."""
     import ray.data as rd
 
-    import gdal_boots_ray.pipelines.queries as q
+    import gdal_boots_ray.pipelines.queries.embed as q
 
     base = q.q_embedding_cov(SF).to_pandas().sort_values(["dim_a", "dim_b"])
 
@@ -74,7 +74,7 @@ def test_embedding_cov_empty_input(ray_mod):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    import gdal_boots_ray.pipelines.queries as q
+    import gdal_boots_ray.pipelines.queries.embed as q
 
     emb = pq.read_table(f"{SF}/embeddings.parquet", columns=["embedding"])
     q._read, saved = (lambda path, columns=None, **kw: rd.from_arrow(emb.slice(0, 0))), q._read
@@ -92,7 +92,7 @@ def test_poly_geodesic_against_planar(ray_mod):
     inflation cos^2(lat), to well under 1%; same for perimeter with
     cos(lat).  Catches wrong-hemisphere, degree/radian and
     double-counting bugs the twin could share."""
-    from gdal_boots_ray.pipelines.queries import q_poly_geodesic, q_poly_metrics
+    from gdal_boots_ray.pipelines.queries.geo import q_poly_geodesic, q_poly_metrics
 
     geo = q_poly_geodesic(SF).to_pandas().set_index("poly_id")
     pla = q_poly_metrics(SF).to_pandas().set_index("poly_id")
@@ -141,7 +141,7 @@ def test_tile_temporal_interp_scalar_replay(ray_mod):
     """Independent per-pixel scalar replay of the vectorized temporal
     gap-fill for the first tile: same epochs, same mask rule, nearest
     valid neighbors found by linear scan."""
-    from gdal_boots_ray.pipelines.queries import q_tile_temporal_interp
+    from gdal_boots_ray.pipelines.queries.raster import q_tile_temporal_interp
 
     out = q_tile_temporal_interp(SF).to_pandas().set_index("image_id")
     row = out.loc["img-00000000"]
@@ -180,7 +180,7 @@ def test_tile_temporal_interp_scalar_replay(ray_mod):
 
 def test_lag1_corr_constant_tile_is_null():
     """A zero variance gives None (the twin's NULL), not a division error."""
-    from gdal_boots_ray.pipelines.queries import _lag1_corr
+    from gdal_boots_ray.pipelines.queries.raster import _lag1_corr
 
     assert _lag1_corr(np.full((4, 6), 7, np.uint8)) == (20, None)
     # only the west column varies: the east-shifted band is constant
@@ -190,7 +190,7 @@ def test_lag1_corr_constant_tile_is_null():
 
 
 def test_lag1_corr_random_tile_matches_corrcoef():
-    from gdal_boots_ray.pipelines.queries import _lag1_corr
+    from gdal_boots_ray.pipelines.queries.raster import _lag1_corr
 
     band = np.random.default_rng(3).integers(0, 256, (24, 17)).astype(np.uint8)
     n, r = _lag1_corr(band)

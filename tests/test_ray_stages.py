@@ -295,6 +295,25 @@ def test_exact_quantiles(ray_mod):
         assert v == s[max(idx, 0)], (q, v, s[max(idx, 0)])
 
 
+def test_exact_quantiles_ignores_nulls(ray_mod):
+    """NULL rows are not values (SQL aggregate semantics): over
+    [1, NULL, 3, 5] percentile_disc(0.6) is 3, as DuckDB and
+    ``grouped_quantiles`` give, not the 5 a NaN-counted n = 4 gives."""
+    import duckdb
+    import pyarrow as pa
+    import ray.data as rd
+
+    from gdal_boots_ray.stages.agg import exact_quantiles, grouped_quantiles
+
+    tbl = pa.table({"g": [0, 0, 0, 0], "v": pa.array([1, None, 3, 5], pa.int64())})
+    want = duckdb.sql("SELECT percentile_disc(0.6) WITHIN GROUP (ORDER BY v) FROM tbl").fetchone()[0]
+    assert want == 3
+    got = exact_quantiles(rd.from_arrow(tbl), "v", [0.6])
+    assert got["v"].tolist() == [want]
+    grouped = grouped_quantiles(rd.from_arrow(tbl), "g", "v", [0.6]).to_pandas()
+    assert grouped["v"].tolist() == [want]
+
+
 def test_deterministic_sample_stable(ray_mod):
     """deterministic_sample keeps the identical id set under any
     partitioning (the resume/retry-stability contract)."""
@@ -427,7 +446,7 @@ def test_doc_pack_prefix_scan(ray_mod):
     import pandas as pd
     import pyarrow.parquet as pq
 
-    from gdal_boots_ray.pipelines.queries import q_doc_pack
+    from gdal_boots_ray.pipelines.queries.text import q_doc_pack
 
     sf = "/root/testdata/sf0.001"
     out = q_doc_pack(sf).to_pandas().sort_values("doc_id").reset_index(drop=True)
@@ -471,7 +490,7 @@ def test_dup_components_plans(ray_mod):
     """The union-find small-graph plan and the distributed
     pointer-jumping loop return IDENTICAL (key, component) labels —
     broadcast_threshold only changes the physical plan."""
-    from gdal_boots_ray.pipelines.queries import q_dup_components
+    from gdal_boots_ray.pipelines.queries.embed import q_dup_components
 
     sf = "/root/testdata/sf0.001"
     small = q_dup_components(sf).to_pandas().sort_values("key").reset_index(drop=True)
@@ -548,7 +567,7 @@ def test_semdedup_scale_paths(ray_mod):
     """The blocked gram walk (tiny panels force the multi-panel code
     path) and the scaled-k clustering return the SAME drop decisions
     as the defaults — the 100 TB shape is semantics-preserving."""
-    from gdal_boots_ray.pipelines.queries import q_semdedup
+    from gdal_boots_ray.pipelines.queries.embed import q_semdedup
 
     sf = "/root/testdata/sf0.001"
 
