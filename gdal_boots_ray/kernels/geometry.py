@@ -478,29 +478,6 @@ def _merge_touching_rings(rings: List[np.ndarray]) -> List[np.ndarray]:
     return rings_out
 
 
-def interior_point(ring: np.ndarray):
-    """A point strictly inside a simple closed ring: intersect a
-    horizontal scanline through the bbox middle (nudged off vertices)
-    with the ring and take the midpoint of the first inside interval."""
-    ys = ring[:, 1]
-    span = (ys.max() - ys.min()) or 1.0
-    y0 = (ys.min() + ys.max()) / 2.0
-    for attempt in range(20):
-        yc = y0 + span * 1e-6 * (attempt + 1) * (1 if attempt % 2 == 0 else -1)
-        if np.any(np.abs(ys - yc) < span * 1e-12):
-            continue
-        a, b = ring[:-1], ring[1:]
-        cond = (a[:, 1] > yc) != (b[:, 1] > yc)
-        if cond.sum() < 2:
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = a[:, 0] + (yc - a[:, 1]) / (b[:, 1] - a[:, 1]) * (b[:, 0] - a[:, 0])
-        xs = np.sort(xint[cond])
-        return (float(xs[0] + xs[1]) / 2.0, float(yc))
-    # degenerate fallback
-    return (float(ring[:, 0].mean()), float(y0))
-
-
 def make_valid_geojson(geometry: RawGeometry, precision: Optional[int] = None) -> dict:
     """Reference ``make_valid_geojson`` (geometry.py:160-163):
     repair + GeoJSON render at the given coordinate precision."""

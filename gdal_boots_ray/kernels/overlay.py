@@ -103,41 +103,6 @@ def _node_segments(rings: Sequence[np.ndarray]) -> List[Tuple[Tuple[float, float
     return sorted(out)
 
 
-def _trace_faces(segments) -> List[np.ndarray]:
-    """All cycles of the arrangement via clockwise-most traversal.
-    Returns each cycle as a closed (m, 2) array (positive signed area =
-    bounded face boundary; negative = inner/unbounded boundaries)."""
-    # half edges: (a, b) directed both ways
-    outgoing: Dict[Tuple[float, float], List[Tuple[float, float]]] = defaultdict(list)
-    for a, b in segments:
-        outgoing[a].append(b)
-        outgoing[b].append(a)
-    for v, lst in outgoing.items():
-        lst.sort(key=lambda w: math.atan2(w[1] - v[1], w[0] - v[0]))
-    used = set()
-    cycles = []
-    for a, b in segments:
-        for h in ((a, b), (b, a)):
-            if h in used:
-                continue
-            cycle = [h[0]]
-            cur = h
-            while True:
-                used.add(cur)
-                u, v = cur
-                cycle.append(v)
-                # arrive at v via u: next = clockwise-most from the
-                # reverse direction (v -> u)
-                nbrs = outgoing[v]
-                idx = nbrs.index(u)
-                nxt = nbrs[(idx - 1) % len(nbrs)]  # rotate clockwise
-                cur = (v, nxt)
-                if cur == h:
-                    break
-            cycles.append(np.asarray(cycle, dtype=np.float64))
-    return cycles
-
-
 def _signed_area(cycle: np.ndarray) -> float:
     x, y = cycle[:, 0], cycle[:, 1]
     return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))

@@ -137,9 +137,7 @@ def q_phash_neardup(sf_dir: str, max_hamming: int = 3):
     band), which keeps expected bucket population ~N/65k while
     staying pigeonhole-exact.  Capping buckets here would break the
     exact-recall contract the oracle checks, so none is applied."""
-    import ray.data as rd
-
-    from gdal_boots_ray.stages.agg import bucketed_aggregate
+    from gdal_boots_ray.stages.textstages import band_pairs
 
     ds = _read(f"{sf_dir}/part.parquet", columns=["p_partkey"])
 
@@ -172,59 +170,37 @@ def q_phash_neardup(sf_dir: str, max_hamming: int = 3):
             x >>= np.uint64(1)
         return cnt
 
-    # verify INSIDE the group task: the 20-bit fixture phash gives
+    # verify INSIDE the pair generator: the 20-bit fixture phash gives
     # only 32 buckets per band, so raw band candidates are O((N/32)^2)
     # per bucket (~25M rows at sf0.1) — filtering to exact
     # hamming<=max BEFORE emitting means only true pairs (~20x fewer)
-    # ever leave the group task or cross the dedup exchange.  Recall
+    # ever leave the bucket task or cross the dedup exchange.  Recall
     # is untouched: the filter is the same closed-form check the
     # oracle applies.
-    def pairs(g: pa.Table) -> pa.Table:
-        bk = g.column("bucket").to_numpy()
-        did = g.column("key").to_numpy()
-        order = np.lexsort((did, bk))
-        bk, did = bk[order], did[order]
-        keep = np.r_[True, (bk[1:] != bk[:-1]) | (did[1:] != did[:-1])]
-        bk, did = bk[keep], did[keep]
-        starts = np.flatnonzero(np.r_[True, bk[1:] != bk[:-1]])
-        ends = np.r_[starts[1:], len(bk)]
-        out_a: list = []
-        out_b: list = []
-        out_h: list = []
-        for s, e in zip(starts, ends):
-            ids = did[s:e]
-            if len(ids) < 2:
-                continue
-            a, b = np.triu_indices(len(ids), k=1)
-            ka, kb = ids[a], ids[b]
-            ham = _hamming(ka, kb)
-            m = ham <= max_hamming
-            if m.any():
-                out_a.append(ka[m])
-                out_b.append(kb[m])
-                out_h.append(ham[m])
-        if not out_a:
-            return pa.table(
-                {
-                    "key_a": pa.array([], pa.int64()),
-                    "key_b": pa.array([], pa.int64()),
-                    "hamming": pa.array([], pa.int64()),
-                }
-            )
+    def close(t: pa.Table, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        keys = t.column("key").to_numpy()
+        return _hamming(keys[a], keys[b]) <= max_hamming
+
+    pairs = band_pairs(
+        rows.map_batches(band_rows, batch_format="pyarrow"),
+        key="bucket",
+        id_col="key",
+        out=("key_a", "key_b"),
+        pair_filter=close,
+    )
+
+    def with_hamming(batch: pa.Table) -> pa.Table:
+        ka = batch.column("key_a").to_numpy()
+        kb = batch.column("key_b").to_numpy()
         return pa.table(
             {
-                "key_a": pa.array(np.concatenate(out_a).astype(np.int64), pa.int64()),
-                "key_b": pa.array(np.concatenate(out_b).astype(np.int64), pa.int64()),
-                "hamming": pa.array(np.concatenate(out_h), pa.int64()),
+                "key_a": pa.array(ka, pa.int64()),
+                "key_b": pa.array(kb, pa.int64()),
+                "hamming": pa.array(_hamming(ka, kb), pa.int64()),
             }
         )
 
-    verified = rows.map_batches(band_rows, batch_format="pyarrow").groupby("bucket").map_groups(
-        pairs, batch_format="pyarrow"
-    )
-    # dedup band-duplicate pairs; hamming is identical per pair so min
-    # is a no-op combine that carries it through the exchange
-    return bucketed_aggregate(verified, ["key_a", "key_b"], {"hamming": "min"})
+    return pairs.map_batches(with_hamming, batch_format="pyarrow")
 
 
 ORACLE_SQL["phash_neardup"] = """
@@ -269,7 +245,6 @@ def q_embedding_centroids(sf_dir: str, n_groups: int = 8):
     exchange moves (groups x dims) partial rows per batch — never a
     vector table."""
     import pandas as pd
-    import ray.data as rd
 
     from gdal_boots_ray.stages.agg import bucketed_aggregate
 
@@ -391,7 +366,6 @@ def q_kmeans(sf_dir: str, k: int = 8, iters: int = 6):
     of member counts) is hash-checked against DuckDB's row count —
     proving no vector is lost or duplicated by the iteration."""
     import pandas as pd
-    import ray.data as rd
 
     from gdal_boots_ray.stages.kmeans import assign_clusters, kmeans
 
@@ -761,7 +735,6 @@ def q_semdedup(
     credits a), so no drop count is silently lost."""
     import pandas as pd
     import ray
-    import ray.data as rd
 
     from gdal_boots_ray.stages.kmeans import kmeans
 
@@ -906,7 +879,6 @@ def q_embedding_neardup(
     empty set; any spurious engine pair breaks the hash."""
     import pandas as pd
     import ray
-    import ray.data as rd
 
     rng = np.random.default_rng(31415926)
     planes = rng.normal(size=(n_tables, n_planes, 64))
@@ -971,30 +943,16 @@ def q_embedding_neardup(
                 }
             )
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        ids = np.sort(g["vec_id"].unique())
-        if len(ids) < 2:
-            return pd.DataFrame(
-                {"vec_a": pd.Series([], dtype=np.int64), "vec_b": pd.Series([], dtype=np.int64)}
-            )
-        if len(ids) > hot_cap:
-            return pd.DataFrame(
-                {"vec_a": np.full(len(ids) - 1, ids[0], np.int64), "vec_b": ids[1:].astype(np.int64)}
-            )
-        a, b = np.triu_indices(len(ids), k=1)
-        return pd.DataFrame({"vec_a": ids[a].astype(np.int64), "vec_b": ids[b].astype(np.int64)})
+    from gdal_boots_ray.stages.textstages import attach_pair_columns, band_pairs
 
-    from gdal_boots_ray.stages.agg import bucketed_aggregate
-    from gdal_boots_ray.stages.textstages import attach_pair_columns
+    cand = band_pairs(
+        ds.map_batches(Bucket, batch_format="pyarrow", concurrency=(1, 4)),
+        key="bucket",
+        id_col="vec_id",
+        out=("vec_a", "vec_b"),
+        hot_cap=hot_cap,
+    ).select_columns(["vec_a", "vec_b"])
 
-    cand = (
-        ds.map_batches(Bucket, batch_format="pyarrow", concurrency=(1, 4))
-        .groupby("bucket")
-        .map_groups(pairs, batch_format="pandas")
-    )
-    cand = bucketed_aggregate(cand, ["vec_a", "vec_b"], {"n_tabs": "count"}).select_columns(
-        ["vec_a", "vec_b"]
-    )
     def to_vec_rows(b: pa.Table) -> pa.Table:
         # tensor-extension -> plain list<float64> so the attach join's
         # typed nulls can concat with it

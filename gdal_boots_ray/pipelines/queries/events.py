@@ -7,8 +7,11 @@ from __future__ import annotations
 from typing import Dict
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from gdal_boots_ray.stages.agg import exchange, key_runs
 
 from ._common import _read
 
@@ -52,8 +55,6 @@ def q_approx_distinct(sf_dir: str):
     DuckDB's count(DISTINCT ..); ``ok`` asserts the HLL estimate
     within 5% (~3 sigma at p=12) — the sketch's contract, since the
     estimate itself is implementation-defined."""
-    import pandas as pd
-
     from gdal_boots_ray.kernels.text import _WORD_RE
     from gdal_boots_ray.stages.agg import approx_count_distinct, bucketed_aggregate
 
@@ -98,31 +99,34 @@ ORACLE_SQL["approx_distinct"] = """
     """
 
 
+def _event_gaps(g: pd.DataFrame) -> pd.DataFrame:
+    """event_gaps' bucket body: per user in (ts, event_id) order, the
+    gap to the previous event and the mean of the last 3 values (the
+    grouped diff and rolling mean compute each user exactly as a
+    one-user frame would)."""
+    g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort").reset_index(drop=True)
+    by_user = g.groupby("user_id", sort=False)
+    gap = by_user["ts"].diff().dt.total_seconds()
+    mavg = by_user["value"].rolling(3, min_periods=1).mean()
+    out = pd.DataFrame(
+        {
+            "event_id": g["event_id"].to_numpy().astype(np.int64),
+            "user_id": g["user_id"].to_numpy().astype(np.int64),
+            "gap_s": np.round(gap.to_numpy(), 6),
+            "mavg3": np.round(mavg.to_numpy(), 6),
+        }
+    )
+    return out[~np.isnan(out["gap_s"].to_numpy())]
+
+
 def q_event_gaps(sf_dir: str):
     """Window navigation functions (LAG + a ROWS-frame moving
     average) as a distributed composition: co-partition on user_id,
     per-group ordered diff + rolling mean — one shuffle total, same
     partitioning contract as sessionize.  First event per user is
     dropped (its gap is NULL in SQL)."""
-    import pandas as pd
-
     ds = _read(f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "value"])
-
-    def gaps(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"], kind="mergesort")
-        gap = g["ts"].diff().dt.total_seconds()
-        mavg = g["value"].rolling(3, min_periods=1).mean()
-        out = pd.DataFrame(
-            {
-                "event_id": g["event_id"].to_numpy().astype(np.int64),
-                "user_id": g["user_id"].to_numpy().astype(np.int64),
-                "gap_s": np.round(gap.to_numpy(), 6),
-                "mavg3": np.round(mavg.to_numpy(), 6),
-            }
-        )
-        return out[~np.isnan(out["gap_s"].to_numpy())]
-
-    return ds.groupby("user_id").map_groups(gaps, batch_format="pandas")
+    return exchange(ds, ["user_id"], _event_gaps, batch_format="pandas")
 
 
 ORACLE_SQL["event_gaps"] = """
@@ -140,6 +144,37 @@ ORACLE_SQL["event_gaps"] = """
     """
 
 
+def _run_cumsum(v: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``np.cumsum`` restarted at every run, bit for bit: runs of one
+    power-of-two width class are padded into the rows of one matrix
+    and accumulated along the row (the same left-to-right additions a
+    per-run ``np.cumsum`` makes), one pass per width class."""
+    out = np.empty(len(v), np.float64)
+    width = 1 << np.ceil(np.log2(np.maximum(lens, 1))).astype(np.int64)
+    for w in np.unique(width):
+        sel = width == w
+        idx = starts[sel, None] + np.arange(w)
+        inside = np.arange(w) < lens[sel, None]
+        acc = np.add.accumulate(np.where(inside, v[np.where(inside, idx, 0)], 0.0), axis=1)
+        out[idx[inside]] = acc[inside]
+    return out
+
+
+def _running_total(g: pd.DataFrame) -> pd.DataFrame:
+    """running_total's bucket body: one sort by (user_id, ts,
+    event_id), then every user's row number and running sum."""
+    g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
+    starts, lens = key_runs(g["user_id"].to_numpy())
+    return pd.DataFrame(
+        {
+            "event_id": g["event_id"].to_numpy().astype(np.int64),
+            "user_id": g["user_id"].to_numpy().astype(np.int64),
+            "rn": np.arange(len(g), dtype=np.int64) - np.repeat(starts, lens) + 1,
+            "run_total": np.round(_run_cumsum(g["value"].to_numpy(), starts, lens), 6),
+        }
+    )
+
+
 def q_running_total(sf_dir: str):
     """Cumulative window aggregate (SUM OVER ... ROWS UNBOUNDED
     PRECEDING) — the running-total shape that completes the window
@@ -147,22 +182,8 @@ def q_running_total(sf_dir: str):
     user_id (the same single-shuffle contract as sessionize and
     event_gaps), per-group deterministic (ts, event_id) order, then a
     vectorized cumulative sum + running row count."""
-    import pandas as pd
-
     ds = _read(f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "value"])
-
-    def cumsum(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"], kind="mergesort")
-        return pd.DataFrame(
-            {
-                "event_id": g["event_id"].to_numpy().astype(np.int64),
-                "user_id": g["user_id"].to_numpy().astype(np.int64),
-                "rn": np.arange(1, len(g) + 1, dtype=np.int64),
-                "run_total": np.round(np.cumsum(g["value"].to_numpy()), 6),
-            }
-        )
-
-    return ds.groupby("user_id").map_groups(cumsum, batch_format="pandas")
+    return exchange(ds, ["user_id"], _running_total, batch_format="pandas")
 
 
 ORACLE_SQL["running_total"] = """
@@ -299,7 +320,6 @@ def q_top_orders_per_nation(sf_dir: str, k: int = 3):
     partial top-k so the shuffle moves <= k rows per (nation, batch),
     bucketed final merge.  Deterministic under price ties via the
     o_orderkey tie-break."""
-    import pyarrow.parquet as pq
     import ray
 
     from gdal_boots_ray.stages.agg import grouped_top_k
@@ -641,30 +661,32 @@ ORACLE_SQL["range_join"] = """
     """
 
 
+def _sessions(g: pd.DataFrame, gap_us: int) -> pd.DataFrame:
+    """sessionize's bucket body: one sort by (user_id, ts); a user's
+    first event or a gap > ``gap_us`` opens a session; sessions are
+    numbered from 1 per user and summed per (user, session)."""
+    g = g.sort_values(["user_id", "ts"], kind="mergesort")
+    starts, lens = key_runs(g["user_id"].to_numpy())
+    us = g["ts"].astype("int64").to_numpy()
+    new = np.ones(len(us), dtype=np.int64)
+    new[1:] = (np.diff(us) > gap_us).astype(np.int64)
+    new[starts] = 1
+    sid = np.cumsum(new)
+    sid -= np.repeat(sid[starts] - 1, lens)  # integers: restarting is exact
+    d = pd.DataFrame({"user_id": g["user_id"].to_numpy(), "sid": sid, "value": g["value"].to_numpy()})
+    agg = d.groupby(["user_id", "sid"]).agg(n_events=("value", "size"), sum_value=("value", "sum")).reset_index()
+    agg["sum_value"] = agg["sum_value"].round(6)
+    return agg[["user_id", "sid", "n_events", "sum_value"]].astype(
+        {"user_id": "int64", "sid": "int64", "n_events": "int64"}
+    )
+
+
 def q_sessionize(sf_dir: str, gap_minutes: int = 30):
     """Session windows per user (gap > 30 min starts a new session) —
     the streaming-shaped operator; ordering within a group is explicit
-    (sort by ts inside map_groups, never block order)."""
-    import pandas as pd
-
+    (sort by ts inside each bucket, never block order)."""
     ev = _read(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"])
-    gap_us = gap_minutes * 60 * 1_000_000
-
-    def sessions(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("ts")
-        us = g["ts"].astype("int64").to_numpy()
-        new = np.ones(len(us), dtype=np.int64)
-        new[1:] = (np.diff(us) > gap_us).astype(np.int64)
-        sid = np.cumsum(new)
-        d = pd.DataFrame({"sid": sid, "value": g["value"].to_numpy()})
-        agg = d.groupby("sid").agg(n_events=("value", "size"), sum_value=("value", "sum")).reset_index()
-        agg["user_id"] = g["user_id"].iloc[0]
-        agg["sum_value"] = agg["sum_value"].round(6)
-        return agg[["user_id", "sid", "n_events", "sum_value"]].astype(
-            {"user_id": "int64", "sid": "int64", "n_events": "int64"}
-        )
-
-    return ev.groupby("user_id").map_groups(sessions, batch_format="pandas")
+    return exchange(ev, ["user_id"], lambda g: _sessions(g, gap_minutes * 60 * 1_000_000), batch_format="pandas")
 
 
 ORACLE_SQL["sessionize"] = """
@@ -688,6 +710,34 @@ ORACLE_SQL["sessionize"] = """
     """
 
 
+def _funnel(g: pd.DataFrame) -> pd.DataFrame:
+    """event_funnel's bucket body: one sort by user_id, then per step
+    a segmented min over the user's qualifying events (-1: none)."""
+    g = g.sort_values("user_id", kind="mergesort")
+    starts, lens = key_runs(g["user_id"].to_numpy())
+    t = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
+    et = g["event_type"].to_numpy()
+    big = np.iinfo(np.int64).max
+
+    def step(kind, after):
+        m = (et == kind) & (t > np.repeat(after, lens))
+        first = np.minimum.reduceat(np.where(m, t, big), starts)
+        return np.where(first == big, -1, first)
+
+    t1 = step("signup", np.full(len(starts), np.iinfo(np.int64).min))
+    t2 = np.where(t1 >= 0, step("click", t1), -1)
+    t3 = np.where(t2 >= 0, step("purchase", t2), -1)
+    return pd.DataFrame(
+        {
+            "user_id": g["user_id"].to_numpy()[starts].astype(np.int64),
+            "depth": (t1 >= 0).astype(np.int64) + (t2 >= 0) + (t3 >= 0),
+            "t1_us": t1,
+            "t2_us": t2,
+            "t3_us": t3,
+        }
+    )
+
+
 def q_event_funnel(sf_dir: str):
     """Ordered funnel analysis (the product-analytics sequence match:
     signup -> click -> purchase, each step STRICTLY after the
@@ -697,33 +747,8 @@ def q_event_funnel(sf_dir: str):
     the MINIMUM qualifying time given step k-1 — the standard
     earliest-completion funnel semantics.  Plan: one user-key
     exchange, per-user groups are tiny; integers end to end."""
-    import pandas as pd
-
     ds = _read(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type"])
-
-    def funnel(g: pd.DataFrame) -> pd.DataFrame:
-        t = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        et = g["event_type"].to_numpy()
-
-        def step(kind, after):
-            m = (et == kind) & (t > after)
-            return int(t[m].min()) if m.any() else -1
-
-        t1 = step("signup", np.iinfo(np.int64).min)
-        t2 = step("click", t1) if t1 >= 0 else -1
-        t3 = step("purchase", t2) if t2 >= 0 else -1
-        depth = 3 if t3 >= 0 else 2 if t2 >= 0 else 1 if t1 >= 0 else 0
-        return pd.DataFrame(
-            {
-                "user_id": [int(g["user_id"].iloc[0])],
-                "depth": [depth],
-                "t1_us": [t1],
-                "t2_us": [t2],
-                "t3_us": [t3],
-            }
-        )
-
-    return ds.groupby("user_id").map_groups(funnel, batch_format="pandas")
+    return exchange(ds, ["user_id"], _funnel, batch_format="pandas")
 
 
 ORACLE_SQL["event_funnel"] = """
@@ -749,6 +774,26 @@ ORACLE_SQL["event_funnel"] = """
     """
 
 
+def _cohort_weeks(g: pd.DataFrame) -> pd.DataFrame:
+    """cohort_retention's bucket body: one (cohort_week, week_k, 1) row
+    per active week of each user, weeks counted from the user's first
+    day."""
+    g = g.sort_values("user_id", kind="mergesort")
+    starts, lens = key_runs(g["user_id"].to_numpy())
+    d = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64) // 86_400_000_000
+    d0 = np.repeat(np.minimum.reduceat(d, starts), lens)
+    user = np.repeat(np.arange(len(starts)), lens)
+    wk = (d - d0) // 7
+    first = np.unique(np.stack([user, wk], axis=1), axis=0, return_index=True)[1]
+    return pd.DataFrame(
+        {
+            "cohort_week": (d0[first] // 7).astype(np.int64),
+            "week_k": wk[first].astype(np.int64),
+            "n_users": np.ones(len(first), np.int64),
+        }
+    )
+
+
 def q_cohort_retention(sf_dir: str):
     """Weekly cohort retention — the product-analytics matrix
     (cohort_week x weeks-since-first-event -> distinct active users)
@@ -759,25 +804,11 @@ def q_cohort_retention(sf_dir: str):
     set, never a count-distinct shuffle.  All integer (microsecond
     epochs, floor-divided into days then weeks), so the twin matches
     exactly."""
-    import pandas as pd
-
     from gdal_boots_ray.stages.agg import bucketed_aggregate
 
     ds = _read(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
 
-    def weeks(g: pd.DataFrame) -> pd.DataFrame:
-        d = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64) // 86_400_000_000
-        d0 = int(d.min())
-        wk = np.unique((d - d0) // 7)
-        return pd.DataFrame(
-            {
-                "cohort_week": np.full(len(wk), d0 // 7, np.int64),
-                "week_k": wk.astype(np.int64),
-                "n_users": np.ones(len(wk), np.int64),
-            }
-        )
-
-    per_user = ds.groupby("user_id").map_groups(weeks, batch_format="pandas")
+    per_user = exchange(ds, ["user_id"], _cohort_weeks, batch_format="pandas")
     out = bucketed_aggregate(per_user, ["cohort_week", "week_k"], {"n_users": "sum"})
 
     def cast(batch: pa.Table) -> pa.Table:
@@ -818,18 +849,13 @@ def q_events_ntile(sf_dir: str, n_tiles_q: int = 4):
     reduced to per-user per-quartile counts and value sums.  Runs as
     a bucketed per-user pass (users hash into a bounded number of
     groups, each group vectorized), never one Ray group per user."""
-    import pandas as pd
-
-    from gdal_boots_ray.stages.agg import exchange
-
     ev = _read(f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "value"])
 
     def ntile_counts(g: pd.DataFrame) -> pd.DataFrame:
         d = g.sort_values(["user_id", "value", "event_id"], kind="mergesort")
         uid = d["user_id"].to_numpy()
         # position within each user's ordered run
-        starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
-        runlen = np.diff(np.r_[starts, len(uid)])
+        starts, runlen = key_runs(uid)
         sizes = np.repeat(runlen, runlen)
         pos = np.arange(len(uid)) - np.repeat(starts, runlen)
         # SQL NTILE: first (n % k) buckets have ceil(n/k) rows

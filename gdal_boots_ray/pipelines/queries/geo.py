@@ -7,8 +7,11 @@ import math
 from typing import Dict
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from gdal_boots_ray.stages.agg import exchange, key_runs
 
 from ._common import (
     POLY_SQL_CTE,
@@ -711,13 +714,10 @@ def q_point_values(sf_dir: str):
     both co-shuffle once on the tile key and every group gathers its
     points' pixel values with the inverse-affine kernel.  SQL twin is
     the closed-form pixel field."""
-    import pandas as pd
     import pyarrow.parquet as pq
-    import ray.data as rd
 
     from gdal_boots_ray.kernels.sampling import sample_points
     from gdal_boots_ray.sources.fixtures import point_params
-    from gdal_boots_ray.stages.agg import exchange
     from gdal_boots_ray.stages.decode import pixels_view
 
     import ray
@@ -943,6 +943,16 @@ ORACLE_SQL["union_bounds"] = f"""
     """
 
 
+def _drop_self(g: pd.DataFrame, k: int) -> pd.DataFrame:
+    """Per qid of a bucket: drop the self-match, keep the k nearest by
+    (d2, nid), re-rank from 1."""
+    g = g[g["nid"] != g["qid"]].sort_values(["qid", "d2", "nid"], kind="mergesort")
+    starts, lens = key_runs(g["qid"].to_numpy())
+    rank = np.arange(len(g)) - np.repeat(starts, lens) + 1
+    out = g.assign(rank=rank.astype(np.int64))[rank <= k]
+    return out[["qid", "rank", "nid", "dist"]]
+
+
 def q_spatial_knn(sf_dir: str, k: int = 5):
     """Spatial kNN over the cell-partitioned SHUFFLE path
     (broadcast_threshold=0 disables the broadcast plan): for the first
@@ -966,15 +976,7 @@ def q_spatial_knn(sf_dir: str, k: int = 5):
     queries_ds = _points_dataset(sf_dir, id_col="nid").map_batches(to_queries, batch_format="pyarrow")
     out = spatial_knn_dataset(queries_ds, data_ds, k=k + 1, cell_res=2000.0, broadcast_threshold=0)
 
-    # drop self-matches (dist 0 to the same id), keep k, re-rank
-    import pandas as pd
-
-    def drop_self(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[g["nid"] != g["qid"].iloc[0]].sort_values(["d2", "nid"]).head(k).copy()
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["qid", "rank", "nid", "dist"]]
-
-    return out.groupby("qid").map_groups(drop_self, batch_format="pandas")
+    return exchange(out, ["qid"], lambda g: _drop_self(g, k), batch_format="pandas")
 
 
 ORACLE_SQL["spatial_knn"] = f"""
@@ -1587,8 +1589,6 @@ def q_poly_grid_cover(sf_dir: str, res: float = 1000.0):
     identical center-containment predicate, so the cell-id sums are
     integer-exact.  Pure map over polygons — each feature's fan-out
     is bounded by its envelope at the chosen resolution."""
-    import ray.data as rd
-
     from gdal_boots_ray.kernels.cells import grid_cell_center, grid_cells_covering_bounds
     from gdal_boots_ray.kernels.geometry import points_in_rings, polygon_rings
     from gdal_boots_ray.sources.fixtures import nation_polygons
@@ -1651,8 +1651,6 @@ def q_poly_metrics(sf_dir: str):
     the nation features.  The diamond fixtures have closed forms
     (area 2*rx*ry, perimeter 4*sqrt(rx^2+ry^2), centroid = center)
     the twin states directly."""
-    import ray.data as rd
-
     from gdal_boots_ray.kernels.geometry import polygon_rings, ring_metrics
     from gdal_boots_ray.sources.fixtures import nation_polygons
 

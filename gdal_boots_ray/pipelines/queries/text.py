@@ -7,8 +7,11 @@ import re
 from typing import Dict, Optional
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from gdal_boots_ray.stages.agg import exchange, key_runs
 
 from ._common import _read, _round_half_away
 
@@ -208,7 +211,7 @@ def q_line_dedup(sf_dir: str, chunk_tokens: int = 8):
     partials, and a second bounded shuffle sums them per doc.  No
     stage ever holds more than its bucket; duplicate-heavy (skewed)
     chunks cost one group pass, not a cross join."""
-    from gdal_boots_ray.stages.agg import bucketed_aggregate, exchange
+    from gdal_boots_ray.stages.agg import bucketed_aggregate
 
     docs = _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
@@ -384,8 +387,6 @@ def q_top_terms(sf_dir: str, k: int = 10):
     inside map_batches (one (lang, word, n) partial row per distinct
     word per batch), bucketed count merge, then ``grouped_top_k`` —
     so the exchanges move word-count partials, never text."""
-    import pandas as pd
-
     from gdal_boots_ray.kernels.text import _WORD_RE
     from gdal_boots_ray.stages.agg import bucketed_aggregate, grouped_top_k
 
@@ -496,8 +497,6 @@ def q_bigram_pmi(sf_dir: str, k: int = 20):
     single-group ``grouped_top_k`` (integer-deterministic: cnt DESC,
     words ASC), and only the <= 2k winner words' unigram counts are
     looked up — the full vocabulary table never materializes."""
-    import pandas as pd
-
     from gdal_boots_ray.kernels.text import _WORD_RE
     from gdal_boots_ray.stages.agg import bucketed_aggregate, grouped_top_k
 
@@ -591,8 +590,6 @@ def _doc_word_counts(batch):
     """Per-(doc, word) counts + doc length, computed in ONE pass inside
     the batch (a document is one row, so tf/doclen are exact without a
     combine; the (doc_id, word) rows are globally unique)."""
-    import pandas as pd
-
     from gdal_boots_ray.kernels.text import _WORD_RE
 
     wl = [_WORD_RE.findall(t.lower()) for t in batch["text"]]
@@ -691,7 +688,6 @@ def q_bm25_scores(sf_dir: str, k1: float = 1.2, b: float = 0.75):
     a closure, and the per-doc score is a ``bucketed_aggregate`` sum —
     the only shuffle moves (doc x matched-term) rows.  Row membership
     is integer-deterministic; the float score is output-only."""
-    import pandas as pd
     import pyarrow.parquet as pq
 
     from gdal_boots_ray.stages.agg import bucketed_aggregate
@@ -776,8 +772,6 @@ def q_doc_logprob(sf_dir: str):
     bucketed ``hash_join``, per-doc reduction is another bucketed sum
     — text never re-shuffles, and the model "training" (the unigram
     table) and "inference" (scoring) are the same two exchanges."""
-    import pandas as pd
-
     from gdal_boots_ray.stages.agg import bucketed_aggregate
     from gdal_boots_ray.stages.joins import hash_join
 
@@ -1118,14 +1112,14 @@ def q_minhash_pairs(sf_dir: str, doc_cap: int = 1500):
     keys, pair join — so the LSH machinery itself is hash-checked
     (the production rolling-hash MinHash is exercised by
     minhash_neardup whose oracle is the exact quadratic Jaccard).
-    hot_cap is effectively off so star-linking (a physical-plan skew
-    control, not SQL-expressible) can't perturb the set; doc_id <
+    hot_cap is unset so star-linking (a physical-plan skew control,
+    not SQL-expressible) can't perturb the set; doc_id <
     ``doc_cap`` bounds the quadratic twin (and this construction
     check) at larger SFs — the full-corpus production path is
     minhash_neardup / corpus_clean."""
     import pyarrow.parquet as pq
 
-    from gdal_boots_ray.stages.textstages import MD5MinHashStage, band_pairs_from_rows
+    from gdal_boots_ray.stages.textstages import MD5MinHashStage, band_pairs
 
     n_docs = min(pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows, doc_cap)
     docs = _read(
@@ -1139,7 +1133,7 @@ def q_minhash_pairs(sf_dir: str, doc_cap: int = 1500):
         fn_constructor_kwargs={"num_perm": 64, "bands": 32},
         concurrency=(1, 8),
     )
-    out = band_pairs_from_rows(band_rows, int(n_docs), 32, hot_cap=1 << 40)
+    out = band_pairs(band_rows, int(n_docs) * 32)
 
     def cast(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -1304,7 +1298,6 @@ def q_corpus_clean(
     the corpus a 100 TB text job would actually ship."""
     import hashlib as _hashlib
 
-    import pandas as pd
     import pyarrow.parquet as pq
 
     from gdal_boots_ray.kernels.text import lang_id
@@ -1338,8 +1331,6 @@ def q_corpus_clean(
     # and the min-per-h reduce is vectorized per BUCKET (thousands of
     # h groups each), never per tiny h group (the per-group pandas
     # overhead trap at 10^9 distinct texts)
-    from gdal_boots_ray.stages.agg import exchange
-
     def keep_min_per_hash(g: pa.Table) -> pa.Table:
         # rows in doc_id order, then the first occurrence of each hash
         # is the min-doc_id survivor (np.unique returns first indices)
@@ -1475,10 +1466,8 @@ def q_simhash_neardup(sf_dir: str, max_hamming: int = 3):
     pigeonhole-EXACT for hamming<=3, as in phash_neardup) + verify.
     The oracle is the quadratic bit_count(xor) join over the same
     SQL-replayed simhash, so banding exactness is hash-checked."""
-    import pandas as pd
-
     from gdal_boots_ray.kernels.text import simhash64
-    from gdal_boots_ray.stages.agg import bucketed_aggregate
+    from gdal_boots_ray.stages.textstages import attach_pair_columns, band_pairs
 
     docs = _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
@@ -1500,21 +1489,8 @@ def q_simhash_neardup(sf_dir: str, max_hamming: int = 3):
             out_b.extend((band_val.astype(np.int64) + (b << 40)).tolist())
         return pa.table({"doc_id": pa.array(out_i, pa.int64()), "bucket": pa.array(out_b, pa.int64())})
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        ids = np.sort(g["doc_id"].unique())
-        if len(ids) < 2:
-            return pd.DataFrame({"doc_a": pd.Series([], dtype=np.int64), "doc_b": pd.Series([], dtype=np.int64)})
-        a, b = np.triu_indices(len(ids), k=1)
-        return pd.DataFrame({"doc_a": ids[a].astype(np.int64), "doc_b": ids[b].astype(np.int64)})
-
-    cand = rows.map_batches(band_rows, batch_format="pyarrow").groupby("bucket").map_groups(
-        pairs, batch_format="pandas"
-    )
-    dedup = bucketed_aggregate(cand, ["doc_a", "doc_b"], {"n": "count"}).select_columns(["doc_a", "doc_b"])
-
-    from gdal_boots_ray.stages.textstages import attach_pair_columns
-
-    withtext = attach_pair_columns(dedup, docs)
+    cand = band_pairs(rows.map_batches(band_rows, batch_format="pyarrow"), key="bucket")
+    withtext = attach_pair_columns(cand.select_columns(["doc_a", "doc_b"]), docs)
 
     def verify(batch: pa.Table) -> pa.Table:
         da = batch.column("doc_a").to_numpy().astype(np.int64)
@@ -1798,8 +1774,6 @@ def q_dsir_weights(sf_dir: str, n_buckets: int = 64, target_lang: str = "en"):
     drift.  Docs with zero tokens produce no row (SQL inner shape)."""
     import hashlib as _hashlib
 
-    import pandas as pd
-
     from gdal_boots_ray.kernels.text import _WORD_RE
     from gdal_boots_ray.stages.agg import bucketed_aggregate
 
@@ -1898,8 +1872,6 @@ def q_ccnet_buckets(sf_dir: str):
     semantics over the round-6 scores) — thresholds are a
     langs x 2 broadcast, never a global sort of the corpus.  Docs
     with zero tokens drop (SQL inner shape)."""
-    import pandas as pd
-
     from gdal_boots_ray.stages.agg import bucketed_aggregate, grouped_quantiles
     from gdal_boots_ray.stages.joins import hash_join
 
@@ -2049,14 +2021,14 @@ def q_fingerprint_dups(sf_dir: str, doc_cap: int = 1500, keep: int = 4):
     flagged as overlap candidates — a dedup family orthogonal to
     MinHash (set Jaccard) and SimHash (token frequency): it fires on
     shared raw character runs.  Reuses the LSH pair tail
-    (``band_pairs_from_rows``: count-scaled bucket shuffle,
+    (``band_pairs``: count-scaled bucket shuffle,
     vectorized per-fingerprint pair generation, bucketed pair dedup)
     with fingerprints as the band keys; the DuckDB twin replays the
     md5 winnowing construction and the quadratic self-join."""
     import pyarrow.parquet as pq
 
     from gdal_boots_ray.kernels.text import md5_fingerprints
-    from gdal_boots_ray.stages.textstages import band_pairs_from_rows
+    from gdal_boots_ray.stages.textstages import band_pairs
 
     n_docs = min(pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows, doc_cap)
     docs = _read(
@@ -2077,9 +2049,7 @@ def q_fingerprint_dups(sf_dir: str, doc_cap: int = 1500, keep: int = 4):
             {"doc_id": pa.array(out_id, pa.int64()), "band_key": pa.array(out_fp, pa.int64())}
         )
 
-    pairs = band_pairs_from_rows(
-        docs.map_batches(fps, batch_format="pyarrow"), int(n_docs), keep, hot_cap=1 << 40
-    )
+    pairs = band_pairs(docs.map_batches(fps, batch_format="pyarrow"), int(n_docs) * keep)
 
     def finish(batch: pa.Table) -> pa.Table:
         ns = batch.column("n_bands").cast(pa.int64())
@@ -2125,8 +2095,6 @@ def q_text_normalize(sf_dir: str):
     Pure pandas vectorized ``.str`` kernels over compiled regexes; an
     embarrassingly-parallel streaming map, no shuffle, no
     materialization."""
-    import pandas as pd
-
     docs = _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def norm(batch: pd.DataFrame) -> pd.DataFrame:
@@ -2148,6 +2116,26 @@ ORACLE_SQL["text_normalize"] = """
     """
 
 
+def _pack(g: pd.DataFrame, rngs: np.ndarray, offs: np.ndarray, budget: int) -> pd.DataFrame:
+    """doc_pack's bucket body: each doc's chunk is (its range's token
+    offset + the tokens before it in its range, in doc_id order) //
+    ``budget``; one sort by (rng, doc_id) serves every range."""
+    g = g.sort_values(["rng", "doc_id"], kind="mergesort")
+    rng = g["rng"].to_numpy()
+    n = g["n_tokens"].to_numpy().astype(np.int64)
+    starts, lens = key_runs(rng)
+    excl = np.cumsum(n) - n
+    excl -= np.repeat(excl[starts], lens)
+    base = offs[np.searchsorted(rngs, rng)]
+    return pd.DataFrame(
+        {
+            "doc_id": g["doc_id"].to_numpy().astype(np.int64),
+            "n_tokens": n,
+            "chunk_id": (base + excl) // budget,
+        }
+    )
+
+
 def q_doc_pack(sf_dir: str, budget: int = 256, range_size: int = 512):
     """Token-budget document packing (GPT-style pretraining chunking):
     concatenate docs in doc_id order and assign each doc the chunk
@@ -2158,12 +2146,10 @@ def q_doc_pack(sf_dir: str, budget: int = 256, range_size: int = 512):
     ``doc_id // range_size`` (free — no sort needed on an ordered id);
     (2) per-range partial sums via ``bucketed_aggregate`` (one tiny
     row per range), driver exclusive-scans the ~N/range_size offsets
-    and broadcasts them once with ``ray.put``; (3) a bounded-size
-    ``groupby(range)`` shuffle of the narrow (doc_id, n_tokens) rows
-    cumsums locally and adds the range offset.  Text never shuffles;
-    group size is capped at ``range_size`` docs so the per-group work
-    stays vectorized and bounded at any corpus size."""
-    import pandas as pd
+    and broadcasts them once with ``ray.put``; (3) one ``exchange`` on
+    the range of the narrow (doc_id, n_tokens) rows cumsums each range
+    locally and adds its offset (:func:`_pack`).  Text never
+    shuffles."""
     import ray
 
     from gdal_boots_ray.kernels.text import _WORD_RE
@@ -2185,30 +2171,9 @@ def q_doc_pack(sf_dir: str, budget: int = 256, range_size: int = 512):
         .to_pandas()
         .sort_values("rng")
     )
-    offsets = dict(
-        zip(
-            partials["rng"].astype("int64"),
-            partials["n_tokens"].astype("int64").cumsum().shift(fill_value=0),
-        )
-    )
-    off_ref = ray.put(offsets)
-
-    def pack(group: pd.DataFrame, _cache={}) -> pd.DataFrame:
-        offs = _cache.get("o")
-        if offs is None:
-            offs = _cache["o"] = ray.get(off_ref)
-        g = group.sort_values("doc_id")
-        base = int(offs[int(g["rng"].iloc[0])])
-        excl = base + g["n_tokens"].cumsum().shift(fill_value=0).astype("int64")
-        return pd.DataFrame(
-            {
-                "doc_id": g["doc_id"].astype("int64"),
-                "n_tokens": g["n_tokens"].astype("int64"),
-                "chunk_id": (excl // budget).astype("int64"),
-            }
-        )
-
-    return toks.groupby("rng").map_groups(pack, batch_format="pandas")
+    n_tok = partials["n_tokens"].to_numpy().astype(np.int64)
+    off_ref = ray.put((partials["rng"].to_numpy().astype(np.int64), np.cumsum(n_tok) - n_tok))
+    return exchange(toks, ["rng"], lambda g: _pack(g, *ray.get(off_ref), budget), batch_format="pandas")
 
 
 ORACLE_SQL["doc_pack"] = """
@@ -2247,7 +2212,6 @@ def q_decontaminate(sf_dir: str, n: int = 4, mod: int = 13, rem: int = 7):
     unbounded training side streams through a stateless
     ``map_batches`` that intersects per-doc shingle sets against the
     broadcast set — no join shuffle, the corpus text never moves."""
-    import pandas as pd
     import ray
 
     from gdal_boots_ray.kernels.text import _WORD_RE
@@ -2393,10 +2357,7 @@ def q_inverted_index(sf_dir: str, min_df: int = 5):
     and fan-out scales with the cluster via ``stages.agg.exchange``."""
     import hashlib
 
-    import pandas as pd
-
     from gdal_boots_ray.kernels.text import _WORD_RE
-    from gdal_boots_ray.stages.agg import exchange
 
     docs = _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 

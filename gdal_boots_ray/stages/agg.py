@@ -9,17 +9,17 @@ dozens of groups, pathological for millions of tiny groups (30s for a
 2. **bucketed final**: hash keys into a bounded number of buckets,
    shuffle once on the small partials, combine each bucket vectorized.
 
-:func:`exchange` is the one bucketed shuffle: it owns the key hash
+:func:`exchange` is the one keyed shuffle: it owns the key hash
 (:func:`_key_buckets_arrow`), the bucket count
-(:func:`_default_n_buckets`) and the bucket column, and every
-bucket-at-a-time reducer in the package (aggregate, top-k, hash join,
-the cell joins, the HLL register merge, the zonal histograms, text pair
-exchanges, the bucketed queries) runs through it.  Shuffles whose
-reducer still expects exactly one key per call stay plain
-``groupby(key).map_groups``: ``asof_join``, the knn cell probe,
-``grouped_quantiles``' walk, the mosaic groups, the manifest writer and
-the queries' per-user, per-range, per-cluster, per-query and
-per-LSH-bucket groups.
+(:func:`_default_n_buckets`) and the bucket column, and every reducer
+in the package that can segment its bucket by key runs through it
+(aggregate, top-k, quantile walk, hash / as-of / cell joins, the knn
+cell probe, the HLL register merge, the zonal histograms, LSH pair
+generation, the per-user and per-range query bodies).  Hot keys are
+its job too.  Only a body that makes exactly one output per key stays
+on plain ``groupby(key).map_groups``: the mosaic groups (one raster
+per key), ``manifest.write_partitioned`` (one partition file per key)
+and ``q_semdedup``'s cluster dedup (one keep decision per cluster).
 """
 
 from __future__ import annotations
@@ -46,17 +46,60 @@ def _default_n_buckets() -> int:
 def _key_buckets_arrow(batch: pa.Table, keys: Sequence[str], n_buckets: int) -> np.ndarray:
     """Deterministic hash of the key columns into ``n_buckets``, read
     straight off the Arrow table (no DataFrame wrapper in the exchange
-    hot path)."""
+    hot path).  Integer keys hash from their integer values even when
+    the batch holds a null (a null would otherwise turn the column into
+    float64 and move keys >= 2**53), and every row with a null key goes
+    to bucket 0, so a key's bucket never depends on its batch."""
     h = np.zeros(batch.num_rows, dtype=np.uint64)
+    nulls = None
     for k in keys:
         col = batch.column(k)
+        if col.null_count:
+            m = col.is_null().to_numpy(zero_copy_only=False)
+            nulls = m if nulls is None else nulls | m
+            if pa.types.is_integer(col.type):
+                col = col.fill_null(0)
         if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
             arr = col.to_numpy(zero_copy_only=False).astype(str)
             vals = pd.util.hash_array(arr).astype(np.uint64)
         else:
             vals = col.to_numpy(zero_copy_only=False).astype(np.uint64, copy=False)
         h = h * np.uint64(1000003) + vals
-    return (h % np.uint64(n_buckets)).astype(np.int64)
+    b = (h % np.uint64(n_buckets)).astype(np.int64)
+    if nulls is not None:
+        b[nulls] = 0
+    return b
+
+
+def key_runs(keys: np.ndarray):
+    """Start and length of every run of equal values in a sorted key
+    array."""
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]) if len(keys) else np.empty(0, np.int64)
+    return starts, np.diff(np.r_[starts, len(keys)])
+
+
+def concat_ranges(counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(c)`` for every c in counts, vectorized:
+    [2,0,3] -> [0,1, 0,1,2]."""
+    counts = np.asarray(counts, np.int64)
+    total = int(counts.sum())
+    if not total:
+        return np.empty(0, np.int64)
+    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    return np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
+
+
+PAIR_CHUNK = 2_000_000
+
+
+def pair_chunks(counts: np.ndarray):
+    """(lo, hi) slices of ``counts`` that each sum to about ``PAIR_CHUNK``
+    (a single count above it is a slice of its own), so a pair
+    expansion of ``counts[lo:hi]`` stays bounded in memory."""
+    cum = np.cumsum(counts)
+    total = int(cum[-1]) if len(cum) else 0
+    cuts = np.searchsorted(cum, np.arange(PAIR_CHUNK, total, PAIR_CHUNK), side="right")
+    return zip(np.r_[0, cuts], np.r_[cuts, len(counts)])
 
 
 _BUCKET = "_bucket"
@@ -352,14 +395,40 @@ def percentile_disc(vals: np.ndarray, cnts: np.ndarray, qs: Sequence[float]) -> 
     return vals[np.minimum(idx, len(vals) - 1)]
 
 
+def _quantile_walk(g: pd.DataFrame, group_col: str, col: str, qs: Sequence[float]) -> pd.DataFrame:
+    """:func:`percentile_disc` for every group of a bucket of
+    (group, value, cnt) rows at once: one sort by (group, value), then
+    per q one comparison of each group's cumulative count against that
+    group's q*n (the same int-vs-double test as the one-group walk) and
+    a segmented first hit, or the group's last value if none."""
+    g = g.sort_values([group_col, col])
+    grp = g[group_col].to_numpy()
+    cnt = g["cnt"].to_numpy()
+    starts, lens = key_runs(grp)
+    last = np.repeat(starts + lens - 1, lens)
+    cum = np.cumsum(cnt)
+    cum -= np.repeat(cum[starts] - cnt[starts], lens)  # integers: restarting is exact
+    n = cum[last]
+    pos = np.arange(len(grp))
+    hit = [np.minimum.reduceat(np.where(cum >= q * n, pos, last), starts) for q in qs]
+    return pd.DataFrame(
+        {
+            group_col: np.repeat(grp[starts], len(qs)),
+            "q": np.tile(np.array([float(q) for q in qs], np.float64), len(starts)),
+            col: g[col].to_numpy()[np.array(hit, np.int64).T.ravel()],
+        }
+    )
+
+
 def grouped_quantiles(
     ds, group_col: str, col: str, qs: Sequence[float], n_buckets: Optional[int] = None
 ):
     """Per-group exact quantiles, same histogram plan as
     ``exact_quantiles``: (group, value, count) partials -> bucketed
     merge keyed on (group, value) -> per-group cumulative walk.  The
-    final walk runs distributed (groupby(group) over count rows), so
-    the driver never sees more than the result."""
+    final walk runs distributed (one :func:`exchange` on the group over
+    count rows, :func:`_quantile_walk` per bucket), so the driver never
+    sees more than the result."""
     qs = list(qs)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -383,13 +452,9 @@ def grouped_quantiles(
     counts = bucketed_aggregate(
         ds.map_batches(partial, batch_format="pyarrow"), [group_col, col], {"cnt": "sum"}, n_buckets
     )
-
-    def walk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(col)
-        vals = percentile_disc(g[col].to_numpy(), g["cnt"].to_numpy(), qs)
-        return pd.DataFrame({group_col: g[group_col].iloc[0], "q": [float(q) for q in qs], col: vals})
-
-    return counts.groupby(group_col).map_groups(walk, batch_format="pandas")
+    return exchange(
+        counts, [group_col], lambda g: _quantile_walk(g, group_col, col, qs), n_buckets, batch_format="pandas"
+    )
 
 
 def exact_quantiles(ds, col: str, qs: Sequence[float], n_buckets: Optional[int] = None):

@@ -8,18 +8,11 @@ reference ``bounds`` / ``bounds_polygon`` / cell indexing
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 import pyarrow as pa
 
 from gdal_boots_ray.kernels.affine import bounds as bounds_kernel
-from gdal_boots_ray.kernels.cells import (
-    grid_cell_id,
-    grid_cells_covering_bounds,
-    h3x_cell,
-    s2_cell_id,
-)
+from gdal_boots_ray.kernels.cells import grid_cell_id, s2_cell_id
 from gdal_boots_ray.kernels.crs import transform_points
 
 
@@ -62,18 +55,6 @@ def make_add_s2_cell(level: int, lon_col: str = "lon", lat_col: str = "lat", out
     return fn
 
 
-def make_add_h3_cell(res: int, lon_col: str = "lon", lat_col: str = "lat", out: str = "h3_cell"):
-    """Icosahedral aperture-7 hex cell of a lon/lat column (the
-    north-star H3-style index, kernels.cells.h3x_cell)."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        lon = batch.column(lon_col).to_numpy()
-        lat = batch.column(lat_col).to_numpy()
-        return batch.append_column(out, pa.array(h3x_cell(lon, lat, res), pa.int64()))
-
-    return fn
-
-
 def make_add_lonlat(crs_col: str = "epsg", x_col: str = "cx", y_col: str = "cy"):
     """Reproject point columns to lon/lat (grouped by the epsg value so
     the CRS kernel runs vectorized per distinct code)."""
@@ -92,42 +73,3 @@ def make_add_lonlat(crs_col: str = "epsg", x_col: str = "cx", y_col: str = "cy")
         return batch
 
     return fn
-
-
-def make_explode_covering_cells(res: float, out: str = "cell"):
-    """1 row per (row, covering grid cell) — footprint-to-cells
-    assignment feeding the shuffle PIP join (polygons/tiles duplicated
-    to every covered cell, deduped after the join; SURVEY §2.6)."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        minx = batch.column("minx").to_numpy()
-        miny = batch.column("miny").to_numpy()
-        maxx = batch.column("maxx").to_numpy()
-        maxy = batch.column("maxy").to_numpy()
-        idx: list = []
-        cells: list = []
-        for i in range(len(minx)):
-            cc = grid_cells_covering_bounds((minx[i], miny[i], maxx[i], maxy[i]), res)
-            idx.extend([i] * len(cc))
-            cells.extend(cc.tolist())
-        taken = batch.take(pa.array(idx, pa.int64()))
-        return taken.append_column(out, pa.array(cells, pa.int64()))
-
-    return fn
-
-
-def reproject_bounds_columns(batch: pa.Table, to_crs, crs_col: str = "epsg") -> pa.Table:
-    """minx..maxy reprojected (2-corner, reference semantics) into
-    minx_t/miny_t/maxx_t/maxy_t."""
-    epsg = batch.column(crs_col).to_numpy()
-    cols = {n: batch.column(n).to_numpy() for n in ("minx", "miny", "maxx", "maxy")}
-    out = {n: np.empty(len(epsg)) for n in cols}
-    for code in np.unique(epsg):
-        m = epsg == code
-        x1, y1 = transform_points(int(code), to_crs, cols["minx"][m], cols["miny"][m])
-        x2, y2 = transform_points(int(code), to_crs, cols["maxx"][m], cols["maxy"][m])
-        out["minx"][m], out["miny"][m] = np.minimum(x1, x2), np.minimum(y1, y2)
-        out["maxx"][m], out["maxy"][m] = np.maximum(x1, x2), np.maximum(y1, y2)
-    for n in ("minx", "miny", "maxx", "maxy"):
-        batch = batch.append_column(f"{n}_t", pa.array(out[n], pa.float64()))
-    return batch

@@ -25,22 +25,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 from gdal_boots_ray.kernels.geometry import points_in_rings, polygon_rings
-from gdal_boots_ray.stages.agg import exchange
-from gdal_boots_ray.stages.decode import pixels_view
-
-
-def _concat_ranges(counts: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(c)`` for every c in counts, vectorized:
-    [2,0,3] -> [0,1, 0,1,2]."""
-    counts = np.asarray(counts, np.int64)
-    total = int(counts.sum())
-    if not total:
-        return np.empty(0, np.int64)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
+from gdal_boots_ray.stages.agg import concat_ranges, exchange
 
 
 def put_polygons(polygons: Sequence[dict]):
@@ -165,7 +154,8 @@ def cell_pip_join(
 
     Partitioning assumption: a polygon spans few grid cells at the
     chosen ``cell_res`` (envelope explosion is exact; res only
-    affects fan-out).  A hot cell lands in one bucket.
+    affects fan-out).  A hot cell lands in one bucket; splitting hot
+    buckets is ``exchange``'s job, not the caller's.
     """
     import json
 
@@ -246,7 +236,7 @@ def cell_pip_join(
         code = np.array([codes.setdefault(k, len(codes)) for k in zip(ids[poly].tolist(), geoms)], np.int64)
         order = np.argsort(code, kind="stable")
         code, lo, cnt = code[order], lo[order], cnt[order]
-        cand = pt[np.repeat(lo, cnt) + _concat_ranges(cnt)]
+        cand = pt[np.repeat(lo, cnt) + concat_ranges(cnt)]
         bounds = np.searchsorted(np.repeat(code, cnt), np.arange(len(codes) + 1))
         x = g.column("x").to_numpy()
         y = g.column("y").to_numpy()
@@ -285,15 +275,16 @@ def asof_join(
     """Distributed AS-OF join: for every left row, the right row with
     the greatest ``ts_col`` <= the left row's, within the same
     ``by_col`` group (the temporal join Ray Data lacks natively;
-    composition: tag -> union -> groupby(by) -> sorted searchsorted
-    merge per group).  Left rows with no prior right row are dropped
-    (inner as-of).
+    composition: tag -> :func:`exchange` on ``by_col`` ->
+    :func:`asof_merge` per bucket).  Left rows with no prior right row
+    are dropped (inner as-of), and so are rows with a null ``by_col``.
 
     ``left_cols`` / ``right_cols`` name the carried payload columns
     (disjoint).  Output schema: by_col, *left_cols, *right_cols.
 
     Partitioning assumption: one ``by_col`` group fits a worker (same
-    contract as any sessionization); salt hot keys upstream if not.
+    contract as any sessionization); splitting hot buckets is
+    ``exchange``'s job, not the caller's.
     """
 
     def _types(ds, cols):
@@ -319,38 +310,38 @@ def asof_join(
             out[f"r_{c}"] = batch.column(c) if kind == 1 else pa.nulls(n, rt.get(c))
         return pa.table(out)
 
-    both = left_ds.map_batches(lambda b: tag(b, 0), batch_format="pyarrow").union(
-        right_ds.map_batches(lambda b: tag(b, 1), batch_format="pyarrow")
-    )
+    sides = [
+        left_ds.map_batches(lambda b: tag(b, 0), batch_format="pyarrow"),
+        right_ds.map_batches(lambda b: tag(b, 1), batch_format="pyarrow"),
+    ]
+    return exchange(sides, ["k"], lambda g: asof_merge(g, by_col, left_cols, right_cols))
 
-    def merge(g: pa.Table) -> pa.Table:
-        kind = g.column("kind").to_numpy()
-        lidx = np.flatnonzero(kind == 0)
-        ridx = np.flatnonzero(kind == 1)
-        ts = g.column("ts").to_numpy(zero_copy_only=False)
-        lo = lidx[np.argsort(ts[lidx], kind="mergesort")]
-        ro = ridx[np.argsort(ts[ridx], kind="mergesort")]
-        if not len(lo) or not len(ro):
-            cols = {by_col: g.column("k").take(pa.array([], pa.int64()))}
-            for c in left_cols:
-                cols[c] = g.column(f"l_{c}").take(pa.array([], pa.int64()))
-            for c in right_cols:
-                cols[c] = g.column(f"r_{c}").take(pa.array([], pa.int64()))
-            return pa.table(cols)
-        idx = np.searchsorted(ts[ro], ts[lo], side="right") - 1
-        keep = idx >= 0
-        lrows = lo[keep]
-        rrows = ro[idx[keep]]
-        lt_tbl = g.take(pa.array(lrows, pa.int64()))
-        rt_tbl = g.take(pa.array(rrows, pa.int64()))
-        cols = {by_col: lt_tbl.column("k")}
-        for c in left_cols:
-            cols[c] = lt_tbl.column(f"l_{c}")
-        for c in right_cols:
-            cols[c] = rt_tbl.column(f"r_{c}")
-        return pa.table(cols)
 
-    return both.groupby("k").map_groups(merge, batch_format="pyarrow")
+def asof_merge(g: pa.Table, by_col: str, left_cols: Sequence[str], right_cols: Sequence[str]) -> pa.Table:
+    """:func:`asof_join`'s bucket body: one lexsort by (k, ts, right
+    before left), then each left row takes the last right row at or
+    before it (a running max of right-row positions) if that row has
+    the same k.  Among right rows tied on ts the last in bucket order
+    wins.  A row with a null k matches nothing (``exchange`` sends
+    every null key to one bucket); dropping those rows keeps k int64,
+    so keys past 2^53 never collide as floats."""
+    if g.column("k").null_count:
+        g = g.filter(pc.is_valid(g.column("k")))
+    kind = g.column("kind").to_numpy()
+    k = g.column("k").to_numpy()
+    order = np.lexsort((-kind, g.column("ts").to_numpy(zero_copy_only=False), k))
+    ks, is_r = k[order], kind[order] == 1
+    last_r = np.maximum.accumulate(np.where(is_r, np.arange(len(order)), -1))
+    hit = ~is_r & (last_r >= 0)
+    hit[hit] &= ks[last_r[hit]] == ks[hit]
+    lt_tbl = g.take(pa.array(order[hit], pa.int64()))
+    rt_tbl = g.take(pa.array(order[last_r[hit]], pa.int64()))
+    cols = {by_col: lt_tbl.column("k")}
+    for c in left_cols:
+        cols[c] = lt_tbl.column(f"l_{c}")
+    for c in right_cols:
+        cols[c] = rt_tbl.column(f"r_{c}")
+    return pa.table(cols)
 
 
 def interval_join(
@@ -404,7 +395,7 @@ def interval_join(
         c0 = np.floor(lo / cell_width).astype(np.int64)
         c1 = np.floor(np.nextafter(hi, -np.inf) / cell_width).astype(np.int64)
         cnt = np.maximum(c1, c0) - c0 + 1
-        cells = np.repeat(c0, cnt) + _concat_ranges(cnt)
+        cells = np.repeat(c0, cnt) + concat_ranges(cnt)
         idx = np.repeat(np.arange(len(lo), dtype=np.int64), cnt)
         n = len(cells)
         return pa.table(
@@ -439,7 +430,7 @@ def interval_join(
         start = before[len(pm) : len(pm) + len(iv)]
         end = before[len(pm) + len(iv) :]
         cnt = np.maximum(end - start, 0)
-        idx = np.repeat(start, cnt) + _concat_ranges(cnt)
+        idx = np.repeat(start, cnt) + concat_ranges(cnt)
         return pa.table(
             {
                 point_key_col: pa.array(ids[pts[idx]], pa.int64()),
@@ -483,8 +474,8 @@ def hash_join(
 
     Inner join on ``on`` (present in both sides, integer or string).
     Output schema: on, *left_cols, *right_cols (disjoint names).
-    Skew: one hot key still lands in one bucket; salt upstream with
-    ``stages.skew`` if a single key's rows exceed a worker.
+    Skew: one hot key still lands in one bucket; splitting hot buckets
+    is ``exchange``'s job, not the caller's.
     """
 
     def _types(ds, cols):
@@ -562,7 +553,7 @@ def hash_join(
             return emit(g, lidx[cnt == 0])
         # matched (left row i repeated cnt[i] times) x (right rows)
         l_rows = np.repeat(lidx, cnt)
-        r_rows = ridx[rorder[np.repeat(start, cnt) + _concat_ranges(cnt)]]
+        r_rows = ridx[rorder[np.repeat(start, cnt) + concat_ranges(cnt)]]
         inner = emit(g, l_rows, with_right=True, right_rows=r_rows)
         if how == "inner":
             return inner
@@ -591,8 +582,6 @@ def knn_brute_force(embeddings_ds, queries: np.ndarray, k: int, query_ids: Optio
     the global top-k.  Returns Dataset (q_id, vec_id, sim) with
     ``sim`` rounded to 6 decimals, ordered by (q_id, -sim, vec_id).
     """
-    import pandas as pd
-
     q = np.asarray(queries, dtype=np.float64)
     qn = q / np.linalg.norm(q, axis=1, keepdims=True)
     qids = np.arange(q.shape[0], dtype=np.int64) if query_ids is None else np.asarray(query_ids, np.int64)

@@ -15,13 +15,14 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 import pyarrow as pa
 import ray
 
 from gdal_boots_ray.kernels.cells import grid_cell_disc, grid_cell_id, grid_cell_neighbors
+from gdal_boots_ray.stages.agg import PAIR_CHUNK, exchange, key_runs
 
 
 class _CellIndex:
@@ -126,6 +127,57 @@ def spatial_knn(queries_ds, data_ids: np.ndarray, data_xy: np.ndarray, k: int, c
 # ---------------------------------------------------------------------------
 
 
+def cell_topk(g: pa.Table, k: int) -> pa.Table:
+    """The cell probe's bucket body: for every query row (one per
+    (qid, probed cell)), its k nearest data rows of that cell, as
+    (qid, nid, d2) rows; ties at the k-th distance go to the lower nid.
+    One sort by (cell, id); query rows whose cells hold about the same
+    number of data rows (one power-of-two width) are padded into one
+    query x data matrix (about 2M entries at a time) and partitioned
+    at the k-th distance together.  Home-cell query copies also emit a
+    sentinel (nid -1, d2 inf) so every query reaches the per-qid merge
+    even when its whole neighborhood is empty."""
+    cell = g.column("cell").to_numpy()
+    isq = g.column("is_q").to_numpy() == 1
+    ids = g.column("id").to_numpy().astype(np.int64)
+    xs = g.column("x").to_numpy()
+    ys = g.column("y").to_numpy()
+    hids = ids[isq & (g.column("home").to_numpy() == 1)]
+    out_q, out_n, out_d = [hids], [np.full(len(hids), -1, np.int64)], [np.full(len(hids), np.inf)]
+    order = np.lexsort((ids, cell))
+    drows, qrows = order[~isq[order]], order[isq[order]]
+    dcell = cell[drows]
+    first = np.searchsorted(dcell, cell[qrows], side="left")
+    cnt = np.searchsorted(dcell, cell[qrows], side="right") - first
+    width = 1 << np.ceil(np.log2(np.maximum(cnt, 1))).astype(np.int64)
+    for w in np.unique(width[cnt > 0]):
+        rows = np.flatnonzero((width == w) & (cnt > 0))
+        step = max(1, PAIR_CHUNK // w)
+        for s in range(0, len(rows), step):
+            r = rows[s : s + step]
+            inside = np.arange(w) < cnt[r, None]
+            qi, di = qrows[r], drows[np.where(inside, first[r, None] + np.arange(w), 0)]
+            d2 = (xs[qi, None] - xs[di]) ** 2 + (ys[qi, None] - ys[di]) ** 2
+            keep = inside
+            if w > k:
+                rank = np.where(inside, np.fmin(d2, np.inf), np.inf)  # NaN ranks last
+                kth = np.partition(rank, k - 1, axis=1)[:, k - 1 : k]
+                tie = inside & (rank == kth)
+                keep = inside & (rank < kth)
+                keep |= tie & (np.cumsum(tie, axis=1) <= k - keep.sum(axis=1, keepdims=True))
+            qq, cc = np.nonzero(keep)
+            out_q.append(ids[qi[qq]])
+            out_n.append(ids[di[qq, cc]])
+            out_d.append(d2[qq, cc])
+    return pa.table(
+        {
+            "qid": pa.array(np.concatenate(out_q), pa.int64()),
+            "nid": pa.array(np.concatenate(out_n), pa.int64()),
+            "d2": pa.array(np.concatenate(out_d), pa.float64()),
+        }
+    )
+
+
 def spatial_knn_dataset(
     queries_ds,
     data_ds,
@@ -147,9 +199,10 @@ def spatial_knn_dataset(
       right when the index fits one worker heap, wrong beyond it.
     - **data side large**: cell-partitioned shuffle join.  Each query
       explodes to every grid cell within ``ring`` Chebyshev rings of
-      its home cell; both sides co-shuffle on ``cell``
-      (``groupby(cell)``); each cell group computes its exact local
-      top-k per query; a per-qid merge keeps the global k and checks
+      its home cell; both sides co-shuffle through
+      ``stages.agg.exchange`` keyed on ``cell``; each bucket computes
+      every cell's exact local top-k per query (:func:`cell_topk`); a
+      per-qid merge keeps the global k and checks
       the ring-termination bound — kth distance <= ring*cell_res
       guarantees no unprobed point can beat it, because every unprobed
       cell is > ring cells from the home cell.  Unresolved queries
@@ -159,9 +212,9 @@ def spatial_knn_dataset(
     Scale notes: grid cells PARTITION the data side, so per-cell
     candidates are globally unique (no dedup shuffle).  Each iteration
     materializes only the per-query top-k (output-sized, k rows per
-    query) — never the data side.  Hot cells fan into the per-cell
-    group like any other key and can be salted upstream with
-    stages.skew if one cell dominates.
+    query) — never the data side.  A hot cell lands in one bucket like
+    any other key; splitting hot buckets is ``exchange``'s job, not the
+    caller's.
     """
     n_data = data_ds.count()
     if n_data <= broadcast_threshold:
@@ -213,44 +266,6 @@ def spatial_knn_dataset(
 
         return fn
 
-    def local_topk(g: pa.Table) -> pa.Table:
-        isq = g.column("is_q").to_numpy()
-        ids_all = g.column("id").to_numpy()
-        xs = g.column("x").to_numpy()
-        ys = g.column("y").to_numpy()
-        qm = isq == 1
-        dm = ~qm
-        nd = int(dm.sum())
-        # sentinel rows (nid=-1, d2=inf) for home-cell query copies:
-        # guarantee every query appears in the per-qid merge
-        hids = ids_all[qm & (g.column("home").to_numpy() == 1)]
-        out_q = [hids.astype(np.int64)]
-        out_n = [np.full(len(hids), -1, np.int64)]
-        out_d = [np.full(len(hids), np.inf)]
-        if nd and qm.any():
-            dx, dy, dids = xs[dm], ys[dm], ids_all[dm]
-            qx, qy, qids = xs[qm], ys[qm], ids_all[qm]
-            kk = min(k, nd)
-            # chunk queries so the pairwise matrix stays ~2M doubles
-            step = max(1, 2_000_000 // nd)
-            for s in range(0, len(qx), step):
-                d2 = (qx[s : s + step, None] - dx[None, :]) ** 2 + (qy[s : s + step, None] - dy[None, :]) ** 2
-                if nd > kk:
-                    part = np.argpartition(d2, kk - 1, axis=1)[:, :kk]
-                else:
-                    part = np.broadcast_to(np.arange(nd), (d2.shape[0], nd))
-                rows = np.repeat(np.arange(d2.shape[0]), part.shape[1])
-                out_q.append(np.repeat(qids[s : s + step], part.shape[1]).astype(np.int64))
-                out_n.append(dids[part.ravel()].astype(np.int64))
-                out_d.append(d2[rows, part.ravel()])
-        return pa.table(
-            {
-                "qid": pa.array(np.concatenate(out_q), pa.int64()),
-                "nid": pa.array(np.concatenate(out_n), pa.int64()),
-                "d2": pa.array(np.concatenate(out_d), pa.float64()),
-            }
-        )
-
     def make_merge(ring: int, accept_all: bool):
         """Vectorized per-BUCKET merge: every qid hashed into this
         bucket is ranked/terminated in one numpy pass over the Arrow
@@ -270,8 +285,7 @@ def spatial_knn_dataset(
             # top-k per qid: one lexsort, positions within runs
             order = np.lexsort((nf, df_, qf))
             qs, ns, ds_ = qf[order], nf[order], df_[order]
-            starts = np.flatnonzero(np.r_[True, qs[1:] != qs[:-1]]) if len(qs) else np.empty(0, np.int64)
-            runlen = np.diff(np.r_[starts, len(qs)]) if len(qs) else np.empty(0, np.int64)
+            starts, runlen = key_runs(qs)
             pos = np.arange(len(qs)) - np.repeat(starts, runlen)
             keep = pos < k
             top_q, top_n, top_d = qs[keep], ns[keep], ds_[keep]
@@ -304,14 +318,11 @@ def spatial_knn_dataset(
         """Merge through ``stages.agg.exchange`` keyed on qid (same
         shape as stages.agg.grouped_top_k) so merge fan-out scales with
         the cluster, not the query count."""
-        from gdal_boots_ray.stages.agg import exchange
-
         return exchange(cand, ["qid"], make_merge(ring, accept_all))
 
     def probe(remaining_ds, ring: int):
         exploded = remaining_ds.map_batches(make_explode(ring), batch_format="pyarrow")
-        both = tagged_data.union(exploded)
-        cand = both.groupby("cell").map_groups(local_topk, batch_format="pyarrow")
+        cand = exchange([tagged_data, exploded], ["cell"], lambda g: cell_topk(g, k))
         return merge_by_bucket(cand, ring, False)
 
     def fallback(remaining_ds):
@@ -440,8 +451,6 @@ def knn_ivf(embeddings_ds, queries: np.ndarray, k: int, n_centroids: int = 16, n
     (no global shuffle); the final merge reduces per-batch candidates,
     so recall depends on nprobe/n_centroids, not on partitioning.
     """
-    import pandas as pd
-
     n_corpus = embeddings_ds.count()
     if n_corpus > distributed_train_threshold:
         from gdal_boots_ray.stages.kmeans import kmeans as dist_kmeans
@@ -545,8 +554,6 @@ def knn_lsh(
     candidate rows (k x queries x blocks) leave the tasks, so recall
     depends on tables/bits, never on block boundaries.
     """
-    import pandas as pd
-
     q = np.asarray(queries, dtype=np.float64)
     qn = q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1e-12)
     dim = q.shape[1]
@@ -639,8 +646,6 @@ def knn_pq(
     einsum/argmin over the batch, vectors never shuffle, and only
     refine*k candidate rows per query per block leave the tasks.
     """
-    import pandas as pd
-
     q = np.asarray(queries, dtype=np.float64)
     qn = q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1e-12)
     dim = q.shape[1]
@@ -737,8 +742,6 @@ def knn_ivfpq(
     centroid count while recall is governed by nprobe — the same
     contract as knn_ivf, with PQ's 64x memory compression on top.
     """
-    import pandas as pd
-
     q = np.asarray(queries, dtype=np.float64)
     qn = q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1e-12)
     dim = q.shape[1]

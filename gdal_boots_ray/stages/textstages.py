@@ -1,7 +1,7 @@
 """Text / dedup / similarity Ray stages over the ``documents`` and
 ``embeddings`` tables — the training-data-pipeline operator family
-(exact dedup, MinHash-LSH, SimHash, language-ID, quality, token
-counts, fingerprints).
+(exact dedup, MinHash-LSH, SimHash, prefix-filter Jaccard, the shared
+LSH pair generator and pair payload attach).
 
 All stages are actor classes (regex/state compiled once per actor)
 returning Arrow tables.
@@ -10,21 +10,12 @@ returning Arrow tables.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
 
-from gdal_boots_ray.kernels.text import (
-    MinHasher,
-    lang_id,
-    quality_features,
-    quality_score,
-    rolling_fingerprints,
-    simhash64,
-    token_count_bpe,
-    token_count_ws,
-)
+from gdal_boots_ray.kernels.text import MinHasher, simhash64
 
 
 class HashDocuments:
@@ -34,32 +25,6 @@ class HashDocuments:
         texts = batch.column("text").to_pylist()
         hashes = [hashlib.md5(t.encode("utf-8")).hexdigest() for t in texts]
         return batch.append_column("h", pa.array(hashes, pa.string()))
-
-
-class TextFeatures:
-    """Language id + quality + token counts per document."""
-
-    def __init__(self):
-        # state (regexes, stopword sets) is compiled at import inside
-        # kernels.text; instantiate per actor anyway for symmetry
-        pass
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch.column("text").to_pylist()
-        langs, scores, qs, nws, nbpe = [], [], [], [], []
-        for t in texts:
-            lg, sc = lang_id(t)
-            langs.append(lg)
-            scores.append(sc)
-            qs.append(quality_score(t))
-            nws.append(token_count_ws(t))
-            nbpe.append(token_count_bpe(t))
-        batch = batch.append_column("lang_pred", pa.array(langs, pa.string()))
-        batch = batch.append_column("lang_score", pa.array(scores, pa.float64()))
-        batch = batch.append_column("quality", pa.array(qs, pa.float64()))
-        batch = batch.append_column("n_tokens_ws", pa.array(nws, pa.int64()))
-        batch = batch.append_column("n_tokens_bpe", pa.array(nbpe, pa.int64()))
-        return batch
 
 
 class MinHashStage:
@@ -249,20 +214,17 @@ def prefix_jaccard_candidate_pairs(
     threshold: float = 0.6,
     ngram: int = 5,
     n_docs: Optional[int] = None,
-    rows_per_bucket: int = 512,
-    hot_cap: int = 1 << 40,
+    hot_cap: Optional[int] = None,
 ):
-    """EXACT-recall near-dup candidate pairs for n-gram Jaccard >=
-    ``threshold``: prefix-token blocking (PrefixShingleStage) ->
-    bucketed shuffle on the token hash -> vectorized per-token pair
-    generation with the exact length filter (J >= t implies
-    min(sz) >= t * max(sz)) -> bucketed pair dedup.  No all-pairs
-    stage anywhere; the shuffle fan-out is count-scaled like the LSH
-    path.  ``hot_cap`` defaults to off (recall must stay 1 for the
-    oracle); production corpora with boilerplate-heavy prefixes can
-    lower it to star-link hot tokens at a documented recall cost."""
-    import pandas as pd
-
+    """EXACT-recall near-dup candidate pairs (doc_a < doc_b, n_bands =
+    shared prefix tokens) for n-gram Jaccard >= ``threshold``:
+    prefix-token blocking (PrefixShingleStage) -> :func:`band_pairs`
+    on the token hash, with the exact length filter (J >= t implies
+    min(sz) >= t * max(sz)) as its pair filter.  No all-pairs stage
+    anywhere; the shuffle fan-out is count-scaled like the LSH path.
+    ``hot_cap`` defaults to off (recall must stay 1 for the oracle);
+    production corpora with boilerplate-heavy prefixes can lower it
+    to star-link hot tokens at a documented recall cost."""
     if n_docs is None:
         n_docs = docs_ds.count()
 
@@ -272,70 +234,20 @@ def prefix_jaccard_candidate_pairs(
         fn_constructor_kwargs={"threshold": threshold, "ngram": ngram},
         concurrency=(1, 8),
     )
+
+    def size_bound(t: pa.Table, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        sz = t.column("sz").to_numpy().astype(np.float64)
+        return np.minimum(sz[a], sz[b]) >= threshold * np.maximum(sz[a], sz[b]) - 1e-9
+
     # avg prefix ~ (1-t) * shingles-per-doc; 64 is a conservative
     # stand-in so the bucket count scales with corpus size
-    n_buckets = max(32, (int(n_docs) * 64) // max(rows_per_bucket, 1))
-
-    def pairs(g: pa.Table) -> pa.Table:
-        # lexsort-run replacement for the per-shingle pandas groupby
-        sh = g.column("sh").to_numpy()
-        did = g.column("doc_id").to_numpy()
-        szs = g.column("sz").to_numpy().astype(np.float64)
-        order = np.lexsort((did, sh))
-        sh, did, szs = sh[order], did[order], szs[order]
-        keep_row = np.r_[True, (sh[1:] != sh[:-1]) | (did[1:] != did[:-1])]
-        sh, did, szs = sh[keep_row], did[keep_row], szs[keep_row]
-        starts = np.flatnonzero(np.r_[True, sh[1:] != sh[:-1]])
-        ends = np.r_[starts[1:], len(sh)]
-        out_a: list = []
-        out_b: list = []
-        t = threshold
-        for s, e in zip(starts, ends):
-            ids = did[s:e]
-            if len(ids) < 2:
-                continue
-            sz = szs[s:e]
-            if len(ids) > hot_cap:
-                out_a.append(np.full(len(ids) - 1, ids[0], np.int64))
-                out_b.append(ids[1:])
-                continue
-            a, b = np.triu_indices(len(ids), k=1)
-            keep = np.minimum(sz[a], sz[b]) >= t * np.maximum(sz[a], sz[b]) - 1e-9
-            out_a.append(ids[a[keep]])
-            out_b.append(ids[b[keep]])
-        if not out_a:
-            return pa.table(
-                {"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())}
-            )
-        return pa.table(
-            {
-                "doc_a": pa.array(np.concatenate(out_a).astype(np.int64), pa.int64()),
-                "doc_b": pa.array(np.concatenate(out_b).astype(np.int64), pa.int64()),
-            }
-        )
-
-    from gdal_boots_ray.stages.agg import bucketed_aggregate, exchange
-
-    cand = exchange(rows, ["sh"], pairs, n_buckets)
-    out = bucketed_aggregate(cand, ["doc_a", "doc_b"], {"n_tokens_shared": "count"})
-    return out.select_columns(["doc_a", "doc_b", "n_tokens_shared"])
+    return band_pairs(rows, int(n_docs) * 64, key="sh", hot_cap=hot_cap, pair_filter=size_bound)
 
 
 class SimHashStage:
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
         return batch.append_column("simhash", pa.array([simhash64(t) for t in texts], pa.int64()))
-
-
-class FingerprintStage:
-    def __init__(self, window: int = 16, keep: int = 4):
-        self.window = window
-        self.keep = keep
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch.column("text").to_pylist()
-        fps = [rolling_fingerprints(t, self.window, self.keep) for t in texts]
-        return batch.append_column("fingerprints", pa.array(fps, pa.list_(pa.uint64())))
 
 
 def exact_dedup(docs_ds):
@@ -370,7 +282,6 @@ def minhash_candidate_pairs(
     num_perm: int = 64,
     bands: int = 16,
     n_docs: Optional[int] = None,
-    rows_per_bucket: int = 512,
     hot_cap: int = 4096,
 ):
     """Near-dup candidate pairs via LSH buckets: rows (doc_a, doc_b)
@@ -379,7 +290,7 @@ def minhash_candidate_pairs(
     Scale controls:
 
     - the shuffle fan-out is sized from the input cardinality
-      (``n_buckets = max(32, n_docs*bands / rows_per_bucket)``) —
+      (:func:`band_pairs` on ``n_docs * bands`` rows) —
       pass ``n_docs`` (parquet metadata is free) or it is counted.
       Bucket count grows with the data instead of a fixed 32.
     - band buckets larger than ``hot_cap`` docs (boilerplate text
@@ -397,75 +308,79 @@ def minhash_candidate_pairs(
         fn_constructor_kwargs={"num_perm": num_perm, "bands": bands},
         concurrency=(1, 8),
     )
-    return band_pairs_from_rows(
-        band_rows, int(n_docs), bands, rows_per_bucket=rows_per_bucket, hot_cap=hot_cap
-    )
+    return band_pairs(band_rows, int(n_docs) * bands, hot_cap=hot_cap)
 
 
-def band_pairs_from_rows(
-    band_rows,
-    n_docs: int,
-    bands: int,
-    rows_per_bucket: int = 512,
-    hot_cap: int = 4096,
+def band_pairs(
+    rows,
+    n_rows: Optional[int] = None,
+    key: str = "band_key",
+    id_col: str = "doc_id",
+    out: Sequence[str] = ("doc_a", "doc_b"),
+    hot_cap: Optional[int] = None,
+    pair_filter=None,
 ):
-    """(doc_id, band_key) rows -> deduped candidate pairs (doc_a <
-    doc_b, n_bands).  Shared tail of every LSH family (minhash, md5
-    minhash, hyperplane): count-scaled bucket shuffle, vectorized
-    per-bucket pair generation, hot-bucket star-linking, bucketed
-    pair dedup."""
-    import pandas as pd
-
-    n_buckets = max(32, (int(n_docs) * bands) // max(rows_per_bucket, 1))
-
-    # coarse-bucket band keys so the shuffle runs over a bounded group
-    # count; pair generation inside each bucket iterates its actual
-    # band buckets vectorized (a per-band-key map_groups pays Ray's
-    # per-group overhead once per distinct signature)
-    def pairs(g: pa.Table) -> pa.Table:
-        # one lexsort replaces the per-band-key pandas groupby: band
-        # runs are contiguous slices, doc ids deduped + ascending
-        # within each run by construction of the sort
-        bk = g.column("band_key").to_numpy()
-        did = g.column("doc_id").to_numpy()
-        order = np.lexsort((did, bk))
-        bk, did = bk[order], did[order]
-        keep = np.r_[True, (bk[1:] != bk[:-1]) | (did[1:] != did[:-1])]
-        bk, did = bk[keep], did[keep]
-        starts = np.flatnonzero(np.r_[True, bk[1:] != bk[:-1]])
-        ends = np.r_[starts[1:], len(bk)]
-        out_a: list = []
-        out_b: list = []
-        for s, e in zip(starts, ends):
-            ids = did[s:e]
-            if len(ids) < 2:
-                continue
-            if len(ids) > hot_cap:
-                out_a.append(np.full(len(ids) - 1, ids[0], np.int64))
-                out_b.append(ids[1:])
-                continue
-            a, b = np.triu_indices(len(ids), k=1)
-            out_a.append(ids[a])
-            out_b.append(ids[b])
-        if not out_a:
-            return pa.table(
-                {"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())}
-            )
-        return pa.table(
-            {
-                "doc_a": pa.array(np.concatenate(out_a).astype(np.int64), pa.int64()),
-                "doc_b": pa.array(np.concatenate(out_b).astype(np.int64), pa.int64()),
-            }
-        )
-
+    """(id, key) rows -> deduped pairs ``out`` (a < b) of ids sharing a
+    key, with ``n_bands`` = the number of keys they share: the tail of
+    every blocking family (MinHash, md5-MinHash, hyperplane, SimHash
+    and phash bands, prefix tokens, fingerprints).  One
+    :func:`exchange` on ``key`` runs :func:`run_pairs` per bucket; a
+    bucketed count then dedups pairs that share several keys.  Given
+    the expected row count ``n_rows`` (n_docs * keys per doc), the
+    bucket count scales with it (``max(32, n_rows / 512)``); without
+    it, ``exchange`` scales it with the cluster.  The pairs do not
+    depend on it."""
     from gdal_boots_ray.stages.agg import bucketed_aggregate, exchange
 
-    cand = exchange(band_rows, ["band_key"], pairs, n_buckets)
-    # dedup pairs colliding in multiple bands: partial->bucketed final
-    # count (a bare multi-key groupby.aggregate sort-reduces per tiny
-    # group and is ~10x slower here)
-    out = bucketed_aggregate(cand, ["doc_a", "doc_b"], {"n_bands": "count"})
-    return out.select_columns(["doc_a", "doc_b", "n_bands"])
+    n_buckets = max(32, int(n_rows) // 512) if n_rows is not None else None
+    cand = exchange(rows, [key], lambda g: run_pairs(g, key, id_col, out, hot_cap, pair_filter), n_buckets)
+    return bucketed_aggregate(cand, list(out), {"n_bands": "count"})
+
+
+def run_pairs(g: pa.Table, key: str, id_col: str, out: Sequence[str], hot_cap=None, pair_filter=None) -> pa.Table:
+    """:func:`band_pairs`' bucket body.  One sort by (key, id) drops
+    repeated (key, id) rows and lays out every run of one key; every
+    id pair of every run is emitted (about 2M pairs at a time).  A run
+    longer than ``hot_cap`` ids (boilerplate colliding into one key)
+    is star-linked to its min id instead: B-1 pairs rather than B^2/2,
+    and the connected component survives.  ``pair_filter(t, a, b)``
+    gets the bucket's sorted rows ``t`` and the row positions of each
+    candidate pair and returns the pairs to keep; star links bypass
+    it."""
+    from gdal_boots_ray.stages.agg import concat_ranges, key_runs, pair_chunks
+
+    kv = g.column(key).to_numpy()
+    did = g.column(id_col).to_numpy().astype(np.int64)
+    order = np.lexsort((did, kv))
+    kv, did = kv[order], did[order]
+    first = np.ones(len(kv), bool)
+    first[1:] = (kv[1:] != kv[:-1]) | (did[1:] != did[:-1])
+    kv, did, order = kv[first], did[first], order[first]
+    t = g.take(pa.array(order, pa.int64())) if pair_filter is not None else None
+    starts, lens = key_runs(kv)
+    # partners of a row: every later row of its run; in a hot run only
+    # the first row has partners (the rest of the run)
+    is_hot = lens > hot_cap if hot_cap is not None else np.zeros(len(lens), bool)
+    hot = np.repeat(is_hot, lens)
+    cnt = np.repeat(starts + lens, lens) - np.arange(len(kv)) - 1
+    cnt[hot] = 0
+    cnt[starts[is_hot]] = lens[is_hot] - 1
+    out_a, out_b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for lo, hi in pair_chunks(cnt):
+        c = cnt[lo:hi]
+        a = np.repeat(np.arange(lo, hi), c)
+        b = a + 1 + concat_ranges(c)
+        if pair_filter is not None:
+            m = hot[a] | pair_filter(t, a, b)
+            a, b = a[m], b[m]
+        out_a.append(did[a])
+        out_b.append(did[b])
+    return pa.table(
+        {
+            out[0]: pa.array(np.concatenate(out_a), pa.int64()),
+            out[1]: pa.array(np.concatenate(out_b), pa.int64()),
+        }
+    )
 
 
 def attach_pair_columns(

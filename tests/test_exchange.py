@@ -1,7 +1,9 @@
 """``stages.agg.exchange``: every key's rows reach exactly one ``fn``
 call, no row is lost or duplicated, and ``fn`` never sees the bucket
 column — for integer (negative too), string and composite keys, one
-or two inputs, one or seven buckets, and an empty input."""
+or two inputs, one or seven buckets, and an empty input.  The key
+``b`` holds integers past 2**53 and a null in every other block: a
+key's bucket must not depend on whether its block holds a null."""
 
 import uuid
 
@@ -9,7 +11,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-COLS = ["k", "s", "v"]
+COLS = ["k", "s", "b", "v"]
 
 
 def _table(lo: int, hi: int) -> pa.Table:
@@ -18,6 +20,10 @@ def _table(lo: int, hi: int) -> pa.Table:
         {
             "k": pa.array(v % 23 - 11, pa.int64()),  # negative and positive
             "s": pa.array([f"w{x % 17}" for x in v], pa.string()),
+            # odd offsets from 2**53: not exact in float64, yet distinct
+            # after rounding to it, so the pandas checks below still
+            # tell the keys apart
+            "b": pa.array([None if x % 50 == 0 else 2**53 + 1 + 4 * (x % 13) for x in v], pa.int64()),
             "v": pa.array(v, pa.int64()),
         }
     )
@@ -55,7 +61,7 @@ def _datasets(n_inputs: int, n_rows: int = 300):
     ]
 
 
-@pytest.mark.parametrize("keys", [["k"], ["s"], ["k", "s"]])
+@pytest.mark.parametrize("keys", [["k"], ["s"], ["k", "s"], ["b"]])
 @pytest.mark.parametrize("n_inputs", [1, 2])
 @pytest.mark.parametrize("n_buckets", [1, 7])
 def test_each_key_reaches_one_call(ray_session, keys, n_inputs, n_buckets):
@@ -65,7 +71,7 @@ def test_each_key_reaches_one_call(ray_session, keys, n_inputs, n_buckets):
     out = exchange(inputs if n_inputs > 1 else inputs[0], keys, _tag_call_fn(), n_buckets).to_pandas()
 
     assert set(out["seen"]) == {",".join(COLS)}
-    assert (out.groupby(keys)["call"].nunique() == 1).all()
+    assert (out.groupby(keys, dropna=False)["call"].nunique() == 1).all()
     assert out["call"].nunique() <= n_buckets
     want = _table(0, 300).to_pandas()
     got = out[COLS].sort_values("v").reset_index(drop=True)
