@@ -40,10 +40,12 @@ series implementations from public literature:
   EPSG codes needing a datum shift (e.g. 27700's OSGB36 Helmert)
   stay rejected — proj4 form only, matching no-``+towgs84``
   semantics.
-- Parameter-generic EPSG dispatch: out-of-registry codes on
-  WGS84-coincident datums (NAD83/ETRS89/GDA94/NZGD2000) resolve via
-  their published proj4 definitions (``_EPSG_PROJ4``) through the
-  family kernels — one table line per code, no new math.
+- One EPSG registry: every code but the computed UTM zones is its
+  published proj4 line in ``_EPSG_PROJ4`` (WGS84-coincident datums:
+  NAD83/ETRS89/GDA94/NZGD2000...), and ``crs_from_proj4`` builds
+  every CRS — the pass-through families from one ``_FAMILIES`` table,
+  the rest from one small builder each.  ``epsg_from_crs`` scans the
+  same table, so each code's proj4 form maps back to its code.
 - Stereographic, ALL aspects: polar variant B (lat_ts) and variant A
   (UPS, k0 at the pole — EPSG 5041/5042, Guidance 7-2 worked example
   to ~2 mm), oblique/equatorial ``+proj=stere`` (Snyder 21-27..21-40
@@ -92,8 +94,10 @@ All transforms are vectorized over ``(n,)`` float64 coordinate arrays.
 
 from __future__ import annotations
 
+import copy
 import math
 import re
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -1428,177 +1432,78 @@ def crs_from_epsg(epsg: int) -> CRS:
     hit = _CRS_CACHE.get(epsg)
     if hit is not None:
         return hit
-    if epsg == 4326:
-        crs = CRS("geographic", 4326)
-    elif epsg == 3857:
-        crs = CRS("projected", 3857, webmercator_forward, webmercator_inverse)
-    elif 32601 <= epsg <= 32660 or 32701 <= epsg <= 32760:
-        zone = epsg % 100
-        south = epsg >= 32701
-        consts = _TMConsts(
-            WGS84_A, WGS84_F, k0=0.9996, lon0_deg=zone * 6 - 183, fe=500000.0, fn=10000000.0 if south else 0.0
-        )
-        crs = CRS(
-            "projected",
-            epsg,
-            lambda lon, lat, c=consts: _tm_forward(c, lon, lat),
-            lambda x, y, c=consts: _tm_inverse(c, x, y),
-        )
-    elif epsg in _EPSG_LCC:
-        a, rf = _ELLIPSOIDS["GRS80"]
-        consts = _LccConsts(a, 1.0 / rf, *_EPSG_LCC[epsg])
-        crs = CRS(
-            "projected",
-            epsg,
-            lambda lon, lat, c=consts: _lcc_forward(c, lon, lat),
-            lambda x, y, c=consts: _lcc_inverse(c, x, y),
-        )
-    elif epsg in _EPSG_LAEA:
-        a, rf = _ELLIPSOIDS["GRS80"]
-        consts = _LaeaConsts(a, 1.0 / rf, *_EPSG_LAEA[epsg])
-        crs = CRS(
-            "projected",
-            epsg,
-            lambda lon, lat, c=consts: _laea_forward(c, lon, lat),
-            lambda x, y, c=consts: _laea_inverse(c, x, y),
-        )
-    elif epsg in _EPSG_PS:
-        consts = _PsConsts(WGS84_A, WGS84_F, *_EPSG_PS[epsg])
-        crs = CRS(
-            "projected",
-            epsg,
-            lambda lon, lat, c=consts: _ps_forward(c, lon, lat),
-            lambda x, y, c=consts: _ps_inverse(c, x, y),
-        )
-    elif epsg in _EPSG_OMERC:
-        ellps, lat0, lonc, alpha_c, gamma_c, k0, fe, fn = _EPSG_OMERC[epsg]
-        a, rf = _ELLIPSOIDS[ellps]
-        consts = _OmercConsts(a, 1.0 / rf, lat0, lonc, alpha_c, gamma_c, k0, fe, fn)
-        crs = CRS(
-            "projected",
-            epsg,
-            lambda lon, lat, c=consts: _omerc_forward(c, lon, lat),
-            lambda x, y, c=consts: _omerc_inverse(c, x, y),
-        )
-    elif epsg == 3395:  # WGS 84 / World Mercator (ellipsoidal, EPSG 9804)
-        consts = _MercConsts(WGS84_A, WGS84_F, 0.0, 0.0, 0.0, 0.0)
-        crs = CRS(
-            "projected",
-            epsg,
-            lambda lon, lat, c=consts: _merc_forward(c, lon, lat),
-            lambda x, y, c=consts: _merc_inverse(c, x, y),
-        )
-    elif epsg == 4087:  # WGS 84 / World Equidistant Cylindrical (EPSG 1028)
-        consts = _EqcConsts(WGS84_A, WGS84_F, 0.0, 0.0, 0.0, 0.0)
-        crs = CRS(
-            "projected",
-            epsg,
-            lambda lon, lat, c=consts: _eqc_forward(c, lon, lat),
-            lambda x, y, c=consts: _eqc_inverse(c, x, y),
-        )
-    elif epsg == 32662:  # WGS 84 / Plate Carree (deprecated, SPHERICAL
-        # method 1029 with R = semi-major: x = a*lam, y = a*phi)
-        consts = _EqcConsts(WGS84_A, 0.0, 0.0, 0.0, 0.0, 0.0)
-        crs = CRS(
-            "projected",
-            epsg,
-            lambda lon, lat, c=consts: _eqc_forward(c, lon, lat),
-            lambda x, y, c=consts: _eqc_inverse(c, x, y),
-        )
-    elif epsg in _EPSG_CEA:
-        consts = _CeaConsts(WGS84_A, WGS84_F, *_EPSG_CEA[epsg])
-        crs = CRS(
-            "projected",
-            epsg,
-            lambda lon, lat, c=consts: _cea_forward(c, lon, lat),
-            lambda x, y, c=consts: _cea_inverse(c, x, y),
-        )
+    if 32601 <= epsg <= 32660 or 32701 <= epsg <= 32760:
+        p4 = f"+proj=utm +zone={epsg % 100}{' +south' if epsg >= 32701 else ''} +ellps=WGS84"
     elif epsg in _EPSG_PROJ4:
-        # parameter-generic path: the published proj4 definition routes
-        # through the family kernels, one registry line per code.
-        # Rewrap so .key stays the int EPSG — consumers (GeoInfo,
-        # gtiff geokeys) branch on isinstance(key, int).
-        base = crs_from_proj4(_EPSG_PROJ4[epsg])
-        crs = CRS(base.kind, epsg, base._fwd, base._inv)
+        p4 = _EPSG_PROJ4[epsg]
     else:
         raise ValueError(
-            f"unsupported EPSG:{epsg} — registry codes: 4326, 3857, 3395, 4087, "
-            f"32662, UTM 326xx/327xx, LCC {sorted(_EPSG_LCC)}, LAEA {sorted(_EPSG_LAEA)}, "
-            f"polar stereo {sorted(_EPSG_PS)}, CEA {sorted(_EPSG_CEA)}, "
-            f"omerc {sorted(_EPSG_OMERC)}, proj4-defined {sorted(_EPSG_PROJ4)}; "
-            f"any other CRS of a supported family (longlat, merc/webmerc, tmerc, "
-            f"utm, aea, lcc, laea incl. polar, stere all aspects, sterea, poly, "
-            f"krovak, cass, eqdc, bonne, eqc, sinu, cea, geos, omerc, moll, "
-            f"robin, mill, eck4, ortho, gnom, aeqd) can be passed as its proj4 string"
+            f"unsupported EPSG:{epsg} — registry codes: UTM 326xx/327xx, "
+            f"{sorted(_EPSG_PROJ4)}; any other CRS of a supported family "
+            f"(longlat, webmerc, {', '.join(sorted([*_FAMILIES, *_BUILDERS]))}) can be "
+            f"passed as its proj4 string"
         )
+    # Rewrap so .key stays the int EPSG — consumers (GeoInfo, gtiff
+    # geokeys) branch on isinstance(key, int).
+    crs = copy.copy(crs_from_proj4(p4))
+    crs.key = epsg
     _CRS_CACHE[epsg] = crs
     return crs
 
 
-# (lat0, lon0, lat1, lat2, x0, y0) — GRS80 datum (ETRS89/RGF93 ~ WGS84)
-_EPSG_LCC = {
-    2154: (46.5, 3.0, 49.0, 44.0, 700000.0, 6600000.0),  # RGF93 / Lambert-93
-    3034: (52.0, 10.0, 35.0, 65.0, 4000000.0, 2800000.0),  # ETRS89 / LCC Europe
-    3978: (49.0, -95.0, 49.0, 77.0, 0.0, 0.0),  # NAD83 / Canada Atlas Lambert
-}
-# (lat0, lon0, x0, y0)
-_EPSG_LAEA = {
-    3035: (52.0, 10.0, 4321000.0, 3210000.0),  # ETRS89 / LAEA Europe
-}
-# (lat_ts, lon0, x0, y0) — WGS84, EPSG method 9835 (the polar
-# EASE-Grid 2.0 members 6931/6932 are LAEA, reachable via proj4)
-_EPSG_CEA = {
-    6933: (30.0, 0.0, 0.0, 0.0),  # WGS 84 / NSIDC EASE-Grid 2.0 Global
-}
-# (lat_ts, lon0, x0, y0, north)
-_EPSG_PS = {
-    3413: (70.0, -45.0, 0.0, 0.0, True),  # WGS84 / NSIDC Sea Ice Polar North
-    3976: (-70.0, 0.0, 0.0, 0.0, False),  # WGS84 / NSIDC Sea Ice Polar South
-    3031: (-71.0, 0.0, 0.0, 0.0, False),  # WGS84 / Antarctic Polar Stereographic
-}
-
-# Hotine Oblique Mercator variant B instances:
-# (ellps, lat0, lonc, alpha_c, gamma_c, k0, fe, fn).  The Borneo RSO
-# azimuth 53°18'56.9537" / skew 53°07'48.3685" and the Peninsular RSO
-# azimuth 323°01'32.8458" / skew 323°07'48.3685" come from the EPSG
-# registry (method 9815; worked example in EPSG Guidance Note 7-2).
-_D2 = lambda d, m, s: d + m / 60.0 + s / 3600.0  # noqa: E731
-_EPSG_OMERC = {
-    3375: ("GRS80", 4.0, 102.25, _D2(323, 1, 32.8458), _D2(323, 7, 48.3685), 0.99984, 804671.0, 0.0),  # GDM2000 / Peninsular RSO
-    3376: ("GRS80", 4.0, 115.0, _D2(53, 18, 56.9537), _D2(53, 7, 48.3685), 0.99984, 0.0, 0.0),  # GDM2000 / East Malaysia BRSO
-    29873: ("evrstSS", 4.0, 115.0, _D2(53, 18, 56.9537), _D2(53, 7, 48.3685), 0.99984, 590476.87, 442857.65),  # Timbalai 1948 / RSO Borneo (m)
-}
-
-
-# Out-of-registry EPSG codes resolved through their published proj4
-# definitions (EPSG registry via PROJ; parameter values are public).
-# Any EPSG whose projection method is an already-implemented family
-# routes through ``crs_from_proj4`` — the reference accepts arbitrary
+# The EPSG registry: every code (UTM aside) is its published proj4
+# definition (EPSG registry via PROJ; parameter values are public),
+# routed through ``crs_from_proj4`` — the reference accepts arbitrary
 # SRS via OSR (geometry.py:122-126), and this is the engine's
 # parameter-generic equivalent: one line per code, no new kernel.
-# Only datums treated as WGS84-coincident (NAD83 / ETRS89 / GDA94 /
-# NZGD2000: <~1-2 m offset, the usual GIS convention) are listed;
-# shifted-datum codes (OSGB36 27700, ED50 23030, BD72 31370, ...)
-# stay rejected so a missing datum shift can never pass silently —
-# their projection math is still reachable via an explicit proj4
-# string, where native-datum coordinates are the stated contract.
+# Floats are written with ``repr`` so each parses back to the same
+# bits.  Only datums treated as WGS84-coincident (NAD83 / ETRS89 /
+# RGF93 / GDA94 / GDM2000 / NZGD2000: <~1-2 m offset, the usual GIS
+# convention) are listed, plus Timbalai 1948 (29873), served on its
+# Everest ellipsoid in native-datum coordinates; shifted-datum codes
+# (OSGB36 27700, ED50 23030, BD72 31370, ...) stay rejected so a
+# missing datum shift can never pass silently — their projection math
+# is still reachable via an explicit proj4 string, where native-datum
+# coordinates are the stated contract.
 _EPSG_PROJ4 = {
+    4326: "+proj=longlat +ellps=WGS84",  # WGS 84
     4269: "+proj=longlat +ellps=GRS80",  # NAD83
     4258: "+proj=longlat +ellps=GRS80",  # ETRS89
+    3857: "+proj=webmerc +ellps=WGS84",  # WGS 84 / Pseudo-Mercator (spherical closed form)
+    3395: "+proj=merc +lon_0=0 +x_0=0 +y_0=0 +ellps=WGS84",  # WGS 84 / World Mercator (ellipsoidal, EPSG 9804)
+    3994: "+proj=merc +lat_ts=-41 +lon_0=100 +x_0=0 +y_0=0 +ellps=WGS84",  # WGS 84 / Mercator 41
+    4087: "+proj=eqc +lat_ts=0 +lon_0=0 +x_0=0 +y_0=0 +ellps=WGS84",  # WGS 84 / World Equidistant Cylindrical (EPSG 1028)
+    # WGS 84 / Plate Carree (deprecated): SPHERICAL method 1029 with
+    # R = semi-major, x = a*lam, y = a*phi
+    32662: "+proj=eqc +lat_ts=0 +lon_0=0 +x_0=0 +y_0=0 +R=6378137",
     2193: "+proj=tmerc +lat_0=0 +lon_0=173 +k=0.9996 +x_0=1600000 +y_0=10000000 +ellps=GRS80",  # NZGD2000 / NZTM2000
+    25832: "+proj=utm +zone=32 +ellps=GRS80",  # ETRS89 / UTM zone 32N
     5070: "+proj=aea +lat_0=23 +lon_0=-96 +lat_1=29.5 +lat_2=45.5 +x_0=0 +y_0=0 +ellps=GRS80",  # NAD83 / Conus Albers
     3577: "+proj=aea +lat_0=0 +lon_0=132 +lat_1=-18 +lat_2=-36 +x_0=0 +y_0=0 +ellps=GRS80",  # GDA94 / Australian Albers
     3338: "+proj=aea +lat_0=50 +lon_0=-154 +lat_1=55 +lat_2=65 +x_0=0 +y_0=0 +ellps=GRS80",  # NAD83 / Alaska Albers
     3083: "+proj=aea +lat_0=18 +lon_0=-100 +lat_1=27.5 +lat_2=35 +x_0=1500000 +y_0=6000000 +ellps=GRS80",  # NAD83 / Texas Centric Albers
+    2154: "+proj=lcc +lat_0=46.5 +lon_0=3 +lat_1=49 +lat_2=44 +x_0=700000 +y_0=6600000 +ellps=GRS80",  # RGF93 / Lambert-93
+    3034: "+proj=lcc +lat_0=52 +lon_0=10 +lat_1=35 +lat_2=65 +x_0=4000000 +y_0=2800000 +ellps=GRS80",  # ETRS89 / LCC Europe
+    3978: "+proj=lcc +lat_0=49 +lon_0=-95 +lat_1=49 +lat_2=77 +x_0=0 +y_0=0 +ellps=GRS80",  # NAD83 / Canada Atlas Lambert
     3112: "+proj=lcc +lat_0=0 +lon_0=134 +lat_1=-18 +lat_2=-36 +x_0=0 +y_0=0 +ellps=GRS80",  # GDA94 / Geoscience Australia Lambert
     5243: "+proj=lcc +lat_0=51 +lon_0=10.5 +lat_1=48.666666666666664 +lat_2=53.666666666666664 +x_0=0 +y_0=0 +ellps=GRS80",  # ETRS89 / LCC Germany
-    3994: "+proj=merc +lat_ts=-41 +lon_0=100 +x_0=0 +y_0=0 +ellps=WGS84",  # WGS 84 / Mercator 41
+    3035: "+proj=laea +lat_0=52 +lon_0=10 +x_0=4321000 +y_0=3210000 +ellps=GRS80",  # ETRS89 / LAEA Europe
     6931: "+proj=laea +lat_0=90 +lon_0=0 +x_0=0 +y_0=0 +ellps=WGS84",  # WGS 84 / NSIDC EASE-Grid 2.0 North
     6932: "+proj=laea +lat_0=-90 +lon_0=0 +x_0=0 +y_0=0 +ellps=WGS84",  # WGS 84 / NSIDC EASE-Grid 2.0 South
+    6933: "+proj=cea +lat_ts=30 +lon_0=0 +x_0=0 +y_0=0 +ellps=WGS84",  # WGS 84 / NSIDC EASE-Grid 2.0 Global (EPSG 9835)
     5880: "+proj=poly +lat_0=0 +lon_0=-54 +x_0=5000000 +y_0=10000000 +ellps=GRS80",  # SIRGAS 2000 / Brazil Polyconic
+    3413: "+proj=stere +lat_0=90 +lat_ts=70 +lon_0=-45 +x_0=0 +y_0=0 +ellps=WGS84",  # WGS 84 / NSIDC Sea Ice Polar North
+    3976: "+proj=stere +lat_0=-90 +lat_ts=-70 +lon_0=0 +x_0=0 +y_0=0 +ellps=WGS84",  # WGS 84 / NSIDC Sea Ice Polar South
+    3031: "+proj=stere +lat_0=-90 +lat_ts=-71 +lon_0=0 +x_0=0 +y_0=0 +ellps=WGS84",  # WGS 84 / Antarctic Polar Stereographic
     5041: "+proj=stere +lat_0=90 +lat_ts=90 +lon_0=0 +k=0.994 +x_0=2000000 +y_0=2000000 +ellps=WGS84",  # WGS 84 / UPS North (E,N)
     5042: "+proj=stere +lat_0=-90 +lat_ts=-90 +lon_0=0 +k=0.994 +x_0=2000000 +y_0=2000000 +ellps=WGS84",  # WGS 84 / UPS South (E,N)
-    25832: "+proj=utm +zone=32 +ellps=GRS80",  # ETRS89 / UTM zone 32N
+    # Hotine Oblique Mercator variant B (EPSG method 9815; worked
+    # example in EPSG Guidance Note 7-2).  The Peninsular RSO azimuth
+    # 323°01'32.8458" / skew 323°07'48.3685" and the Borneo RSO azimuth
+    # 53°18'56.9537" / skew 53°07'48.3685" are written as decimal degrees.
+    3375: "+proj=omerc +lat_0=4 +lonc=102.25 +alpha=323.02579049999997 +gamma=323.13010236111114 +k=0.99984 +x_0=804671 +y_0=0 +ellps=GRS80",  # GDM2000 / Peninsular RSO
+    3376: "+proj=omerc +lat_0=4 +lonc=115 +alpha=53.31582047222222 +gamma=53.13010236111111 +k=0.99984 +x_0=0 +y_0=0 +ellps=GRS80",  # GDM2000 / East Malaysia BRSO
+    29873: "+proj=omerc +lat_0=4 +lonc=115 +alpha=53.31582047222222 +gamma=53.13010236111111 +k=0.99984 +x_0=590476.87 +y_0=442857.65 +ellps=evrstSS",  # Timbalai 1948 / RSO Borneo (m)
     # ESRI world WKIDs (the 54xxx family is routinely passed as a bare
     # int where an EPSG is expected; spherical world projections on
     # the WGS84 a-axis, as in PROJ/ESRI)
@@ -2007,10 +1912,20 @@ def _robin_inverse(c: _RobinConsts, x, y):
 
 def _p4_ellipsoid(params: dict) -> Tuple[float, float]:
     """(a, f) from proj4 params: +R (sphere), +a/+b (explicit axes),
-    +a alone (keeps the named/default flattening), or +ellps."""
+    +a alone (keeps the named/default flattening), or +ellps.  An
+    unknown +ellps, a +datum other than WGS84 or a nonzero +towgs84
+    raises: no datum shift is applied, so none may pass silently."""
+    datum = params.get("datum", "WGS84")
+    if datum != "WGS84":
+        raise ValueError(f"unsupported +datum={datum}: datum shifts are not applied (only WGS84)")
+    if any(float(v) != 0.0 for v in params.get("towgs84", "0").split(",")):
+        raise ValueError(f"unsupported +towgs84={params['towgs84']}: datum shifts are not applied")
     if "R" in params:
         return float(params["R"]), 0.0
-    a, rf = _ELLIPSOIDS.get(params.get("ellps", "WGS84"), _ELLIPSOIDS["WGS84"])
+    ellps = params.get("ellps", "WGS84")
+    if ellps not in _ELLIPSOIDS:
+        raise ValueError(f"unsupported +ellps={ellps} — known: {', '.join(_ELLIPSOIDS)}")
+    a, rf = _ELLIPSOIDS[ellps]
     f = 0.0 if rf == 0 else 1.0 / rf
     if "a" in params:
         a = float(params["a"])
@@ -2019,470 +1934,181 @@ def _p4_ellipsoid(params: dict) -> Tuple[float, float]:
     return a, f
 
 
+_P4_DEFAULTS = {"k": "k_0", "k_0": 1.0}
+
+
+def _p4_arg(params: dict, name: str, defaults: dict = _P4_DEFAULTS) -> float:
+    """Numeric proj4 parameter ``name``.  An absent one takes
+    ``defaults[name]``, else ``_P4_DEFAULTS[name]``, else 0; a str
+    default names the parameter to read instead (lat_2 -> lat_1)."""
+    if name in params:
+        return float(params[name])
+    d = defaults.get(name, _P4_DEFAULTS.get(name, 0.0))
+    return _p4_arg(params, d, defaults) if isinstance(d, str) else d
+
+
+_CONIC = ("a", "f", "lat_0", "lon_0", "lat_1", "lat_2", "x_0", "y_0")
+_ORIGIN = ("a", "f", "lat_0", "lon_0", "x_0", "y_0")
+_LAT_TS = ("a", "f", "lat_ts", "lon_0", "x_0", "y_0")
+_WORLD = ("a", "lon_0", "x_0", "y_0")  # spherical on the a-axis, as in PROJ
+_AZ_SPH = ("a", "lat_0", "lon_0", "x_0", "y_0")  # spherical forms (Snyder ch. 20/22)
+_LAT2_IS_LAT1 = {"lat_2": "lat_1"}
+
+# Families whose proj4 parameters pass straight to the consts class:
+# proj: (consts class, forward, inverse, consts arguments, defaults).
+# "a"/"f" come from ``_p4_ellipsoid``, the rest from ``_p4_arg``.
+_FAMILIES = {
+    "aea": (_AeaConsts, _aea_forward, _aea_inverse, _CONIC, {}),
+    "lcc": (_LccConsts, _lcc_forward, _lcc_inverse, _CONIC, _LAT2_IS_LAT1),
+    "eqdc": (_EqdcConsts, _eqdc_forward, _eqdc_inverse, _CONIC, _LAT2_IS_LAT1),
+    "laea": (_LaeaConsts, _laea_forward, _laea_inverse, _ORIGIN, {}),
+    "cass": (_CassConsts, _cass_forward, _cass_inverse, _ORIGIN, {}),
+    # American Polyconic (EPSG method 9818 — Brazil Polyconic)
+    "poly": (_PolyConsts, _poly_forward, _poly_inverse, _ORIGIN, {}),
+    "bonne": (_BonneConsts, _bonne_forward, _bonne_inverse, ("a", "f", "lat_1", "lon_0", "x_0", "y_0"), {}),
+    # double (Gauss-sphere) stereographic, EPSG method 9809 — the RD
+    # New family.  Datum note: RD New itself (EPSG 28992) is on
+    # Amersfoort/Bessel, so only the proj4 form is accepted
+    # (native-datum coordinates are the stated contract).
+    "sterea": (_StereaConsts, _sterea_forward, _sterea_inverse, ("a", "f", "lat_0", "lon_0", "k", "x_0", "y_0"), {}),
+    # proj4 semantics: ellipsoidal Mercator on the given ellipsoid
+    # (default WGS84); +R / +ellps=sphere selects the spherical form
+    "merc": (_MercConsts, _merc_forward, _merc_inverse, _LAT_TS, {}),
+    "eqc": (_EqcConsts, _eqc_forward, _eqc_inverse, _LAT_TS, {}),
+    # EASE-Grid 2.0 global (EPSG 6933): +proj=cea +lat_ts=30
+    "cea": (_CeaConsts, _cea_forward, _cea_inverse, _LAT_TS, {}),
+    # MODIS land grid: +proj=sinu +R=6371007.181 (authalic sphere)
+    "sinu": (_SinuConsts, _sinu_forward, _sinu_inverse, ("a", "f", "lon_0", "x_0", "y_0"), {}),
+    "moll": (_MollConsts, _moll_forward, _moll_inverse, _WORLD, {}),
+    "mill": (_MillConsts, _mill_forward, _mill_inverse, _WORLD, {}),
+    "robin": (_RobinConsts, _robin_forward, _robin_inverse, _WORLD, {}),
+    "eck4": (_Eck4Consts, _eck4_forward, _eck4_inverse, _WORLD, {}),
+    "ortho": (_AzSphConsts, _ortho_forward, _ortho_inverse, _AZ_SPH, {}),
+    "gnom": (_AzSphConsts, _gnom_forward, _gnom_inverse, _AZ_SPH, {}),
+}
+
+
+# Families with logic of their own: params, proj4 -> (forward, inverse, consts).
+
+
+def _utm_family(params, proj4):
+    a, f = _p4_ellipsoid(params)
+    zone = int(params["zone"])
+    fn = 10000000.0 if "south" in proj4 else 0.0
+    return _tm_forward, _tm_inverse, _TMConsts(a, f, k0=0.9996, lon0_deg=zone * 6 - 183, fe=500000.0, fn=fn)
+
+
+def _tmerc_family(params, proj4):
+    # general Transverse Mercator (national grids: OSGB, Gauss-
+    # Krüger zones, NZTM...): the UTM Krüger series with arbitrary
+    # lat_0/lon_0/k/x_0/y_0.  A nonzero lat_0 shifts the northing
+    # by the projected meridian arc at lat_0 (PROJ: y = k0*(M-M0)
+    # + y_0), folded into the false northing by evaluating the
+    # series once at the origin.
+    a, f = _p4_ellipsoid(params)
+    k0, lon0, lat0, fn = (_p4_arg(params, n) for n in ("k", "lon_0", "lat_0", "y_0"))
+    if lat0 != 0.0:
+        base = _TMConsts(a, f, k0, lon0, 0.0, 0.0)
+        _, y0r = _tm_forward(base, np.array([lon0]), np.array([lat0]))
+        fn -= float(y0r[0])
+    return _tm_forward, _tm_inverse, _TMConsts(a, f, k0, lon0, _p4_arg(params, "x_0"), fn)
+
+
+def _stere_family(params, proj4):
+    a, f = _p4_ellipsoid(params)
+    lat0, lon0, x0, y0 = (_p4_arg(params, n) for n in ("lat_0", "lon_0", "x_0", "y_0"))
+    if abs(lat0) != 90.0:
+        # oblique / equatorial stereographic (Snyder conformal-latitude
+        # form, PROJ's non-polar +proj=stere)
+        return _obstere_forward, _obstere_inverse, _ObStereConsts(a, f, lat0, lon0, _p4_arg(params, "k"), x0, y0)
+    lat_ts = _p4_arg(params, "lat_ts", {"lat_ts": "lat_0"})
+    # PROJ semantics: +lat_ts (variant B) takes precedence; +k/+k_0
+    # (variant A — UPS) applies only with the scale point at the pole
+    k0 = _p4_arg(params, "k") if abs(lat_ts) >= 89.999999 else 1.0
+    return _ps_forward, _ps_inverse, _PsConsts(a, f, lat_ts, lon0, x0, y0, lat0 > 0, k0)
+
+
+def _omerc_family(params, proj4):
+    # Hotine Oblique Mercator, alpha case (+lonc/+alpha[/+gamma]);
+    # PROJ applies the centre offset u_c unless +no_uoff is given
+    a, f = _p4_ellipsoid(params)
+    args = (_p4_arg(params, n, {"gamma": "alpha"}) for n in ("lat_0", "lonc", "alpha", "gamma", "k", "x_0", "y_0"))
+    return _omerc_forward, _omerc_inverse, _OmercConsts(a, f, *args, uc_offset="no_uoff" not in proj4)
+
+
+def _geos_family(params, proj4):
+    # geostationary full-disk grids: GOES-R ABI (+sweep=x) and
+    # MSG SEVIRI (+sweep=y, the proj4 default), +h = satellite
+    # height above the ellipsoid surface (35785831..36000000 m)
+    a, f = _p4_ellipsoid(params)
+    args = (_p4_arg(params, n) for n in ("h", "lon_0", "x_0", "y_0"))
+    return _geos_forward, _geos_inverse, _GeosConsts(a, f, *args, sweep=params.get("sweep", "y"))
+
+
+_KROVAK_DEFAULTS = {"lat_0": 49.5, "lon_0": 24.833333333333332, "alpha": 30.288139722222223, "k_0": 0.9999}
+
+
+def _krovak_family(params, proj4):
+    # Krovak (EPSG method 9819 — S-JTSK; shifted datum, proj4 only)
+    a, f = _p4_ellipsoid({**params, "ellps": params.get("ellps", "bessel")})
+    args = (_p4_arg(params, n, _KROVAK_DEFAULTS) for n in ("lat_0", "lon_0", "alpha", "k", "x_0", "y_0"))
+    return _krovak_forward, _krovak_inverse, _KrovakConsts(a, f, *args)
+
+
+def _aeqd_family(params, proj4):
+    a, f = _p4_ellipsoid(params)
+    lat0, lon0, x0, y0 = (_p4_arg(params, n) for n in ("lat_0", "lon_0", "x_0", "y_0"))
+    if f <= 0:
+        return _aeqd_forward, _aeqd_inverse, _AzSphConsts(a, lat0, lon0, x0, y0)
+    if abs(lat0) >= 90.0 - 1e-9:
+        return _aeqd_polar_forward, _aeqd_polar_inverse, _AeqdPolarConsts(a, f, lat0 > 0, lon0, x0, y0)
+    raise ValueError(
+        "aeqd: oblique/equatorial ellipsoidal aspects need geodesic "
+        "azimuth/distance (not implemented) — pass the spherical form "
+        "with +R=<radius> (PROJ's pre-geodesic behavior), or a polar "
+        "+lat_0=+-90 for the exact ellipsoidal aspect"
+    )
+
+
+_BUILDERS = {
+    "utm": _utm_family,
+    "tmerc": _tmerc_family,
+    "stere": _stere_family,
+    "omerc": _omerc_family,
+    "geos": _geos_family,
+    "krovak": _krovak_family,
+    "aeqd": _aeqd_family,
+}
+
+
 def crs_from_proj4(proj4: str) -> CRS:
-    """Parse the proj4 subset the reference tests use: ``+proj=aea`` with
-    lat_0/lon_0/lat_1/lat_2/x_0/y_0/ellps (tests/test_raster.py:489-494),
-    plus ``+proj=longlat``."""
+    """Build the CRS of a proj4 string: ``longlat``, ``webmerc``, a
+    ``_FAMILIES`` row or a ``_BUILDERS`` family.  The reference tests
+    pass ``+proj=aea`` (tests/test_raster.py:489-494) and ``longlat``."""
     hit = _CRS_CACHE.get(proj4)
     if hit is not None:
         return hit
     params = dict(_P4_FLOAT.findall(proj4))
     proj = params.get("proj")
     if proj in ("longlat", "latlong"):
+        _p4_ellipsoid(params)  # rejects an unknown ellipsoid or datum shift
         crs = CRS("geographic", proj4)
-    elif proj == "aea":
-        a, f = _p4_ellipsoid(params)
-        consts = _AeaConsts(
-            a,
-            f,
-            float(params.get("lat_0", 0)),
-            float(params.get("lon_0", 0)),
-            float(params.get("lat_1", 0)),
-            float(params.get("lat_2", 0)),
-            float(params.get("x_0", 0)),
-            float(params.get("y_0", 0)),
-        )
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=consts: _aea_forward(c, lon, lat),
-            lambda x, y, c=consts: _aea_inverse(c, x, y),
-        )
-    elif proj == "lcc":
-        a, f = _p4_ellipsoid(params)
-        consts = _LccConsts(
-            a,
-            f,
-            float(params.get("lat_0", 0)),
-            float(params.get("lon_0", 0)),
-            float(params.get("lat_1", 0)),
-            float(params.get("lat_2", params.get("lat_1", 0))),
-            float(params.get("x_0", 0)),
-            float(params.get("y_0", 0)),
-        )
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=consts: _lcc_forward(c, lon, lat),
-            lambda x, y, c=consts: _lcc_inverse(c, x, y),
-        )
-    elif proj == "laea":
-        a, f = _p4_ellipsoid(params)
-        consts = _LaeaConsts(
-            a,
-            f,
-            float(params.get("lat_0", 0)),
-            float(params.get("lon_0", 0)),
-            float(params.get("x_0", 0)),
-            float(params.get("y_0", 0)),
-        )
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=consts: _laea_forward(c, lon, lat),
-            lambda x, y, c=consts: _laea_inverse(c, x, y),
-        )
-    elif proj == "stere" and abs(float(params.get("lat_0", 0))) == 90.0:
-        a, f = _p4_ellipsoid(params)
-        north = float(params["lat_0"]) > 0
-        lat_ts = float(params.get("lat_ts", params["lat_0"]))
-        # PROJ semantics: +lat_ts (variant B) takes precedence; +k/+k_0
-        # (variant A — UPS) applies only with the scale point at the pole
-        k0 = (
-            float(params.get("k", params.get("k_0", 1.0)))
-            if abs(lat_ts) >= 89.999999
-            else 1.0
-        )
-        consts = _PsConsts(
-            a,
-            f,
-            lat_ts,
-            float(params.get("lon_0", 0)),
-            float(params.get("x_0", 0)),
-            float(params.get("y_0", 0)),
-            north,
-            k0,
-        )
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=consts: _ps_forward(c, lon, lat),
-            lambda x, y, c=consts: _ps_inverse(c, x, y),
-        )
-    elif proj == "krovak":
-        # Krovak (EPSG method 9819 — S-JTSK; shifted datum, proj4 only)
-        a, f = _p4_ellipsoid({**params, "ellps": params.get("ellps", "bessel")})
-        consts = _KrovakConsts(
-            a,
-            f,
-            float(params.get("lat_0", 49.5)),
-            float(params.get("lon_0", 24.833333333333332)),
-            float(params.get("alpha", 30.288139722222223)),
-            float(params.get("k", params.get("k_0", 0.9999))),
-            float(params.get("x_0", 0)),
-            float(params.get("y_0", 0)),
-        )
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=consts: _krovak_forward(c, lon, lat),
-            lambda x, y, c=consts: _krovak_inverse(c, x, y),
-        )
-    elif proj == "bonne":
-        a, f = _p4_ellipsoid(params)
-        consts = _BonneConsts(
-            a, f,
-            float(params.get("lat_1", 0)),
-            float(params.get("lon_0", 0)),
-            float(params.get("x_0", 0)),
-            float(params.get("y_0", 0)),
-        )
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=consts: _bonne_forward(c, lon, lat),
-            lambda x, y, c=consts: _bonne_inverse(c, x, y),
-        )
-    elif proj == "eqdc":
-        a, f = _p4_ellipsoid(params)
-        lat1 = float(params.get("lat_1", 0))
-        consts = _EqdcConsts(
-            a, f,
-            float(params.get("lat_0", 0)),
-            float(params.get("lon_0", 0)),
-            lat1,
-            float(params.get("lat_2", lat1)),
-            float(params.get("x_0", 0)),
-            float(params.get("y_0", 0)),
-        )
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=consts: _eqdc_forward(c, lon, lat),
-            lambda x, y, c=consts: _eqdc_inverse(c, x, y),
-        )
-    elif proj == "cass":
-        a, f = _p4_ellipsoid(params)
-        consts = _CassConsts(
-            a, f,
-            float(params.get("lat_0", 0)),
-            float(params.get("lon_0", 0)),
-            float(params.get("x_0", 0)),
-            float(params.get("y_0", 0)),
-        )
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=consts: _cass_forward(c, lon, lat),
-            lambda x, y, c=consts: _cass_inverse(c, x, y),
-        )
-    elif proj == "poly":
-        # American Polyconic (EPSG method 9818 — Brazil Polyconic)
-        a, f = _p4_ellipsoid(params)
-        consts = _PolyConsts(
-            a,
-            f,
-            float(params.get("lat_0", 0)),
-            float(params.get("lon_0", 0)),
-            float(params.get("x_0", 0)),
-            float(params.get("y_0", 0)),
-        )
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=consts: _poly_forward(c, lon, lat),
-            lambda x, y, c=consts: _poly_inverse(c, x, y),
-        )
-    elif proj == "sterea":
-        # double (Gauss-sphere) stereographic, EPSG method 9809 — the
-        # RD New family.  Datum note: RD New itself (EPSG 28992) is on
-        # Amersfoort/Bessel, so only the proj4 form is accepted
-        # (native-datum coordinates are the stated contract).
-        a, f = _p4_ellipsoid(params)
-        consts = _StereaConsts(
-            a,
-            f,
-            float(params.get("lat_0", 0)),
-            float(params.get("lon_0", 0)),
-            float(params.get("k", params.get("k_0", 1.0))),
-            float(params.get("x_0", 0)),
-            float(params.get("y_0", 0)),
-        )
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=consts: _sterea_forward(c, lon, lat),
-            lambda x, y, c=consts: _sterea_inverse(c, x, y),
-        )
-    elif proj == "stere":
-        # oblique / equatorial stereographic (Snyder conformal-latitude
-        # form, PROJ's non-polar +proj=stere)
-        a, f = _p4_ellipsoid(params)
-        consts = _ObStereConsts(
-            a,
-            f,
-            float(params.get("lat_0", 0)),
-            float(params.get("lon_0", 0)),
-            float(params.get("k", params.get("k_0", 1.0))),
-            float(params.get("x_0", 0)),
-            float(params.get("y_0", 0)),
-        )
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=consts: _obstere_forward(c, lon, lat),
-            lambda x, y, c=consts: _obstere_inverse(c, x, y),
-        )
-    elif proj == "merc":
-        # proj4 semantics: ellipsoidal Mercator on the given ellipsoid
-        # (default WGS84); +R / +ellps=sphere selects the spherical form
-        a, f = _p4_ellipsoid(params)
-        consts = _MercConsts(
-            a,
-            f,
-            float(params.get("lat_ts", 0)),
-            float(params.get("lon_0", 0)),
-            float(params.get("x_0", 0)),
-            float(params.get("y_0", 0)),
-        )
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=consts: _merc_forward(c, lon, lat),
-            lambda x, y, c=consts: _merc_inverse(c, x, y),
-        )
-    elif proj == "eqc":
-        a, f = _p4_ellipsoid(params)
-        consts = _EqcConsts(
-            a,
-            f,
-            float(params.get("lat_ts", 0)),
-            float(params.get("lon_0", 0)),
-            float(params.get("x_0", 0)),
-            float(params.get("y_0", 0)),
-        )
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=consts: _eqc_forward(c, lon, lat),
-            lambda x, y, c=consts: _eqc_inverse(c, x, y),
-        )
-    elif proj == "sinu":
-        # MODIS land grid: +proj=sinu +R=6371007.181 (authalic sphere)
-        a, f = _p4_ellipsoid(params)
-        consts = _SinuConsts(
-            a,
-            f,
-            float(params.get("lon_0", 0)),
-            float(params.get("x_0", 0)),
-            float(params.get("y_0", 0)),
-        )
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=consts: _sinu_forward(c, lon, lat),
-            lambda x, y, c=consts: _sinu_inverse(c, x, y),
-        )
-    elif proj == "cea":
-        # EASE-Grid 2.0 global (EPSG 6933): +proj=cea +lat_ts=30
-        a, f = _p4_ellipsoid(params)
-        consts = _CeaConsts(
-            a,
-            f,
-            float(params.get("lat_ts", 0)),
-            float(params.get("lon_0", 0)),
-            float(params.get("x_0", 0)),
-            float(params.get("y_0", 0)),
-        )
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=consts: _cea_forward(c, lon, lat),
-            lambda x, y, c=consts: _cea_inverse(c, x, y),
-        )
-    elif proj == "geos":
-        # geostationary full-disk grids: GOES-R ABI (+sweep=x) and
-        # MSG SEVIRI (+sweep=y, the proj4 default), +h = satellite
-        # height above the ellipsoid surface (35785831..36000000 m)
-        a, f = _p4_ellipsoid(params)
-        consts = _GeosConsts(
-            a,
-            f,
-            float(params.get("h", 0)),
-            float(params.get("lon_0", 0)),
-            float(params.get("x_0", 0)),
-            float(params.get("y_0", 0)),
-            sweep=params.get("sweep", "y"),
-        )
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=consts: _geos_forward(c, lon, lat),
-            lambda x, y, c=consts: _geos_inverse(c, x, y),
-        )
-    elif proj == "tmerc":
-        # general Transverse Mercator (national grids: OSGB, Gauss-
-        # Krüger zones, NZTM...): the UTM Krüger series with arbitrary
-        # lat_0/lon_0/k/x_0/y_0.  A nonzero lat_0 shifts the northing
-        # by the projected meridian arc at lat_0 (PROJ: y = k0*(M-M0)
-        # + y_0), folded into the false northing by evaluating the
-        # series once at the origin.
-        a, f = _p4_ellipsoid(params)
-        k0 = float(params.get("k", params.get("k_0", 1.0)))
-        lon0 = float(params.get("lon_0", 0))
-        lat0 = float(params.get("lat_0", 0))
-        fn = float(params.get("y_0", 0))
-        if lat0 != 0.0:
-            base = _TMConsts(a, f, k0, lon0, 0.0, 0.0)
-            _, y0r = _tm_forward(base, np.array([lon0]), np.array([lat0]))
-            fn -= float(y0r[0])
-        consts = _TMConsts(a, f, k0, lon0, float(params.get("x_0", 0)), fn)
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=consts: _tm_forward(c, lon, lat),
-            lambda x, y, c=consts: _tm_inverse(c, x, y),
-        )
-    elif proj == "omerc":
-        # Hotine Oblique Mercator, alpha case (+lonc/+alpha[/+gamma]);
-        # PROJ applies the centre offset u_c unless +no_uoff is given
-        a, f = _p4_ellipsoid(params)
-        alpha_c = float(params.get("alpha", 0))
-        consts = _OmercConsts(
-            a,
-            f,
-            float(params.get("lat_0", 0)),
-            float(params.get("lonc", 0)),
-            alpha_c,
-            float(params.get("gamma", alpha_c)),
-            float(params.get("k", params.get("k_0", 1.0))),
-            float(params.get("x_0", 0)),
-            float(params.get("y_0", 0)),
-            uc_offset="no_uoff" not in proj4,
-        )
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=consts: _omerc_forward(c, lon, lat),
-            lambda x, y, c=consts: _omerc_inverse(c, x, y),
-        )
-    elif proj == "utm":
-        zone = int(params["zone"])
-        south = "south" in proj4
-        a, f = _p4_ellipsoid(params)
-        consts = _TMConsts(
-            a, f, k0=0.9996, lon0_deg=zone * 6 - 183, fe=500000.0, fn=10000000.0 if south else 0.0
-        )
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=consts: _tm_forward(c, lon, lat),
-            lambda x, y, c=consts: _tm_inverse(c, x, y),
-        )
-    elif proj == "eck4":
-        a, _f = _p4_ellipsoid(params)  # spherical on the a-axis, as in PROJ
-        ec = _Eck4Consts(
-            a,
-            float(params.get("lon_0", 0)),
-            float(params.get("x_0", 0)),
-            float(params.get("y_0", 0)),
-        )
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=ec: _eck4_forward(c, lon, lat),
-            lambda x, y, c=ec: _eck4_inverse(c, x, y),
-        )
-    elif proj == "moll":
-        a, _f = _p4_ellipsoid(params)  # spherical on the a-axis, as in PROJ
-        consts = _MollConsts(
-            a,
-            float(params.get("lon_0", 0)),
-            float(params.get("x_0", 0)),
-            float(params.get("y_0", 0)),
-        )
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=consts: _moll_forward(c, lon, lat),
-            lambda x, y, c=consts: _moll_inverse(c, x, y),
-        )
-    elif proj == "mill":
-        a, _f = _p4_ellipsoid(params)  # spherical on the a-axis, as in PROJ
-        consts = _MillConsts(
-            a,
-            float(params.get("lon_0", 0)),
-            float(params.get("x_0", 0)),
-            float(params.get("y_0", 0)),
-        )
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=consts: _mill_forward(c, lon, lat),
-            lambda x, y, c=consts: _mill_inverse(c, x, y),
-        )
-    elif proj == "robin":
-        a, _f = _p4_ellipsoid(params)  # spherical on the a-axis, as in PROJ
-        consts = _RobinConsts(
-            a,
-            float(params.get("lon_0", 0)),
-            float(params.get("x_0", 0)),
-            float(params.get("y_0", 0)),
-        )
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=consts: _robin_forward(c, lon, lat),
-            lambda x, y, c=consts: _robin_inverse(c, x, y),
-        )
-    elif proj in ("ortho", "gnom"):
-        a, _f = _p4_ellipsoid(params)  # spherical forms (Snyder ch. 20/22)
-        consts = _AzSphConsts(
-            a,
-            float(params.get("lat_0", 0)),
-            float(params.get("lon_0", 0)),
-            float(params.get("x_0", 0)),
-            float(params.get("y_0", 0)),
-        )
-        fwd = _ortho_forward if proj == "ortho" else _gnom_forward
-        inv = _ortho_inverse if proj == "ortho" else _gnom_inverse
-        crs = CRS(
-            "projected",
-            proj4,
-            lambda lon, lat, c=consts, f_=fwd: f_(c, lon, lat),
-            lambda x, y, c=consts, i_=inv: i_(c, x, y),
-        )
-    elif proj == "aeqd":
-        a, f = _p4_ellipsoid(params)
-        lat0 = float(params.get("lat_0", 0))
-        lon0 = float(params.get("lon_0", 0))
-        x0 = float(params.get("x_0", 0))
-        y0 = float(params.get("y_0", 0))
-        if f > 0 and abs(lat0) >= 90.0 - 1e-9:
-            pconsts = _AeqdPolarConsts(a, f, lat0 > 0, lon0, x0, y0)
-            crs = CRS(
-                "projected",
-                proj4,
-                lambda lon, lat, c=pconsts: _aeqd_polar_forward(c, lon, lat),
-                lambda x, y, c=pconsts: _aeqd_polar_inverse(c, x, y),
-            )
-        elif f > 0:
-            raise ValueError(
-                "aeqd: oblique/equatorial ellipsoidal aspects need geodesic "
-                "azimuth/distance (not implemented) — pass the spherical form "
-                "with +R=<radius> (PROJ's pre-geodesic behavior), or a polar "
-                "+lat_0=+-90 for the exact ellipsoidal aspect"
-            )
-        else:
-            consts = _AzSphConsts(a, lat0, lon0, x0, y0)
-            crs = CRS(
-                "projected",
-                proj4,
-                lambda lon, lat, c=consts: _aeqd_forward(c, lon, lat),
-                lambda x, y, c=consts: _aeqd_inverse(c, x, y),
-            )
+    elif proj == "webmerc":
+        # Web Mercator: the spherical closed form on the WGS84 a-axis
+        if _p4_ellipsoid(params)[0] != WGS84_A:
+            raise ValueError(f"webmerc is defined on the WGS84 a-axis only: {proj4}")
+        crs = CRS("projected", proj4, webmercator_forward, webmercator_inverse)
     else:
-        raise ValueError(f"unsupported proj4: {proj4}")
+        if proj in _BUILDERS:
+            fwd, inv, c = _BUILDERS[proj](params, proj4)
+        elif proj in _FAMILIES:
+            cls, fwd, inv, names, defaults = _FAMILIES[proj]
+            a, f = _p4_ellipsoid(params)
+            ellps = {"a": a, "f": f}
+            c = cls(*(ellps[n] if n in ellps else _p4_arg(params, n, defaults) for n in names))
+        else:
+            raise ValueError(f"unsupported proj4: {proj4}")
+        crs = CRS("projected", proj4, partial(fwd, c), partial(inv, c))
     _CRS_CACHE[proj4] = crs
     return crs
 
