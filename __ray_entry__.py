@@ -22,19 +22,11 @@ def entry() -> Any:
     table from `part`, then the fused tile chain (bounds + grid/S2
     cells, broadcast PIP join vs the nation polygons, band-0 decode of
     the matched tiles, zonal partials) and the per-polygon aggregate."""
-    import pyarrow.parquet as pq
     import ray.data as rd
 
-    from gdal_boots_ray.pipelines.flagship import combine_zonal_partials, fused_partials
-    from gdal_boots_ray.pipelines.queries._common import _tiles_dataset
-    from gdal_boots_ray.sources.fixtures import nation_polygons
-    from gdal_boots_ray.stages.joins import put_polygons
+    from gdal_boots_ray.pipelines.queries.raster import flagship_zonal
 
-    nk = pq.read_table(f"{_SF0001}/nation.parquet", columns=["n_nationkey"]).column(0).to_numpy()
-    poly_ref = put_polygons(nation_polygons(nk))
-    ds = _tiles_dataset(_SF0001, decode=False)
-    stats = fused_partials(ds, poly_ref, cell_res=1000.0, s2_level=9, with_s2=True, batch_size=256)
-    return rd.from_pandas(combine_zonal_partials(stats))
+    return rd.from_pandas(flagship_zonal(_SF0001))
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

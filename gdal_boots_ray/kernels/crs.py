@@ -1913,13 +1913,16 @@ def _robin_inverse(c: _RobinConsts, x, y):
 def _p4_ellipsoid(params: dict) -> Tuple[float, float]:
     """(a, f) from proj4 params: +R (sphere), +a/+b (explicit axes),
     +a alone (keeps the named/default flattening), or +ellps.  An
-    unknown +ellps, a +datum other than WGS84 or a nonzero +towgs84
-    raises: no datum shift is applied, so none may pass silently."""
+    unknown +ellps, a +datum other than WGS84, a nonzero +towgs84 or a
+    +nadgrids other than @null raises: no datum shift is applied, so
+    none may pass silently."""
     datum = params.get("datum", "WGS84")
     if datum != "WGS84":
         raise ValueError(f"unsupported +datum={datum}: datum shifts are not applied (only WGS84)")
     if any(float(v) != 0.0 for v in params.get("towgs84", "0").split(",")):
         raise ValueError(f"unsupported +towgs84={params['towgs84']}: datum shifts are not applied")
+    if params.get("nadgrids", "@null") != "@null":
+        raise ValueError(f"unsupported +nadgrids={params['nadgrids']}: grid datum shifts are not applied")
     if "R" in params:
         return float(params["R"]), 0.0
     ellps = params.get("ellps", "WGS84")
@@ -2116,7 +2119,11 @@ def crs_from_proj4(proj4: str) -> CRS:
 def _p4_norm(p4: str):
     """Normalized (params, flags) view of a proj4 string for
     definition-equality matching: numeric values compare as floats,
-    cosmetic params (units=m, no_defs, wktext) are dropped."""
+    cosmetic params (units=m, no_defs, wktext) are dropped.  So are
+    PROJ's spellings of a default: ``+k``/``+k_0`` = 1, a zero
+    x_0/y_0/lon_0/lat_0 (except for Krovak, whose defaults are not
+    zero) and an all-zero ``+towgs84``; ``+datum=WGS84`` reads as
+    ``+ellps=WGS84``."""
     params = dict(_P4_FLOAT.findall(p4))
     flags = set(re.findall(r"\+([a-zA-Z_0-9]+)(?=\s|$)", p4)) - set(params)
     drop = {"units", "no_defs", "wktext", "type"}
@@ -2128,6 +2135,18 @@ def _p4_norm(p4: str):
             out[k] = float(v)
         except ValueError:
             out[k] = v
+    if "k_0" in out:
+        out.setdefault("k", out.pop("k_0"))
+    if out.get("proj") != "krovak":
+        for k, default in (("k", 1.0), ("x_0", 0.0), ("y_0", 0.0), ("lon_0", 0.0), ("lat_0", 0.0)):
+            if out.get(k) == default:
+                del out[k]
+    if "towgs84" in out and all(float(v) == 0.0 for v in str(out["towgs84"]).split(",")):
+        del out["towgs84"]
+    if out.get("datum") == "WGS84":
+        del out["datum"]
+        if not {"ellps", "R", "a"} & set(out):
+            out["ellps"] = "WGS84"
     return out, frozenset(f for f in flags if f not in drop)
 
 

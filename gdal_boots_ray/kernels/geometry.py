@@ -16,7 +16,7 @@ MakeValid (reference geometry.py:160-193).
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -476,12 +476,6 @@ def _merge_touching_rings(rings: List[np.ndarray]) -> List[np.ndarray]:
             if changed:
                 break
     return rings_out
-
-
-def make_valid_geojson(geometry: RawGeometry, precision: Optional[int] = None) -> dict:
-    """Reference ``make_valid_geojson`` (geometry.py:160-163):
-    repair + GeoJSON render at the given coordinate precision."""
-    return to_geojson(make_valid(geometry), flatten=True, precision=precision if precision is not None else 15)
 
 
 def simplify_geometry(geometry: RawGeometry, tolerance: float) -> dict:

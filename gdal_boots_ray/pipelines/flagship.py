@@ -69,28 +69,35 @@ class FusedTileWorker:
 
     def _decode_zonal_rowwise(self, matched):
         """``zonal_partials`` of a batch of matched (tile, polygon)
-        pairs, decoding band 0 straight from the bytes column (PNG: from
-        the inflated scanlines; raw uint8: a zero-copy slice), with no
-        intermediate Arrow pixels column.  A pair whose bytes do not
-        decode raises ``ValueError`` naming its ``image_id``."""
-        from gdal_boots_ray.kernels.png import _RAW_HEADER_LEN, decode_image, raw_header
-        from gdal_boots_ray.stages.decode import binary_column_views
+        pairs, decoding band 0 straight from the bytes column
+        (``band0_reader``), with no intermediate Arrow pixels column.  A
+        pair whose bytes do not decode raises ``ValueError`` naming its
+        ``image_id``."""
+        return zonal_partials(matched, self.polygons, band0_reader(matched))
 
-        hs = matched.column("h").to_numpy()
-        ws = matched.column("w").to_numpy()
-        fmts = matched.column("fmt").to_pylist()
-        blobs = binary_column_views(matched.column("bytes"))
 
-        def band0(i):
-            if fmts[i] == "raw":
-                try:
-                    nb, _h, _w, nbytes = raw_header(blobs[i])
-                    return blobs[i][_RAW_HEADER_LEN : _RAW_HEADER_LEN + nbytes].reshape(nb, hs[i], ws[i])[0]
-                except ValueError:
-                    pass  # not a whole uint8 payload: the full decode handles or names it
-            return decode_image(bytes(blobs[i]), fmts[i], band=0)
+def band0_reader(matched):
+    """``band0(i)``: band 0 of row ``i`` of ``matched`` as an (h, w)
+    array, decoded straight from its ``bytes`` column (PNG: from the
+    inflated scanlines; raw uint8: a zero-copy slice)."""
+    from gdal_boots_ray.kernels.png import _RAW_HEADER_LEN, decode_image, raw_header
+    from gdal_boots_ray.stages.decode import binary_column_views
 
-        return zonal_partials(matched, self.polygons, band0)
+    hs = matched.column("h").to_numpy()
+    ws = matched.column("w").to_numpy()
+    fmts = matched.column("fmt").to_pylist()
+    blobs = binary_column_views(matched.column("bytes"))
+
+    def band0(i):
+        if fmts[i] == "raw":
+            try:
+                nb, _h, _w, nbytes = raw_header(blobs[i])
+                return blobs[i][_RAW_HEADER_LEN : _RAW_HEADER_LEN + nbytes].reshape(nb, hs[i], ws[i])[0]
+            except ValueError:
+                pass  # not a whole uint8 payload: the full decode handles or names it
+        return decode_image(bytes(blobs[i]), fmts[i], band=0)
+
+    return band0
 
 
 def _partial_zonal_agg(stats):

@@ -141,13 +141,13 @@ def _nation_polygons(sf_dir: str) -> list:
     return nation_polygons(nk)
 
 
-def _pip_join(sf_dir: str, poly_ref, decode: bool, keep_cols=None):
+def _pip_join(sf_dir: str, poly_ref, keep_cols=None):
     """The tiles with their bounds, broadcast-PIP-joined to the
     polygons at ``poly_ref``: one row per (tile, polygon) pair whose
     polygon holds the tile center."""
     from gdal_boots_ray.stages.joins import BroadcastPIPJoin
 
-    return _with_bounds(_tiles_dataset(sf_dir, decode=decode)).map_batches(
+    return _with_bounds(_tiles_dataset(sf_dir, decode=False)).map_batches(
         BroadcastPIPJoin,
         batch_format="pyarrow",
         fn_constructor_kwargs={"polygons_ref": poly_ref, "keep_cols": keep_cols},

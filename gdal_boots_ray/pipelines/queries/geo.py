@@ -588,7 +588,7 @@ def q_tile_pip_join(sf_dir: str):
     from gdal_boots_ray.stages.joins import put_polygons
 
     poly_ref = put_polygons(_nation_polygons(sf_dir))
-    joined = _pip_join(sf_dir, poly_ref, decode=False, keep_cols=["image_id", "cx", "cy"])
+    joined = _pip_join(sf_dir, poly_ref, keep_cols=["image_id", "cx", "cy"])
     return joined.select_columns(["poly_id", "image_id"])
 
 
@@ -623,7 +623,7 @@ def q_donut_pip_join(sf_dir: str):
             [[cx - hx, cy], [cx, cy + hy], [cx + hx, cy], [cx, cy - hy], [cx - hx, cy]]
         )
         donuts.append((int(p["poly_id"]), [outer, hole]))
-    joined = _pip_join(sf_dir, ray.put(donuts), decode=False, keep_cols=["image_id", "cx", "cy"])
+    joined = _pip_join(sf_dir, ray.put(donuts), keep_cols=["image_id", "cx", "cy"])
     return joined.groupby("poly_id").aggregate(Count(alias_name="n_tiles"))
 
 

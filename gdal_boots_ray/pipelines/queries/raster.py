@@ -9,14 +9,12 @@ from typing import Dict
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from ._common import (
     POLY_SQL_CTE,
     TILE_SQL_CTE,
     _first_tiles,
     _nation_polygons,
-    _pip_join,
     _pixel_grid,
     _round_half_away,
     _tiles_dataset,
@@ -229,34 +227,28 @@ ORACLE_SQL["global_equalize"] = f"""
     """
 
 
-def q_zonal_stats(sf_dir: str):
-    from ray.data.aggregate import Sum
-
+def flagship_zonal(sf_dir: str):
+    """The flagship on the sf tables: the tiles synthesized from
+    ``part`` through ``fused_partials`` (bounds + grid/S2 cells,
+    broadcast PIP join vs the nation polygons, band-0 decode of the
+    matched tiles, zonal partials) and the per-polygon aggregate, as a
+    pandas DataFrame ordered by poly_id.  ``entry()`` returns it and
+    ``zonal_stats`` projects it, so the oracle checks the flagship."""
+    from gdal_boots_ray.pipelines.flagship import combine_zonal_partials, fused_partials
     from gdal_boots_ray.stages.joins import put_polygons
-    from gdal_boots_ray.stages.zonal import ZonalStats
 
     poly_ref = put_polygons(_nation_polygons(sf_dir))
-    stats = _pip_join(sf_dir, poly_ref, decode=True).map_batches(
-        ZonalStats,
-        batch_format="pyarrow",
-        fn_constructor_kwargs={"polygons_ref": poly_ref},
-        concurrency=(1, 4),
-        num_cpus=1,
-    )
-    agg = stats.groupby("poly_id").aggregate(
-        Sum("n_px", alias_name="n_px"), Sum("sum_v", alias_name="sum_v")
+    ds = _tiles_dataset(sf_dir, decode=False)
+    return combine_zonal_partials(
+        fused_partials(ds, poly_ref, cell_res=1000.0, s2_level=9, with_s2=True, batch_size=256)
     )
 
-    def cast(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "poly_id": batch.column("poly_id").cast(pa.int64()),
-                "n_px": batch.column("n_px").cast(pa.int64()),
-                "sum_v": pc.round(batch.column("sum_v").cast(pa.float64()), 0),
-            }
-        )
 
-    return agg.map_batches(cast, batch_format="pyarrow")
+def q_zonal_stats(sf_dir: str):
+    import ray.data as rd
+
+    agg = flagship_zonal(sf_dir)[["poly_id", "n_px", "sum_v"]]
+    return rd.from_pandas(agg.assign(sum_v=agg["sum_v"].round(0)))
 
 
 # (poly_id, v) for every pixel center inside a polygon whose tile
@@ -286,53 +278,30 @@ ORACLE_SQL["zonal_stats"] = f"""
 
 def _zonal_histograms(sf_dir: str, finish):
     """One row per polygon zone from the histogram of its covered
-    band-0 pixel-center values.  Plan: the broadcast PIP join and
-    pixel selection of zonal_stats; each (tile, poly) pair emits its
-    NONZERO histogram bins as (poly_id, v, cnt) rows — a 256-row-bounded
-    partial, so the exchange carries histograms, never pixels — then
-    one ``exchange`` on poly_id whose bucket body sums each polygon's
-    bins and calls ``finish(v, cnt)`` with its distinct values
-    ascending and their counts.  ``finish`` returns the polygon's
-    int64 output columns as a dict."""
-    import ray
-
+    band-0 pixel-center values.  Plan: the flagship's broadcast PIP
+    join, band-0 decode and zone selection; each (tile, poly) pair
+    emits its NONZERO histogram bins as (poly_id, v, cnt) rows
+    (``zonal_histograms``) — a 256-row-bounded partial, so the
+    exchange carries histograms, never pixels — then one ``exchange``
+    on poly_id whose bucket body sums each polygon's bins and calls
+    ``finish(v, cnt)`` with its distinct values ascending and their
+    counts.  ``finish`` returns the polygon's int64 output columns as
+    a dict."""
+    from gdal_boots_ray.pipelines.flagship import band0_reader
     from gdal_boots_ray.stages.agg import exchange
-    from gdal_boots_ray.stages.decode import batch_pixel_views
-    from gdal_boots_ray.stages.joins import put_polygons
-    from gdal_boots_ray.stages.zonal import select_zone_pixels
+    from gdal_boots_ray.stages.geo import add_bounds
+    from gdal_boots_ray.stages.joins import BroadcastPIPJoin, put_polygons
+    from gdal_boots_ray.stages.zonal import zonal_histograms
 
     poly_ref = put_polygons(_nation_polygons(sf_dir))
 
     def hist_rows(batch: pa.Table, _cache={}) -> pa.Table:
-        pmap = _cache.get("p")
-        if pmap is None:
-            pmap = _cache["p"] = dict(ray.get(poly_ref))
-        gts = batch.column("gt").combine_chunks().flatten().to_numpy(zero_copy_only=False).reshape(-1, 6)
-        hs = batch.column("h").to_numpy()
-        ws = batch.column("w").to_numpy()
-        views = batch_pixel_views(batch)
-        pids = batch.column("poly_id").to_numpy()
-        empty = np.zeros(0, np.int64)  # so a batch without pairs still concatenates
-        out_pid, out_v, out_cnt = [empty], [empty], [empty]
-        for i in range(batch.num_rows):
-            rings = pmap.get(int(pids[i]))
-            if rings is None:
-                continue
-            img = views[i]
-            band0 = img if img.ndim == 2 else img[0]
-            sel = select_zone_pixels(rings, band0, (int(hs[i]), int(ws[i])), gts[i])
-            cnt = np.bincount(sel.astype(np.int64))
-            nz = np.flatnonzero(cnt)
-            out_pid.append(np.full(len(nz), int(pids[i]), np.int64))
-            out_v.append(nz.astype(np.int64))
-            out_cnt.append(cnt[nz].astype(np.int64))
-        return pa.table(
-            {
-                "poly_id": pa.array(np.concatenate(out_pid)),
-                "v": pa.array(np.concatenate(out_v)),
-                "cnt": pa.array(np.concatenate(out_cnt)),
-            }
-        )
+        join = _cache.get("j")
+        if join is None:
+            join = _cache["j"] = BroadcastPIPJoin(poly_ref, keep_cols=["image_id", "bytes", "fmt", "w", "h", "gt"])
+            _cache["p"] = dict(join.polygons)
+        matched = join(add_bounds(batch))
+        return zonal_histograms(matched, _cache["p"], band0_reader(matched))
 
     def per_bucket(g: pa.Table) -> pa.Table:
         pid = g.column("poly_id").to_numpy()
@@ -346,7 +315,7 @@ def _zonal_histograms(sf_dir: str, finish):
         rows = [{"poly_id": int(pid[s]), **finish(v[s:e], cnt[s:e])} for s, e in zip(bounds[:-1], bounds[1:])]
         return pa.table({c: pa.array([r[c] for r in rows], pa.int64()) for c in rows[0]})
 
-    parts = _pip_join(sf_dir, poly_ref, decode=True).map_batches(hist_rows, batch_format="pyarrow", num_cpus=1)
+    parts = _tiles_dataset(sf_dir, decode=False).map_batches(hist_rows, batch_format="pyarrow", batch_size=256)
     return exchange(parts, ["poly_id"], per_bucket)
 
 

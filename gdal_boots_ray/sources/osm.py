@@ -168,9 +168,3 @@ def read_osm_table(path_or_bytes) -> pa.Table:
         rows["props"].append(json.dumps({"osm_id": rel.get("id"), **tags}))
         fid += 1
     return pa.table(rows, schema=FEATURE_SCHEMA)
-
-
-def read_osm(path_or_bytes):
-    import ray.data as rd
-
-    return rd.from_arrow(read_osm_table(path_or_bytes))

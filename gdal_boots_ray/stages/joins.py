@@ -1,4 +1,4 @@
-"""Spatial joins: point-in-polygon, point sampling, kNN.
+"""Spatial joins: point-in-polygon, kNN.
 
 Join strategies (SURVEY §2.6):
 
@@ -12,10 +12,6 @@ Join strategies (SURVEY §2.6):
   cell.  Each bucket runs one PIP call per polygon over that polygon's
   points in the bucket; a pair meets only in the point's home cell, so
   there is no dedup.  ``interval_join`` is the same plan in 1-D.
-- **Point sampling join** (`SampleTilesAtPoints`): the distributed
-  ``values_by_points`` (reference gdal.py:897-931) — points carry the
-  target tile key; the stage decodes/views tile pixels and gathers
-  values with the inverse-affine kernel.
 - **kNN** (`knn_brute_force` + per-cell variant in similarity.py).
 """
 
@@ -85,42 +81,6 @@ class BroadcastPIPJoin:
         order = np.argsort(np.asarray(take_idx), kind="stable")
         taken = batch.take(pa.array(np.asarray(take_idx)[order], pa.int64()))
         return taken.append_column("poly_id", pa.array(np.asarray(poly_ids)[order], pa.int64()))
-
-
-class SampleTilesAtPoints:
-    """Distributed values_by_points: batches are (point ⨝ tile) rows
-    with point coords + tile pixels; gathers the pixel value under each
-    point with the inverse-affine kernel (half-open edges)."""
-
-    def __init__(self, x_col: str = "px", y_col: str = "py"):
-        self.x_col = x_col
-        self.y_col = y_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from gdal_boots_ray.kernels.affine import invert_gt
-        from gdal_boots_ray.stages.decode import batch_pixel_views
-
-        n = batch.num_rows
-        xs = batch.column(self.x_col).to_numpy().astype(np.float64)
-        ys = batch.column(self.y_col).to_numpy().astype(np.float64)
-        gts = batch.column("gt").combine_chunks().flatten().to_numpy(zero_copy_only=False).reshape(-1, 6)
-        views = batch_pixel_views(batch)  # zero-copy, dtype-aware
-        # row-wise inverse affine, fully vectorized (one (n,6) invert,
-        # no per-row 1-element sample_points calls)
-        inv = invert_gt(gts)
-        px = np.floor(inv[:, 0] * xs + inv[:, 1] * ys + inv[:, 2]).astype(np.int64)
-        py = np.floor(inv[:, 3] * xs + inv[:, 4] * ys + inv[:, 5]).astype(np.int64)
-        ws = batch.column("w").to_numpy().astype(np.int64)
-        hs = batch.column("h").to_numpy().astype(np.int64)
-        valid = (px >= 0) & (px < ws) & (py >= 0) & (py < hs)
-        values = np.full(n, np.nan, dtype=np.float64)
-        for i in np.nonzero(valid)[0]:  # thin gather: one indexed load per hit
-            img = views[i]
-            band0 = img if img.ndim == 2 else img[0]
-            values[i] = float(band0[py[i], px[i]])
-        batch = batch.append_column("value", pa.array(values, pa.float64()))
-        batch = batch.append_column("in_bounds", pa.array(valid, pa.bool_()))
-        return batch
 
 
 def cell_pip_join(

@@ -10,8 +10,7 @@ Pattern (SURVEY §4 skew row):
 3. phase 1 groups by (cell, salt) — hot cells split into S balanced
    sub-groups; phase 2 merges the per-salt partials per cell (tiny).
 
-Associative aggregations only (sum/count/min/max), which is exactly
-what the engine's zonal/mosaic/histogram groupbys need.
+Associative aggregations only (sum/count/min/max).
 """
 
 from __future__ import annotations

@@ -393,10 +393,9 @@ def attach_pair_columns(
     val_col: str = "text",
     n_buckets: Optional[int] = None,
 ):
-    """Fused BOTH-ENDS payload attach for (key_a, key_b) pair rows —
-    replaces the two sequential ``attach_doc_column`` joins, so the
-    document table crosses the wire ONCE instead of twice and the
-    first end's payload is never re-shipped through the second join.
+    """Fused BOTH-ENDS payload attach for (key_a, key_b) pair rows: the
+    document table crosses the wire ONCE, not once per end, and the
+    first end's payload is never re-shipped through a second join.
 
     Exchange 1 keys on the doc id: every pair explodes to two probes
     (k=end, a, b, side) unioned with the tagged docs (k=doc_id,
@@ -523,38 +522,3 @@ def attach_pair_columns(
         )
 
     return exchange(fetched, ["a", "b"], zip_pair, n_buckets)
-
-
-def attach_doc_column(
-    pairs_ds, docs_ds, key_col: str, out_col: str, val_col: str = "text", pair_cols=None
-):
-    """Shuffle join: attach ``docs_ds[val_col]`` to each pair row whose
-    ``key_col`` equals the doc_id — both sides stream (no broadcast of
-    the document table).  Built on the generic bucketed
-    ``stages.joins.hash_join``, so the shuffle fan-out is a bounded
-    bucket count (scales with the cluster) instead of one group per
-    doc id — the per-tiny-group overhead trap at 10^9 documents.
-    Pair rows with no matching doc are dropped (inner)."""
-    from gdal_boots_ray.stages.joins import hash_join
-
-    if pair_cols is None:
-        schema = pairs_ds.schema()
-        if schema is None:
-            raise ValueError(
-                "pairs dataset schema unknown (fully empty upstream) — pass "
-                "pair_cols=[...] explicitly"
-            )
-        pair_cols = [c for c in schema.names if c != key_col]
-    else:
-        pair_cols = [c for c in pair_cols if c != key_col]
-
-    def docs_proj(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                key_col: batch.column("doc_id").cast(pa.int64()),
-                out_col: batch.column(val_col),
-            }
-        )
-
-    right = docs_ds.map_batches(docs_proj, batch_format="pyarrow")
-    return hash_join(pairs_ds, right, on=key_col, left_cols=pair_cols, right_cols=[out_col])

@@ -1,12 +1,15 @@
-"""Zonal / tile extraction stage — the flagship composed pipeline.
+"""Zonal extraction — the pixel path of the flagship composed pipeline.
 
 The Ray shape of reference ``crop_by_geometry`` (gdal.py:819-888,
-SURVEY §3.2): after the PIP join has attached ``poly_id`` to tile
-rows, this actor crops each tile to the polygon (envelope warp +
-scanline mask) and emits per-(poly, tile) zonal statistics; a
-downstream ``groupby(poly_id)`` merges tile partials into polygon
-totals — a partial->final aggregate, so the shuffle moves one stats
-row per (poly, tile), never pixels.
+SURVEY §3.2) plus a reduce over the polygon's pixels: after the PIP
+join has attached ``poly_id`` to tile rows, :func:`zone_pixels` selects
+each (tile, poly) pair's band-0 pixels inside the polygon, batch at a
+time, and a reducer folds them into one small partial per pair —
+:func:`zonal_partials` (n_px, sum, min, max) for the flagship and
+``zonal_stats``, :func:`zonal_histograms` (nonzero bins) for
+``zonal_majority`` / ``zonal_median``.  Partials, never pixels, leave
+the process.  ``CropTiles`` is the full crop, for pipelines that need
+the cropped pixels themselves.
 """
 
 from __future__ import annotations
@@ -16,74 +19,66 @@ import pyarrow as pa
 import ray
 
 from gdal_boots_ray.kernels.warp import WarpSource, crop_by_geometry
-from gdal_boots_ray.stages.decode import batch_pixel_views, binary_column_views, pixels_view
+from gdal_boots_ray.stages.decode import binary_column_views, pixels_view
 
 
-class ZonalStats:
-    """map_batches actor over decoded (tile row + poly_id) batches.
+def zone_pixels(matched: pa.Table, polygons: dict, band0):
+    """Yields ``(i, sel)`` for every matched pair ``i`` of a batch whose
+    polygon is in ``polygons``: ``sel`` is the flat array of row ``i``'s
+    band 0 at the pixel centers inside the polygon — THE zone-pixel
+    selection of every zonal reduction.  ``band0(i)`` returns row
+    ``i``'s band 0 as an (h, w) array.
 
-    Emits (poly_id, image_id, n_px, sum_v, min_v, max_v) partials of
-    band 0 of the ``pixels`` column through :func:`zonal_partials`
-    (reference masks with nodata, gdal.py:882-887; here we aggregate
-    instead of materializing masked pixels)."""
-
-    def __init__(self, polygons_ref):
-        polys = ray.get(polygons_ref) if isinstance(polygons_ref, ray.ObjectRef) else polygons_ref
-        self.polygons = {pid: rings for pid, rings in polys}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        views = batch_pixel_views(batch)
-        return zonal_partials(batch, self.polygons, lambda i: views[i] if views[i].ndim == 2 else views[i][0])
-
-
-def zonal_partials(matched: pa.Table, polygons: dict, band0) -> pa.Table:
-    """Per-(poly, tile) partials (poly_id, image_id, n_px, sum_v, min_v,
-    max_v) of band 0 over a batch of matched pairs — THE zonal kernel of
-    the flagship and ``ZonalStats``; callers differ only in ``band0(i)``,
-    which returns row ``i``'s band 0 as an (h, w) array.
-
-    Same pixel selection as :func:`select_zone_pixels`, batch-at-a-time:
-    the cover test runs once per polygon over all of its pairs in the
-    batch (``_rings_cover_tiles``); an interior tile then reduces its
-    whole band, a boundary tile its ``_rings_mask`` selection.  Pairs
-    selecting no pixel are dropped.  A ``ValueError`` from ``band0`` is
-    re-raised naming the row's ``image_id``."""
-    n = matched.num_rows
+    The cover test runs once per polygon over all of its pairs in the
+    batch (``_rings_cover_tiles``); an interior tile then selects its
+    whole band, a boundary tile its ``_rings_mask`` selection.  A
+    ``ValueError`` from ``band0`` is re-raised naming the row's
+    ``image_id``."""
     gts = matched.column("gt").combine_chunks().flatten().to_numpy(zero_copy_only=False).reshape(-1, 6)
     hs = matched.column("h").to_numpy()
     ws = matched.column("w").to_numpy()
     pids = matched.column("poly_id").to_numpy()
-    ids = matched.column("image_id").to_pylist()
     # interior/boundary class of every pair, one cover call per polygon
     uniq, inv = np.unique(pids, return_inverse=True)
-    covered = np.zeros(n, bool)
+    covered = np.zeros(matched.num_rows, bool)
     for j, pid in enumerate(uniq):
         rings = polygons.get(int(pid))
         if rings is not None:
             idx = np.flatnonzero(inv == j)
             covered[idx] = _rings_cover_tiles(rings, hs[idx], ws[idx], gts[idx])
-    n_px = np.zeros(n, np.int64)
-    sum_v = np.zeros(n, np.float64)
-    min_v = np.full(n, np.inf)
-    max_v = np.full(n, -np.inf)
-    for i in range(n):
+    for i in range(matched.num_rows):
         rings = polygons.get(int(pids[i]))
         if rings is None:
             continue
         try:
             band = band0(i)
         except ValueError as e:
-            raise ValueError(f"image_id {ids[i]!r}: {e}") from e
+            raise ValueError(f"image_id {matched.column('image_id')[i].as_py()!r}: {e}") from e
         if covered[i]:
-            sel = band.reshape(-1)  # interior tile: no mask/gather
+            yield i, band.reshape(-1)  # interior tile: no mask/gather
         else:
-            sel = band[_rings_mask(rings, (int(hs[i]), int(ws[i])), gts[i])]
+            yield i, band[_rings_mask(rings, (int(hs[i]), int(ws[i])), gts[i])]
+
+
+def zonal_partials(matched: pa.Table, polygons: dict, band0) -> pa.Table:
+    """Per-(poly, tile) partials (poly_id, image_id, n_px, sum_v, min_v,
+    max_v) of the :func:`zone_pixels` of a batch of matched pairs — the
+    stats reducer of the flagship.  Pairs selecting no pixel are
+    dropped."""
+    n = matched.num_rows
+    n_px = np.zeros(n, np.int64)
+    sum_v = np.zeros(n, np.float64)
+    min_v = np.full(n, np.inf)
+    max_v = np.full(n, -np.inf)
+    for i, sel in zone_pixels(matched, polygons, band0):
         n_px[i] = sel.size
         if sel.size:
             sum_v[i] = float(sel.sum(dtype=np.float64))
             min_v[i] = float(sel.min())
             max_v[i] = float(sel.max())
     keep = n_px > 0
+    pids = matched.column("poly_id").to_numpy()
+    ids = matched.column("image_id").to_pylist()
     return pa.table(
         {
             "poly_id": pa.array(pids[keep].astype(np.int64)),
@@ -96,14 +91,28 @@ def zonal_partials(matched: pa.Table, polygons: dict, band0) -> pa.Table:
     )
 
 
-def select_zone_pixels(rings, band: np.ndarray, shape, gt) -> np.ndarray:
-    """Flat array of ``band`` values whose pixel centers lie inside
-    the polygon — THE zone-pixel-selection convention (interior-tile
-    fast path + scanline mask), shared by ZonalStats and every other
-    zonal reduction so they cannot silently diverge."""
-    if _rings_cover_tile(rings, shape, gt):
-        return band.reshape(-1)
-    return band[_rings_mask(rings, shape, gt)]
+def zonal_histograms(matched: pa.Table, polygons: dict, band0) -> pa.Table:
+    """The nonzero histogram bins of the :func:`zone_pixels` of each
+    matched pair, as (poly_id, v, cnt) int64 rows — the histogram
+    reducer of the zonal MAJORITY / QUARTILES queries.  A pair emits at
+    most 256 rows for uint8 pixels, so an exchange downstream carries
+    histograms, never pixels."""
+    pids = matched.column("poly_id").to_numpy()
+    empty = np.zeros(0, np.int64)  # so a batch without pairs still concatenates
+    out_pid, out_v, out_cnt = [empty], [empty], [empty]
+    for i, sel in zone_pixels(matched, polygons, band0):
+        cnt = np.bincount(sel.astype(np.int64))
+        nz = np.flatnonzero(cnt)
+        out_pid.append(np.full(len(nz), int(pids[i]), np.int64))
+        out_v.append(nz.astype(np.int64))
+        out_cnt.append(cnt[nz].astype(np.int64))
+    return pa.table(
+        {
+            "poly_id": pa.array(np.concatenate(out_pid)),
+            "v": pa.array(np.concatenate(out_v)),
+            "cnt": pa.array(np.concatenate(out_cnt)),
+        }
+    )
 
 
 def _rings_cover_tile(rings, shape, gt) -> bool:

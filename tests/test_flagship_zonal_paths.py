@@ -1,12 +1,14 @@
-"""Both callers of the one zonal kernel (``stages.zonal.zonal_partials``)
-must match an independent per-row reference on every batch: the fused
-flagship worker (band-0 decode from the bytes column) and
-``ZonalStats`` over ``DecodeImages`` output.  The reference joins with
+"""The one zonal selection (``stages.zonal.zone_pixels``) and both of
+its reducers must match an independent per-row reference on every
+batch: the fused flagship worker's ``zonal_partials`` (band-0 decode
+from the bytes column) and ``zonal_histograms``, the reducer of the
+zonal MAJORITY / QUARTILES queries.  The reference joins with
 ``BroadcastPIPJoin``, decodes every band of each matched tile and
-selects its zone pixels with ``select_zone_pixels``, one pair at a
-time.  In-process, no Ray."""
+selects its zone pixels with the cover test and ``_rings_mask``, one
+pair at a time.  In-process, no Ray."""
 
 import glob
+from collections import Counter
 
 import numpy as np
 import pyarrow as pa
@@ -29,16 +31,18 @@ def image_batches(tmp_path_factory):
 
 
 def reference_partials(batch, packed):
-    """Per-batch partial aggregate, one matched pair at a time, and the
-    number of interior (fully covered) and boundary pairs."""
+    """Per-batch partial aggregate, one matched pair at a time, the
+    number of interior (fully covered) and boundary pairs, and the
+    per-polygon histogram counts {(poly_id, v): cnt} of the selection."""
     from gdal_boots_ray.kernels.png import decode_image
     from gdal_boots_ray.pipelines.flagship import _partial_zonal_agg
     from gdal_boots_ray.stages.geo import add_bounds
     from gdal_boots_ray.stages.joins import BroadcastPIPJoin
-    from gdal_boots_ray.stages.zonal import _rings_cover_tile, select_zone_pixels
+    from gdal_boots_ray.stages.zonal import _rings_cover_tile, _rings_mask
 
     polys = dict(packed)
     rows = {k: [] for k in ("poly_id", "image_id", "n_px", "sum_v", "min_v", "max_v")}
+    hist = Counter()
     n_interior = n_boundary = 0
     for r in BroadcastPIPJoin(packed)(add_bounds(batch)).to_pylist():
         rings = polys[r["poly_id"]]
@@ -47,9 +51,13 @@ def reference_partials(batch, packed):
         shape = (r["h"], r["w"])
         if _rings_cover_tile(rings, shape, r["gt"]):
             n_interior += 1
+            sel = band.reshape(-1)
         else:
             n_boundary += 1
-        sel = select_zone_pixels(rings, band, shape, r["gt"])
+            sel = band[_rings_mask(rings, shape, r["gt"])]
+        for v, c in enumerate(np.bincount(sel.astype(np.int64))):
+            if c:
+                hist[(r["poly_id"], v)] += int(c)
         if sel.size:
             rows["poly_id"].append(r["poly_id"])
             rows["image_id"].append(r["image_id"])
@@ -59,29 +67,35 @@ def reference_partials(batch, packed):
             rows["max_v"].append(float(sel.max()))
     types = {"poly_id": pa.int64(), "image_id": pa.string(), "n_px": pa.int64()}
     stats = pa.table({k: pa.array(v, types.get(k, pa.float64())) for k, v in rows.items()})
-    return _partial_zonal_agg(stats), n_interior, n_boundary
+    return _partial_zonal_agg(stats), n_interior, n_boundary, hist
 
 
 @pytest.mark.parametrize("n_polys", [4, 25])
 def test_kernel_callers_match_per_row_reference(image_batches, n_polys):
     from gdal_boots_ray.kernels.geometry import polygon_rings
-    from gdal_boots_ray.pipelines.flagship import FusedTileWorker, _partial_zonal_agg
+    from gdal_boots_ray.pipelines.flagship import FusedTileWorker, band0_reader
     from gdal_boots_ray.sources.fixtures import bench_polygons
-    from gdal_boots_ray.stages.decode import DecodeImages
     from gdal_boots_ray.stages.geo import add_bounds
     from gdal_boots_ray.stages.joins import BroadcastPIPJoin
-    from gdal_boots_ray.stages.zonal import ZonalStats
+    from gdal_boots_ray.stages.zonal import zonal_histograms
 
     polys = bench_polygons(384, 24, n_polys=n_polys)
     packed = [(int(p["poly_id"]), polygon_rings(p["geometry"])) for p in polys]
     fused = FusedTileWorker(packed, 5000.0, 9, True)
-    decode, join, zonal = DecodeImages(), BroadcastPIPJoin(packed), ZonalStats(packed)
+    join = BroadcastPIPJoin(packed)
     n_tiles = n_px = n_interior = n_boundary = 0
     for batch in image_batches:
-        want, interior, boundary = reference_partials(batch, packed)
+        want, interior, boundary, want_hist = reference_partials(batch, packed)
         got = fused(batch)
         assert got.equals(want)
-        assert _partial_zonal_agg(zonal(join(add_bounds(decode(batch))))).equals(want)
+        matched = join(add_bounds(batch))
+        h = zonal_histograms(matched, dict(packed), band0_reader(matched))
+        assert [h.column(c).type for c in ("poly_id", "v", "cnt")] == [pa.int64()] * 3
+        got_hist = Counter()
+        for pid, v, cnt in zip(*(h.column(c).to_pylist() for c in ("poly_id", "v", "cnt"))):
+            assert cnt > 0
+            got_hist[(pid, v)] += cnt
+        assert got_hist == want_hist
         n_tiles += sum(got.column("n_tiles").to_pylist())
         n_px += sum(got.column("n_px").to_pylist())
         n_interior += interior

@@ -62,29 +62,16 @@ def test_decode_encode_roundtrip(ray_mod):
 
 def test_broadcast_pip_and_zonal(ray_mod):
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
-    from gdal_boots_ray.stages.decode import DecodeImages
-    from gdal_boots_ray.stages.geo import add_bounds
-    from gdal_boots_ray.stages.joins import BroadcastPIPJoin, put_polygons
-    from gdal_boots_ray.stages.zonal import ZonalStats
+    from gdal_boots_ray.pipelines.flagship import combine_zonal_partials, fused_partials
+    from gdal_boots_ray.stages.joins import put_polygons
 
     keys = np.arange(64)
     ds = rd.from_arrow(synth_images_batch(keys))
-    ds = ds.map_batches(DecodeImages, batch_format="pyarrow", concurrency=1)
-    ds = ds.map_batches(add_bounds, batch_format="pyarrow")
     polys = nation_polygons(np.arange(4))
     ref = put_polygons(polys)
-    joined = ds.map_batches(
-        BroadcastPIPJoin,
-        batch_format="pyarrow",
-        fn_constructor_kwargs={"polygons_ref": ref},
-        concurrency=1,
-    )
-    stats = joined.map_batches(
-        ZonalStats, batch_format="pyarrow", fn_constructor_kwargs={"polygons_ref": ref}, concurrency=1
-    )
-    agg = stats.groupby("poly_id").aggregate(Sum("n_px", alias_name="n_px")).to_pandas()
+    stats = fused_partials(ds, ref, cell_res=1000.0, s2_level=9, with_s2=False, batch_size=16)
+    agg = combine_zonal_partials(stats)
     # oracle: direct numpy evaluation of the same join + mask
     from gdal_boots_ray.kernels.geometry import points_in_rings, polygon_rings
 
