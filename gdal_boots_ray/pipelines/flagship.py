@@ -2,8 +2,9 @@
 
 North-star shape (BASELINE.json): read the parquet images table →
 vectorized bounds + cell ids (grid + S2) → broadcast PIP join against
-the polygon side → band-0 decode of the matched tiles only → per-(poly,
-tile) zonal partials → per-polygon final aggregate, all in one
+the polygon side → band-0 decode of each matched tile, once → one
+vectorized zonal pass over every (poly, tile) pair of the batch → a
+per-batch partial per polygon, all in one
 ``FusedTileWorker`` call per batch.  Pixels never cross a shuffle and
 the plan has no exchange: the kB-sized partials are combined on the
 driver (``combine_zonal_partials``).
@@ -32,8 +33,17 @@ import ray.data as rd
 from gdal_boots_ray.sources.fixtures import nation_polygons
 from gdal_boots_ray.stages.geo import add_bounds, make_add_grid_cell, make_add_lonlat, make_add_s2_cell
 from gdal_boots_ray.stages.joins import BroadcastPIPJoin, put_polygons
-from gdal_boots_ray.stages.zonal import zonal_partials
+from gdal_boots_ray.stages.zonal import PolygonEdges, zonal_partials
 from gdal_boots_ray.state import manifest
+
+ROW = "_row"
+
+
+def with_rows(batch):
+    """``batch`` with its row index as the ``ROW`` column, which the PIP
+    join carries to each matched pair, so the payload stays in
+    ``batch``."""
+    return batch.append_column(ROW, pa.array(np.arange(batch.num_rows, dtype=np.int64)))
 
 
 class FusedTileWorker:
@@ -43,11 +53,11 @@ class FusedTileWorker:
     process.  Both Dataset builders keep one per worker process."""
 
     def __init__(self, polygons_ref, cell_res: float, s2_level: int, with_s2: bool):
-        self.join = BroadcastPIPJoin(
-            polygons_ref,
-            keep_cols=["image_id", "bytes", "fmt", "w", "h", "gt", "cx", "cy"],
-        )
-        self.polygons = dict(self.join.polygons)
+        # no bytes column: the join's take copies metadata and each
+        # pair's batch row only, and the decode reads the payload from
+        # the unjoined batch; the polygons' edge table is built once
+        self.join = BroadcastPIPJoin(polygons_ref, keep_cols=["w", "h", "gt", ROW])
+        self.edges = PolygonEdges(dict(self.join.polygons))
         self.cell_fn = make_add_grid_cell(cell_res)
         self.with_s2 = with_s2
         self.lonlat_fn = make_add_lonlat()
@@ -61,32 +71,43 @@ class FusedTileWorker:
         batch = self.cell_fn(batch)
         if self.with_s2:
             batch = self.s2_fn(self.lonlat_fn(batch))
-        stats = self._decode_zonal_rowwise(self.join(batch))
+        batch = with_rows(batch)
+        stats = self._decode_zonal_rowwise(batch, self.join(batch))
         # partial aggregate per batch: the task then returns (and
         # checkpoints) one row per (batch, polygon) instead of one per
         # (tile, polygon), and the final combine is trivial
         return _partial_zonal_agg(stats)
 
-    def _decode_zonal_rowwise(self, matched):
-        """``zonal_partials`` of a batch of matched (tile, polygon)
-        pairs, decoding band 0 straight from the bytes column
-        (``band0_reader``), with no intermediate Arrow pixels column.  A
-        pair whose bytes do not decode raises ``ValueError`` naming its
-        ``image_id``."""
-        return zonal_partials(matched, self.polygons, band0_reader(matched))
+    def _decode_zonal_rowwise(self, batch, matched):
+        """``zonal_partials`` of the matched (tile, polygon) pairs of
+        ``batch``: band 0 of each matched tile is decoded once from the
+        batch's bytes column (``band0_reader``), however many polygons
+        it matched, with no intermediate Arrow pixels column, and one
+        vectorized pass (``stages.zonal.zone_spans``) selects and
+        reduces the zone pixels of every pair.  A tile whose bytes do
+        not decode raises ``ValueError`` naming its ``image_id``."""
+        buf, base = band0_reader(batch, matched.column(ROW).to_numpy())
+        return zonal_partials(matched, self.edges, buf, base)
 
 
-def band0_reader(matched):
-    """``band0(i)``: band 0 of row ``i`` of ``matched`` as an (h, w)
-    array, decoded straight from its ``bytes`` column (PNG: from the
-    inflated scanlines; raw uint8: a zero-copy slice)."""
+def band0_reader(batch, rows):
+    """``(buf, base)``: band 0 of every distinct row of ``batch`` named
+    in ``rows``, decoded once each straight from its ``bytes`` column
+    (PNG: from the inflated scanlines; raw uint8: a slice), flat and
+    concatenated with one trailing zero element; ``buf[base[i]:base[i]
+    + h*w]`` is row ``rows[i]``'s (h, w) band.  A row that does not
+    decode to an (h, w) band raises ``ValueError`` naming its
+    ``image_id``."""
     from gdal_boots_ray.kernels.png import _RAW_HEADER_LEN, decode_image, raw_header
     from gdal_boots_ray.stages.decode import binary_column_views
 
-    hs = matched.column("h").to_numpy()
-    ws = matched.column("w").to_numpy()
-    fmts = matched.column("fmt").to_pylist()
-    blobs = binary_column_views(matched.column("bytes"))
+    seen = np.zeros(batch.num_rows, bool)
+    seen[rows] = True
+    uniq = np.flatnonzero(seen)
+    hs = batch.column("h").to_numpy()
+    ws = batch.column("w").to_numpy()
+    fmts = batch.column("fmt").to_pylist()
+    blobs = binary_column_views(batch.column("bytes"))
 
     def band0(i):
         if fmts[i] == "raw":
@@ -95,23 +116,41 @@ def band0_reader(matched):
                 return blobs[i][_RAW_HEADER_LEN : _RAW_HEADER_LEN + nbytes].reshape(nb, hs[i], ws[i])[0]
             except ValueError:
                 pass  # not a whole uint8 payload: the full decode handles or names it
-        return decode_image(bytes(blobs[i]), fmts[i], band=0)
+        band = decode_image(bytes(blobs[i]), fmts[i], band=0)
+        if band.shape != (hs[i], ws[i]):
+            raise ValueError(f"band 0 is {band.shape}, the row says {(int(hs[i]), int(ws[i]))}")
+        return band
 
-    return band0
+    bands = []
+    for i in uniq:
+        try:
+            bands.append(band0(i).reshape(-1))
+        except ValueError as e:
+            raise ValueError(f"image_id {batch.column('image_id')[int(i)].as_py()!r}: {e}") from e
+    sizes = np.zeros(batch.num_rows, np.int64)
+    sizes[uniq] = [b.size for b in bands]
+    buf = np.concatenate(bands + [np.zeros(1, bands[0].dtype if bands else np.uint8)])
+    return buf, (np.cumsum(sizes) - sizes)[rows]
 
 
 def _partial_zonal_agg(stats):
-    g = stats.group_by("poly_id").aggregate(
-        [("image_id", "count"), ("n_px", "sum"), ("sum_v", "sum"), ("min_v", "min"), ("max_v", "max")]
-    )
+    """One row per polygon of the per-pair partials ``stats``: its
+    pairs (n_tiles), pixels, pixel sum, min and max, by poly_id."""
+    pid = stats.column("poly_id").to_numpy()
+    uniq, inv = np.unique(pid, return_inverse=True)
+    k = len(uniq)
+    min_v = np.full(k, np.inf)
+    max_v = np.full(k, -np.inf)
+    np.minimum.at(min_v, inv, stats.column("min_v").to_numpy())
+    np.maximum.at(max_v, inv, stats.column("max_v").to_numpy())
     return pa.table(
         {
-            "poly_id": g.column("poly_id").cast(pa.int64()),
-            "n_tiles": g.column("image_id_count").cast(pa.int64()),
-            "n_px": g.column("n_px_sum").cast(pa.int64()),
-            "sum_v": g.column("sum_v_sum").cast(pa.float64()),
-            "min_v": g.column("min_v_min").cast(pa.float64()),
-            "max_v": g.column("max_v_max").cast(pa.float64()),
+            "poly_id": pa.array(uniq.astype(np.int64)),
+            "n_tiles": pa.array(np.bincount(inv, minlength=k).astype(np.int64)),
+            "n_px": pa.array(np.bincount(inv, stats.column("n_px").to_numpy(), k).astype(np.int64)),
+            "sum_v": pa.array(np.bincount(inv, stats.column("sum_v").to_numpy(), k).astype(np.float64)),
+            "min_v": pa.array(min_v),
+            "max_v": pa.array(max_v),
         }
     )
 
@@ -299,13 +338,24 @@ def combine_zonal_partials(stats_ds) -> "object":
     return _combine_frame(stats_ds.to_pandas())
 
 
+RESULT_DTYPES = {
+    "poly_id": "int64",
+    "n_tiles": "int64",
+    "n_px": "int64",
+    "sum_v": "float64",
+    "min_v": "float64",
+    "max_v": "float64",
+}
+
+
 def _combine_frame(allp):
     """Per-polygon aggregate of a pandas frame of zonal partials, ordered
-    by poly_id; a frame with no rows gives the result columns only."""
+    by poly_id; a frame with no rows gives the typed result columns
+    only."""
     import pandas as pd
 
     if allp.empty:
-        return pd.DataFrame(columns=["poly_id", "n_tiles", "n_px", "sum_v", "min_v", "max_v"])
+        return pd.DataFrame({c: pd.Series(dtype=t) for c, t in RESULT_DTYPES.items()})
     return (
         allp.groupby("poly_id")
         .agg(

@@ -287,21 +287,22 @@ def _zonal_histograms(sf_dir: str, finish):
     ``finish(v, cnt)`` with its distinct values ascending and their
     counts.  ``finish`` returns the polygon's int64 output columns as
     a dict."""
-    from gdal_boots_ray.pipelines.flagship import band0_reader
+    from gdal_boots_ray.pipelines.flagship import ROW, band0_reader, with_rows
     from gdal_boots_ray.stages.agg import exchange
     from gdal_boots_ray.stages.geo import add_bounds
     from gdal_boots_ray.stages.joins import BroadcastPIPJoin, put_polygons
-    from gdal_boots_ray.stages.zonal import zonal_histograms
+    from gdal_boots_ray.stages.zonal import PolygonEdges, zonal_histograms
 
     poly_ref = put_polygons(_nation_polygons(sf_dir))
 
     def hist_rows(batch: pa.Table, _cache={}) -> pa.Table:
         join = _cache.get("j")
         if join is None:
-            join = _cache["j"] = BroadcastPIPJoin(poly_ref, keep_cols=["image_id", "bytes", "fmt", "w", "h", "gt"])
-            _cache["p"] = dict(join.polygons)
-        matched = join(add_bounds(batch))
-        return zonal_histograms(matched, _cache["p"], band0_reader(matched))
+            join = _cache["j"] = BroadcastPIPJoin(poly_ref, keep_cols=["w", "h", "gt", ROW])
+            _cache["p"] = PolygonEdges(dict(join.polygons))
+        batch = with_rows(add_bounds(batch))
+        matched = join(batch)
+        return zonal_histograms(matched, _cache["p"], *band0_reader(batch, matched.column(ROW).to_numpy()))
 
     def per_bucket(g: pa.Table) -> pa.Table:
         pid = g.column("poly_id").to_numpy()

@@ -33,7 +33,8 @@ def binary_column_views(col) -> list:
     """Zero-copy per-row memory views of a (large_)binary column —
     avoids the bytes copy of ``.as_py()`` per row in hot stages."""
     if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+        # one chunk (a slice of a read, say) needs no concatenating copy
+        col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
     bufs = col.buffers()
     if pa.types.is_large_binary(col.type):
         off_dtype = np.int64

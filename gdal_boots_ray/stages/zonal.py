@@ -2,14 +2,28 @@
 
 The Ray shape of reference ``crop_by_geometry`` (gdal.py:819-888,
 SURVEY §3.2) plus a reduce over the polygon's pixels: after the PIP
-join has attached ``poly_id`` to tile rows, :func:`zone_pixels` selects
-each (tile, poly) pair's band-0 pixels inside the polygon, batch at a
-time, and a reducer folds them into one small partial per pair —
-:func:`zonal_partials` (n_px, sum, min, max) for the flagship and
-``zonal_stats``, :func:`zonal_histograms` (nonzero bins) for
-``zonal_majority`` / ``zonal_median``.  Partials, never pixels, leave
-the process.  ``CropTiles`` is the full crop, for pipelines that need
-the cropped pixels themselves.
+join has attached ``poly_id`` to tile rows, :func:`zone_spans` selects
+the band-0 pixels of every (tile, poly) pair of a batch inside its
+polygon in one vectorized pass, as ``(pair, start, end)`` spans into
+one flat buffer of the batch's band-0 pixels:
+
+- a batch-wide cover test (:func:`_cover_pairs`) sends each tile the
+  polygon covers whole to one span over the tile;
+- every other pair gets one span per run of inside pixels of each tile
+  row, from the sorted scanline crossings of its polygon's edges
+  (:func:`_boundary_spans`) — the even-odd rule ``_rings_mask``
+  rasterizes, so the selection is the same pixel for pixel.
+
+The polygons' rings are one CSR (compressed sparse row) table,
+:class:`PolygonEdges`, built once per worker; each pass expands (pair x
+polygon edge) from it.  Two reducers fold the spans into one small
+partial per pair: :func:`zonal_partials` (n_px, sum, min, max, with
+``reduceat``) for the flagship and ``zonal_stats``, and
+:func:`zonal_histograms` (nonzero bins) for ``zonal_majority`` /
+``zonal_median``.  Partials, never pixels, leave the process.
+``_rings_cover_tiles`` and ``_rings_mask`` are the one-polygon forms of
+the two tests, kept as their references.  ``CropTiles`` is the full
+crop, for pipelines that need the cropped pixels themselves.
 """
 
 from __future__ import annotations
@@ -18,99 +32,250 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from gdal_boots_ray.kernels.affine import invert_gt
 from gdal_boots_ray.kernels.warp import WarpSource, crop_by_geometry
+from gdal_boots_ray.stages.agg import concat_ranges, pair_chunks
 from gdal_boots_ray.stages.decode import binary_column_views, pixels_view
 
 
-def zone_pixels(matched: pa.Table, polygons: dict, band0):
-    """Yields ``(i, sel)`` for every matched pair ``i`` of a batch whose
-    polygon is in ``polygons``: ``sel`` is the flat array of row ``i``'s
-    band 0 at the pixel centers inside the polygon — THE zone-pixel
-    selection of every zonal reduction.  ``band0(i)`` returns row
-    ``i``'s band 0 as an (h, w) array.
+class PolygonEdges:
+    """The rings of ``polygons`` ({poly_id: rings}) as one CSR
+    (compressed sparse row) table, built once per worker.  Polygon
+    ``j`` (``ids[j]``, ascending) owns the vertices
+    ``vx/vy[v_off[j]:v_off[j+1]]`` of all of its rings and the edges
+    ``e_off[j]:e_off[j+1]`` between consecutive vertices of a ring:
+    endpoints ``x0/y0/x1/y1``, ``dx = x1 - x0``, ``dy = y1 - y0``, their
+    bbox ``ex_lo/ex_hi/ey_lo/ey_hi`` and ``a``, the polygon-local index
+    of the start vertex.  The edges of rings of at least 4 points, the
+    only ones the even-odd tests count, are ``fill[f_off[j]:f_off[j+1]]``.
+    A polygon without vertices is left out: it selects nothing."""
 
-    The cover test runs once per polygon over all of its pairs in the
-    batch (``_rings_cover_tiles``); an interior tile then selects its
-    whole band, a boundary tile its ``_rings_mask`` selection.  A
-    ``ValueError`` from ``band0`` is re-raised naming the row's
-    ``image_id``."""
-    gts = matched.column("gt").combine_chunks().flatten().to_numpy(zero_copy_only=False).reshape(-1, 6)
-    hs = matched.column("h").to_numpy()
-    ws = matched.column("w").to_numpy()
-    pids = matched.column("poly_id").to_numpy()
-    # interior/boundary class of every pair, one cover call per polygon
-    uniq, inv = np.unique(pids, return_inverse=True)
-    covered = np.zeros(matched.num_rows, bool)
-    for j, pid in enumerate(uniq):
-        rings = polygons.get(int(pid))
-        if rings is not None:
-            idx = np.flatnonzero(inv == j)
-            covered[idx] = _rings_cover_tiles(rings, hs[idx], ws[idx], gts[idx])
-    for i in range(matched.num_rows):
-        rings = polygons.get(int(pids[i]))
-        if rings is None:
-            continue
-        try:
-            band = band0(i)
-        except ValueError as e:
-            raise ValueError(f"image_id {matched.column('image_id')[i].as_py()!r}: {e}") from e
-        if covered[i]:
-            yield i, band.reshape(-1)  # interior tile: no mask/gather
-        else:
-            yield i, band[_rings_mask(rings, (int(hs[i]), int(ws[i])), gts[i])]
+    def __init__(self, polygons: dict):
+        ids = sorted(int(p) for p in polygons if sum(len(r) for r in polygons[p]))
+        self.ids = np.array(ids, np.int64)
+        rings = [np.asarray(r, np.float64).reshape(-1, 2) for p in ids for r in polygons[p]]
+        ring_poly = np.repeat(np.arange(len(ids)), [len(polygons[p]) for p in ids])
+        n_v = np.array([len(r) for r in rings], np.int64)
+        n_e = np.maximum(n_v - 1, 0)
+
+        def offsets(counts):
+            return np.concatenate(([0], np.cumsum(np.bincount(ring_poly, counts, len(ids))))).astype(np.int64)
+
+        self.v_off, self.e_off, self.f_off = offsets(n_v), offsets(n_e), offsets(n_e * (n_v >= 4))
+        v = np.concatenate(rings) if rings else np.zeros((0, 2))
+        self.vx, self.vy = v[:, 0].copy(), v[:, 1].copy()
+        # edge e runs from vertex start[e] to vertex start[e] + 1
+        start = np.repeat(np.cumsum(n_v) - n_v, n_e) + concat_ranges(n_e)
+        self.x0, self.y0, self.x1, self.y1 = self.vx[start], self.vy[start], self.vx[start + 1], self.vy[start + 1]
+        self.dx, self.dy = self.x1 - self.x0, self.y1 - self.y0
+        self.ex_lo, self.ex_hi = np.minimum(self.x0, self.x1), np.maximum(self.x0, self.x1)
+        self.ey_lo, self.ey_hi = np.minimum(self.y0, self.y1), np.maximum(self.y0, self.y1)
+        self.a = start - np.repeat(self.v_off[:-1], np.diff(self.e_off))
+        self.fill = np.flatnonzero(np.repeat(n_v >= 4, n_e))
+
+    def index(self, pids) -> np.ndarray:
+        """Position of each poly_id in ``ids``; -1 for an unknown id."""
+        pids = np.asarray(pids, np.int64)
+        if not len(self.ids):
+            return np.full(len(pids), -1, np.int64)
+        j = np.minimum(np.searchsorted(self.ids, pids), len(self.ids) - 1)
+        return np.where(self.ids[j] == pids, j, -1)
 
 
-def zonal_partials(matched: pa.Table, polygons: dict, band0) -> pa.Table:
-    """Per-(poly, tile) partials (poly_id, image_id, n_px, sum_v, min_v,
-    max_v) of the :func:`zone_pixels` of a batch of matched pairs — the
-    stats reducer of the flagship.  Pairs selecting no pixel are
-    dropped."""
-    n = matched.num_rows
-    n_px = np.zeros(n, np.int64)
-    sum_v = np.zeros(n, np.float64)
-    min_v = np.full(n, np.inf)
-    max_v = np.full(n, -np.inf)
-    for i, sel in zone_pixels(matched, polygons, band0):
-        n_px[i] = sel.size
-        if sel.size:
-            sum_v[i] = float(sel.sum(dtype=np.float64))
-            min_v[i] = float(sel.min())
-            max_v[i] = float(sel.max())
-    keep = n_px > 0
-    pids = matched.column("poly_id").to_numpy()
-    ids = matched.column("image_id").to_pylist()
+def _expand(off: np.ndarray, q: np.ndarray):
+    """(pair, item) for every item ``off[q[i]]:off[q[i]+1]`` of every
+    pair ``i``, pairs ascending."""
+    counts = off[q + 1] - off[q]
+    return np.repeat(np.arange(len(q)), counts), np.repeat(off[q], counts) + concat_ranges(counts)
+
+
+def zone_spans(matched: pa.Table, polys: PolygonEdges, base: np.ndarray):
+    """THE zone-pixel selection of every zonal reduction: ``(pair,
+    start, end)`` int64 arrays, sorted by pair, of the non-empty spans
+    ``buf[start:end]`` of the band-0 pixels inside the pair's polygon,
+    where row ``i`` of ``matched`` has its (h, w) band 0 flat at
+    ``buf[base[i]:base[i] + h*w]``.  A pair whose polygon is not in
+    ``polys`` selects nothing."""
+    gts = matched.column("gt").combine_chunks().flatten().to_numpy(zero_copy_only=False)
+    gts = gts.reshape(-1, 6).astype(np.float64, copy=False)
+    hs = matched.column("h").to_numpy().astype(np.int64)
+    ws = matched.column("w").to_numpy().astype(np.int64)
+    q = polys.index(matched.column("poly_id").to_numpy())
+    known = np.flatnonzero(q >= 0)
+    out = [np.zeros((3, 0), np.int64)]
+    # bounded (pair x edge) expansions, whatever the polygons' sizes
+    for lo, hi in pair_chunks(polys.e_off[q[known] + 1] - polys.e_off[q[known]]):
+        i = known[lo:hi]
+        covered = _cover_pairs(polys, q[i], hs[i], ws[i], gts[i])
+        inner = i[covered]
+        out.append(np.stack([inner, base[inner], base[inner] + hs[inner] * ws[inner]]))
+        b = i[~covered]
+        pair, start, end = _boundary_spans(polys, q[b], hs[b], ws[b], gts[b])
+        out.append(np.stack([b[pair], base[b[pair]] + start, base[b[pair]] + end]))
+    pair, start, end = np.concatenate(out, axis=1)
+    keep = np.flatnonzero(start < end)
+    order = keep[np.argsort(pair[keep], kind="stable")]
+    return pair[order], start[order], end[order]
+
+
+def _cover_pairs(polys: PolygonEdges, q, hs, ws, gts) -> np.ndarray:
+    """bool[k]: does polygon ``q[j]`` cover tile j whole?  The batch
+    form of :func:`_rings_cover_tiles`, over every pair at once, with
+    the same test in the same float operations: no edge of any ring
+    crosses the tile (bbox candidates, then the 4-corner sign test)
+    and all 4 corners are inside by even-odd parity over the rings of
+    at least 4 points (``points_in_rings``' crossing rule)."""
+    k = len(q)
+    # corner columns and rows, (k, 4): 0 or w, 0 or h
+    cw = np.asarray(ws, np.float64)[:, None] * np.array([0.0, 1.0, 0.0, 1.0])
+    ch = np.asarray(hs, np.float64)[:, None] * np.array([0.0, 0.0, 1.0, 1.0])
+    xs = gts[:, 0:1] * cw + gts[:, 1:2] * ch + gts[:, 2:3]
+    ys = gts[:, 3:4] * cw + gts[:, 4:5] * ch + gts[:, 5:6]
+    p, e = _expand(polys.e_off, q)
+    cand = np.flatnonzero(
+        (polys.ex_lo[e] <= xs.max(axis=1)[p])
+        & (polys.ex_hi[e] >= xs.min(axis=1)[p])
+        & (polys.ey_lo[e] <= ys.max(axis=1)[p])
+        & (polys.ey_hi[e] >= ys.min(axis=1)[p])
+    )
+    p, e = p[cand], e[cand, None]
+    s = polys.dx[e] * (ys[p] - polys.y0[e]) - polys.dy[e] * (xs[p] - polys.x0[e])
+    crossed = np.zeros(k, bool)
+    crossed[p[~((s > 0).all(axis=1) | (s < 0).all(axis=1))]] = True
+    p, f = _expand(polys.f_off, q)
+    f = polys.fill[f, None]
+    px, py, y0 = xs[p], ys[p], polys.y0[f]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        xint = polys.x0[f] + (py - y0) / polys.dy[f] * polys.dx[f]
+    crosses = ((y0 > py) != (polys.y1[f] > py)) & (px < xint)
+    n_cross = np.bincount((p[:, None] * 4 + np.arange(4)).reshape(-1), crosses.reshape(-1), 4 * k)
+    return ~crossed & (n_cross.reshape(k, 4) % 2 == 1).all(axis=1)
+
+
+def _boundary_spans(polys: PolygonEdges, q, hs, ws, gts):
+    """(pair, start, end) int64 arrays: the runs of tile pixels whose
+    centers are inside polygon ``q[j]`` on tile j (``hs[j]`` x ``ws[j]``,
+    geotransform ``gts[j]``), as flat offsets into the tile's band, by
+    pair then row then column.  The batch form of :func:`_rings_mask`
+    with the same float operations: the vertices go to pixel space by
+    ``invert_gt``, into the window of their bbox clipped to the tile;
+    each edge of a ring of at least 4 points that is not horizontal
+    crosses the window rows ``r`` whose centers ``yc = r + 0.5`` it
+    spans, at column ``t = ceil(xint - 0.5)`` clipped to [0, W].  In a
+    row of ``m`` crossings sorted ascending, the ``k``-th gap (before
+    the ``k``-th crossing) is inside iff ``m + k`` is odd — the parity
+    ``fill_mask_pixelspace`` accumulates; the gap after the last
+    crossing never is."""
+    nothing = (np.zeros(0, np.int64),) * 3
+    if not len(q):
+        return nothing
+    inv = invert_gt(gts)
+    pv, v = _expand(polys.v_off, q)
+    px = inv[pv, 0] * polys.vx[v] + inv[pv, 1] * polys.vy[v] + inv[pv, 2]
+    py = inv[pv, 3] * polys.vx[v] + inv[pv, 4] * polys.vy[v] + inv[pv, 5]
+    # the window: the vertices' bbox, clipped to the tile
+    n_v = polys.v_off[q + 1] - polys.v_off[q]
+    first = np.cumsum(n_v) - n_v
+    col_lo = np.maximum(0.0, np.floor(np.minimum.reduceat(px, first)))
+    col_hi = np.minimum(ws, np.ceil(np.maximum.reduceat(px, first)) + 1)
+    row_lo = np.maximum(0.0, np.floor(np.minimum.reduceat(py, first)))
+    row_hi = np.minimum(hs, np.ceil(np.maximum.reduceat(py, first)) + 1)
+    height, width = np.maximum(row_hi - row_lo, 0), np.maximum(col_hi - col_lo, 0)
+    # the crossing edges, between vertices in the window's frame
+    px -= col_lo[pv]
+    py -= row_lo[pv]
+    p, f = _expand(polys.f_off, q)
+    f = polys.fill[f]
+    in_window = (width[p] > 0) & (height[p] > 0)
+    p, f = p[in_window], f[in_window]
+    a = first[p] + polys.a[f]
+    x0, y0, x1, y1 = px[a], py[a], px[a + 1], py[a + 1]
+    r_lo = np.maximum(0.0, np.ceil(np.minimum(y0, y1) - 0.5))
+    r_hi = np.minimum(height[p] - 1, np.ceil(np.maximum(y0, y1) - 0.5) - 1)
+    live = np.flatnonzero((r_hi >= r_lo) & (y0 != y1))
+    if not len(live):
+        return nothing
+    n_rows = (r_hi[live] - r_lo[live] + 1).astype(np.int64)
+    j = np.repeat(live, n_rows)
+    rows = np.repeat(r_lo[live].astype(np.int64), n_rows) + concat_ranges(n_rows)
+    yc = rows + 0.5
+    xint = x0[j] + (yc - y0[j]) * (x1 - x0)[j] / (y1 - y0)[j]
+    pair = p[j]
+    width = width.astype(np.int64)
+    t = np.clip(np.ceil(xint - 0.5).astype(np.int64), 0, width[pair])
+    # one key per (pair, window row), ascending with pair; sort the
+    # crossings by row, then column
+    g = (np.cumsum(height) - height).astype(np.int64)[pair] + rows
+    order = np.argsort(g * (int(width.max()) + 1) + t)
+    g, t, pair, rows = g[order], t[order], pair[order], rows[order]
+    head = np.concatenate(([True], g[1:] != g[:-1]))
+    starts = np.flatnonzero(head)
+    group = np.cumsum(head) - 1
+    m = np.diff(np.concatenate((starts, [len(g)])))[group]
+    kth = np.arange(len(g)) - starts[group]
+    gap_lo = np.where(head, 0, np.concatenate(([0], t[:-1])))
+    inside = np.flatnonzero(((m + kth) % 2 == 1) & (gap_lo < t))
+    pair, rows = pair[inside], rows[inside]
+    flat = (rows + row_lo[pair].astype(np.int64)) * ws[pair] + col_lo[pair].astype(np.int64)
+    return pair, flat + gap_lo[inside], flat + t[inside]
+
+
+def zonal_partials(matched: pa.Table, polys: PolygonEdges, buf: np.ndarray, base: np.ndarray) -> pa.Table:
+    """Per-(poly, tile) partials (poly_id, n_px, sum_v, min_v, max_v),
+    by pair, of the :func:`zone_spans` of a batch of matched pairs over
+    the band-0 buffer ``buf`` (one trailing sentinel element past the
+    last band, so a span ending at the last pixel is a valid
+    ``reduceat`` index) — the stats reducer of the flagship.  Pairs
+    selecting no pixel are dropped."""
+    pair, start, end = zone_spans(matched, polys, base)
+    idx = np.empty(2 * len(start), np.int64)
+    idx[0::2], idx[1::2] = start, end
+    if len(idx):
+        # the even results reduce the spans, the odd ones the gaps between
+        span_sum = np.add.reduceat(buf, idx, dtype=np.float64)[0::2]
+        span_min = np.minimum.reduceat(buf, idx)[0::2]
+        span_max = np.maximum.reduceat(buf, idx)[0::2]
+    else:
+        span_sum = span_min = span_max = np.zeros(0, buf.dtype)
+    first = np.flatnonzero(np.concatenate(([len(pair) > 0], pair[1:] != pair[:-1])))
+    i = pair[first]
+
+    def per_pair(ufunc, x):
+        return ufunc.reduceat(x, first) if len(first) else x[:0]
+
     return pa.table(
         {
-            "poly_id": pa.array(pids[keep].astype(np.int64)),
-            "image_id": pa.array([v for v, k in zip(ids, keep) if k], pa.string()),
-            "n_px": pa.array(n_px[keep]),
-            "sum_v": pa.array(sum_v[keep]),
-            "min_v": pa.array(min_v[keep]),
-            "max_v": pa.array(max_v[keep]),
+            "poly_id": pa.array(matched.column("poly_id").to_numpy()[i].astype(np.int64)),
+            "n_px": pa.array(per_pair(np.add, end - start).astype(np.int64)),
+            "sum_v": pa.array(per_pair(np.add, span_sum.astype(np.float64))),
+            "min_v": pa.array(per_pair(np.minimum, span_min).astype(np.float64)),
+            "max_v": pa.array(per_pair(np.maximum, span_max).astype(np.float64)),
         }
     )
 
 
-def zonal_histograms(matched: pa.Table, polygons: dict, band0) -> pa.Table:
-    """The nonzero histogram bins of the :func:`zone_pixels` of each
-    matched pair, as (poly_id, v, cnt) int64 rows — the histogram
-    reducer of the zonal MAJORITY / QUARTILES queries.  A pair emits at
-    most 256 rows for uint8 pixels, so an exchange downstream carries
-    histograms, never pixels."""
-    pids = matched.column("poly_id").to_numpy()
-    empty = np.zeros(0, np.int64)  # so a batch without pairs still concatenates
-    out_pid, out_v, out_cnt = [empty], [empty], [empty]
-    for i, sel in zone_pixels(matched, polygons, band0):
-        cnt = np.bincount(sel.astype(np.int64))
-        nz = np.flatnonzero(cnt)
-        out_pid.append(np.full(len(nz), int(pids[i]), np.int64))
-        out_v.append(nz.astype(np.int64))
-        out_cnt.append(cnt[nz].astype(np.int64))
+def zonal_histograms(matched: pa.Table, polys: PolygonEdges, buf: np.ndarray, base: np.ndarray) -> pa.Table:
+    """The nonzero histogram bins of the :func:`zone_spans` of each
+    matched pair, as (poly_id, v, cnt) int64 rows by pair, then value
+    ascending — the histogram reducer of the zonal MAJORITY / QUARTILES
+    queries.  A pair emits at most 256 rows for uint8 pixels, so an
+    exchange downstream carries histograms, never pixels."""
+    pair, start, end = zone_spans(matched, polys, base)
+    n = end - start
+    v = buf[np.repeat(start, n) + concat_ranges(n)].astype(np.int64)
+    pair = np.repeat(pair, n)
+    pids = matched.column("poly_id").to_numpy().astype(np.int64)
+    if len(v) and v.min() < 0:
+        j = int(np.argmin(v))
+        raise ValueError(f"poly_id {pids[pair[j]]}: zonal histograms need non-negative pixels, got {v[j]}")
+    bins = int(v.max()) + 1 if len(v) else 1
+    # one key per (pair, value): sorted, they run by pair, then value
+    nz, cnt = np.unique(pair * bins + v, return_counts=True)
     return pa.table(
         {
-            "poly_id": pa.array(np.concatenate(out_pid)),
-            "v": pa.array(np.concatenate(out_v)),
-            "cnt": pa.array(np.concatenate(out_cnt)),
+            "poly_id": pa.array(pids[nz // bins]),
+            "v": pa.array(nz % bins),
+            "cnt": pa.array(cnt.astype(np.int64)),
         }
     )
 
@@ -140,12 +305,9 @@ def _rings_cover_tiles(rings, hs, ws, gts) -> np.ndarray:
     never false-covers.  One ``points_in_rings`` call then tests all
     4k corners.
 
-    Batched over every tile one polygon matched in a batch, so the
-    fixed numpy cost is paid once per polygon, not once per pair.  At
-    scale this is the dominant zonal fast path: for any AOI much
-    larger than a tile, almost every matched tile is interior — the
-    O(edges·h + area) scanline fill collapses to an O(edges) check and
-    whole-array stats (no mask allocation, no gather)."""
+    This is the one-polygon reference for :func:`_cover_pairs`, the
+    batch form the zonal pass runs; the tests compare the two tile for
+    tile."""
     from gdal_boots_ray.kernels.geometry import points_in_rings
 
     gts = np.asarray(gts, np.float64).reshape(-1, 6)

@@ -1,11 +1,12 @@
-"""The one zonal selection (``stages.zonal.zone_pixels``) and both of
+"""The one zonal selection (``stages.zonal.zone_spans``) and both of
 its reducers must match an independent per-row reference on every
 batch: the fused flagship worker's ``zonal_partials`` (band-0 decode
-from the bytes column) and ``zonal_histograms``, the reducer of the
-zonal MAJORITY / QUARTILES queries.  The reference joins with
-``BroadcastPIPJoin``, decodes every band of each matched tile and
-selects its zone pixels with the cover test and ``_rings_mask``, one
-pair at a time.  In-process, no Ray."""
+from the bytes column) and its per-polygon fold, and
+``zonal_histograms``, the reducer of the zonal MAJORITY / QUARTILES
+queries.  The reference joins with ``BroadcastPIPJoin``, decodes every
+band of each matched tile, selects its zone pixels with the one-tile
+cover test and ``_rings_mask``, one pair at a time, and folds the
+pairs per polygon with a pyarrow ``group_by``.  In-process, no Ray."""
 
 import glob
 from collections import Counter
@@ -35,7 +36,6 @@ def reference_partials(batch, packed):
     number of interior (fully covered) and boundary pairs, and the
     per-polygon histogram counts {(poly_id, v): cnt} of the selection."""
     from gdal_boots_ray.kernels.png import decode_image
-    from gdal_boots_ray.pipelines.flagship import _partial_zonal_agg
     from gdal_boots_ray.stages.geo import add_bounds
     from gdal_boots_ray.stages.joins import BroadcastPIPJoin
     from gdal_boots_ray.stages.zonal import _rings_cover_tile, _rings_mask
@@ -67,29 +67,44 @@ def reference_partials(batch, packed):
             rows["max_v"].append(float(sel.max()))
     types = {"poly_id": pa.int64(), "image_id": pa.string(), "n_px": pa.int64()}
     stats = pa.table({k: pa.array(v, types.get(k, pa.float64())) for k, v in rows.items()})
-    return _partial_zonal_agg(stats), n_interior, n_boundary, hist
+    g = stats.group_by("poly_id").aggregate(
+        [("image_id", "count"), ("n_px", "sum"), ("sum_v", "sum"), ("min_v", "min"), ("max_v", "max")]
+    )
+    folded = pa.table(
+        {
+            "poly_id": g.column("poly_id"),
+            "n_tiles": g.column("image_id_count").cast(pa.int64()),
+            "n_px": g.column("n_px_sum"),
+            "sum_v": g.column("sum_v_sum"),
+            "min_v": g.column("min_v_min"),
+            "max_v": g.column("max_v_max"),
+        }
+    )
+    return folded.sort_by("poly_id"), n_interior, n_boundary, hist
 
 
 @pytest.mark.parametrize("n_polys", [4, 25])
 def test_kernel_callers_match_per_row_reference(image_batches, n_polys):
     from gdal_boots_ray.kernels.geometry import polygon_rings
-    from gdal_boots_ray.pipelines.flagship import FusedTileWorker, band0_reader
+    from gdal_boots_ray.pipelines.flagship import ROW, FusedTileWorker, band0_reader, with_rows
     from gdal_boots_ray.sources.fixtures import bench_polygons
     from gdal_boots_ray.stages.geo import add_bounds
     from gdal_boots_ray.stages.joins import BroadcastPIPJoin
-    from gdal_boots_ray.stages.zonal import zonal_histograms
+    from gdal_boots_ray.stages.zonal import PolygonEdges, zonal_histograms
 
     polys = bench_polygons(384, 24, n_polys=n_polys)
     packed = [(int(p["poly_id"]), polygon_rings(p["geometry"])) for p in polys]
     fused = FusedTileWorker(packed, 5000.0, 9, True)
     join = BroadcastPIPJoin(packed)
+    edges = PolygonEdges(dict(packed))
     n_tiles = n_px = n_interior = n_boundary = 0
     for batch in image_batches:
         want, interior, boundary, want_hist = reference_partials(batch, packed)
         got = fused(batch)
-        assert got.equals(want)
-        matched = join(add_bounds(batch))
-        h = zonal_histograms(matched, dict(packed), band0_reader(matched))
+        assert got.sort_by("poly_id").equals(want)
+        batch = with_rows(add_bounds(batch))
+        matched = join(batch)
+        h = zonal_histograms(matched, edges, *band0_reader(batch, matched.column(ROW).to_numpy()))
         assert [h.column(c).type for c in ("poly_id", "v", "cnt")] == [pa.int64()] * 3
         got_hist = Counter()
         for pid, v, cnt in zip(*(h.column(c).to_pylist() for c in ("poly_id", "v", "cnt"))):

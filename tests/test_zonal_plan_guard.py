@@ -1,14 +1,16 @@
-"""``stages.zonal.zone_pixels`` is the one zone-pixel selection: the
+"""``stages.zonal.zone_spans`` is the one zone-pixel selection: the
 flagship, ``zonal_stats``, ``zonal_majority`` and ``zonal_median`` all
-reduce its output.  A ``_rings_mask(`` call anywhere else is a second
-selection the oracle does not check, and the per-pair actor and selector
-it replaced (``ZonalStats``, ``select_zone_pixels``) stay gone."""
+reduce its spans.  ``_rings_mask`` stays only as the tests' one-tile
+scanline reference, so a ``_rings_mask(`` call in program code is a
+second selection the oracle does not check.  The per-pair generator,
+actor and selector the spans replaced (``zone_pixels``, ``ZonalStats``,
+``select_zone_pixels``) stay gone."""
 
 import ast
 import pathlib
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
-GONE = {"ZonalStats", "select_zone_pixels"}
+GONE = {"ZonalStats", "select_zone_pixels", "zone_pixels"}
 
 
 def program_files(root: pathlib.Path):
@@ -22,10 +24,11 @@ def program_files(root: pathlib.Path):
 
 
 def zonal_sites(root: pathlib.Path):
-    """(mask_calls, gone_names): every ``_rings_mask(`` call as (file,
-    enclosing function chain), and every definition, import or use of a
-    deleted name as (file, name)."""
-    mask_calls, gone = [], []
+    """(mask_defs, mask_calls, gone_names): every definition of
+    ``_rings_mask`` and every ``_rings_mask(`` call as (file, enclosing
+    function chain), and every definition, import or use of a deleted
+    name as (file, name)."""
+    mask_defs, mask_calls, gone = [], [], []
     for path in program_files(root):
         rel = str(path.relative_to(root))
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -37,6 +40,8 @@ def zonal_sites(root: pathlib.Path):
                     inner = chain + (child.name,)
                     if child.name in GONE:
                         gone.append((rel, child.name))
+                    if child.name == "_rings_mask":
+                        mask_defs.append((rel, inner))
                 if isinstance(child, ast.Call):
                     f = child.func
                     name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
@@ -51,17 +56,16 @@ def zonal_sites(root: pathlib.Path):
                 visit(child, inner)
 
         visit(tree, ())
-    return mask_calls, gone
+    return mask_defs, mask_calls, gone
 
 
-def test_rings_mask_only_in_zone_pixels():
-    mask_calls, _ = zonal_sites(REPO)
-    home = ("gdal_boots_ray/stages/zonal.py", ("zone_pixels",))
-    assert home in mask_calls  # the scan sees the package
-    stray = [s for s in mask_calls if s != home]
-    assert not stray, f"_rings_mask( called outside stages.zonal.zone_pixels: {stray}; reduce zone_pixels instead"
+def test_rings_mask_called_by_no_program_code():
+    mask_defs, mask_calls, _ = zonal_sites(REPO)
+    # the scan sees the package
+    assert mask_defs == [("gdal_boots_ray/stages/zonal.py", ("_rings_mask",))]
+    assert not mask_calls, f"_rings_mask( called in program code: {mask_calls}; reduce stages.zonal.zone_spans instead"
 
 
 def test_per_pair_zonal_selectors_stay_deleted():
-    _, gone = zonal_sites(REPO)
-    assert not gone, f"deleted zonal names are back: {gone}; use stages.zonal.zone_pixels and its reducers"
+    *_, gone = zonal_sites(REPO)
+    assert not gone, f"deleted zonal names are back: {gone}; use stages.zonal.zone_spans and its reducers"
