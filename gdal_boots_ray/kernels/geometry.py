@@ -220,7 +220,7 @@ def points_in_rings(px: np.ndarray, py: np.ndarray, rings: Sequence[np.ndarray])
         x1, y1 = ring[1:, 0], ring[1:, 1]
         # (m edges) x (n points)
         cond = (y0[:, None] > py[None, :]) != (y1[:, None] > py[None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             xint = x0[:, None] + (py[None, :] - y0[:, None]) / (y1[:, None] - y0[:, None]) * (x1 - x0)[:, None]
         crosses = cond & (px[None, :] < xint)
         inside ^= (crosses.sum(axis=0) % 2).astype(bool)

@@ -114,12 +114,3 @@ class STRtree:
     def _intersects(level, idx, qminx, qminy, qmaxx, qmaxy):
         b = level[idx]
         return (b[:, 0] <= qmaxx) & (b[:, 2] >= qminx) & (b[:, 1] <= qmaxy) & (b[:, 3] >= qminy)
-
-
-def rings_bbox(rings: List[np.ndarray]) -> np.ndarray:
-    """Envelope [minx, miny, maxx, maxy] of a parsed ring list
-    (exterior ring bounds — holes lie inside it)."""
-    ext = rings[0]
-    return np.array(
-        [ext[:, 0].min(), ext[:, 1].min(), ext[:, 0].max(), ext[:, 1].max()], dtype=np.float64
-    )

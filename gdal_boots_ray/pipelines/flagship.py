@@ -33,7 +33,7 @@ import ray.data as rd
 from gdal_boots_ray.sources.fixtures import nation_polygons
 from gdal_boots_ray.stages.geo import add_bounds, make_add_grid_cell, make_add_lonlat, make_add_s2_cell
 from gdal_boots_ray.stages.joins import BroadcastPIPJoin, put_polygons
-from gdal_boots_ray.stages.zonal import PolygonEdges, zonal_partials
+from gdal_boots_ray.stages.zonal import zonal_partials
 from gdal_boots_ray.state import manifest
 
 ROW = "_row"
@@ -55,9 +55,9 @@ class FusedTileWorker:
     def __init__(self, polygons_ref, cell_res: float, s2_level: int, with_s2: bool):
         # no bytes column: the join's take copies metadata and each
         # pair's batch row only, and the decode reads the payload from
-        # the unjoined batch; the polygons' edge table is built once
+        # the unjoined batch; the zonal pass reuses the join's edge table
         self.join = BroadcastPIPJoin(polygons_ref, keep_cols=["w", "h", "gt", ROW])
-        self.edges = PolygonEdges(dict(self.join.polygons))
+        self.edges = self.join.edges
         self.cell_fn = make_add_grid_cell(cell_res)
         self.with_s2 = with_s2
         self.lonlat_fn = make_add_lonlat()

@@ -291,7 +291,7 @@ def _zonal_histograms(sf_dir: str, finish):
     from gdal_boots_ray.stages.agg import exchange
     from gdal_boots_ray.stages.geo import add_bounds
     from gdal_boots_ray.stages.joins import BroadcastPIPJoin, put_polygons
-    from gdal_boots_ray.stages.zonal import PolygonEdges, zonal_histograms
+    from gdal_boots_ray.stages.zonal import zonal_histograms
 
     poly_ref = put_polygons(_nation_polygons(sf_dir))
 
@@ -299,10 +299,9 @@ def _zonal_histograms(sf_dir: str, finish):
         join = _cache.get("j")
         if join is None:
             join = _cache["j"] = BroadcastPIPJoin(poly_ref, keep_cols=["w", "h", "gt", ROW])
-            _cache["p"] = PolygonEdges(dict(join.polygons))
         batch = with_rows(add_bounds(batch))
         matched = join(batch)
-        return zonal_histograms(matched, _cache["p"], *band0_reader(batch, matched.column(ROW).to_numpy()))
+        return zonal_histograms(matched, join.edges, *band0_reader(batch, matched.column(ROW).to_numpy()))
 
     def per_bucket(g: pa.Table) -> pa.Table:
         pid = g.column("poly_id").to_numpy()

@@ -4,8 +4,9 @@ Join strategies (SURVEY §2.6):
 
 - **Broadcast PIP** (`BroadcastPIPJoin`): the polygon side is small
   (country/AOI sets) — ``ray.put`` the parsed rings once; each actor
-  ``ray.get``s them in ``__init__`` and tests every batch of points /
-  tile centers vectorized (ray-casting, even-odd).  No shuffle.
+  ``ray.get``s them in ``__init__``, and each batch of points / tile
+  centers takes its STRtree candidates through one call of the batched
+  even-odd kernel ``stages.zonal.points_in_polygons``.  No shuffle.
 - **Shuffle PIP** (`cell_pip_join`): both sides large — polygons
   explode to their covering grid cells, points carry their home cell,
   and both co-shuffle once through ``stages.agg.exchange`` keyed on the
@@ -38,49 +39,35 @@ def put_polygons(polygons: Sequence[dict]):
 
 class BroadcastPIPJoin:
     """map_batches actor: emits one output row per (input row, matching
-    polygon).  STRtree over polygon envelopes (built ONCE per actor in
-    ``__init__`` — the stateful-setup contract) prunes candidates;
-    vectorized ray-casting decides the survivors.  Inputs need x/y
-    columns (tile centers or point coords)."""
+    polygon), by row, then list position.  ``__init__`` builds the
+    polygons' edge table ``edges`` (which the zonal pass reuses) and an
+    STRtree over their boxes once per actor (the stateful-setup
+    contract); a batch's tree candidates go through one
+    ``points_in_polygons`` call.  Inputs need x/y columns."""
 
     def __init__(self, polygons_ref, x_col: str = "cx", y_col: str = "cy", keep_cols: Optional[List[str]] = None):
-        from gdal_boots_ray.kernels.strtree import STRtree, rings_bbox
+        # not at module level: stages.zonal's imports would slow every shuffle worker
+        from gdal_boots_ray.kernels.strtree import STRtree
+        from gdal_boots_ray.stages.zonal import PolygonEdges, points_in_polygons
 
-        self.polygons = ray.get(polygons_ref) if isinstance(polygons_ref, ray.ObjectRef) else polygons_ref
         self.x_col = x_col
         self.y_col = y_col
         self.keep_cols = keep_cols
-        self.tree = STRtree(
-            np.array([rings_bbox(rings) for _, rings in self.polygons]).reshape(-1, 4)
-        )
+        self.edges = PolygonEdges(ray.get(polygons_ref) if isinstance(polygons_ref, ray.ObjectRef) else polygons_ref)
+        self.tree = STRtree(self.edges.bbox)
+        self.points_in_polygons = points_in_polygons
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         x = batch.column(self.x_col).to_numpy()
         y = batch.column(self.y_col).to_numpy()
-        cand_pt, cand_poly = self.tree.query_points(x, y)
-        take_idx: List[int] = []
-        poly_ids: List[int] = []
-        # iterate polygons in list order (stable output order) but
-        # ray-cast only each polygon's bbox candidates
-        order = np.argsort(cand_poly, kind="stable")
-        cand_pt, cand_poly = cand_pt[order], cand_poly[order]
-        bounds = np.searchsorted(cand_poly, np.arange(len(self.polygons) + 1))
-        for j, (pid, rings) in enumerate(self.polygons):
-            pts = cand_pt[bounds[j] : bounds[j + 1]]
-            if not len(pts):
-                continue
-            inside = points_in_rings(x[pts], y[pts], rings)
-            hits = pts[inside]
-            take_idx.extend(hits.tolist())
-            poly_ids.extend([pid] * len(hits))
+        pt, j = self.tree.query_points(x, y)
+        hit = self.points_in_polygons(self.edges, x[pt], y[pt], j)
+        pt, j = pt[hit], j[hit]
+        order = np.lexsort((j, pt))
         if self.keep_cols:
             batch = batch.select(self.keep_cols)
-        if not take_idx:
-            empty = batch.schema.empty_table()
-            return empty.append_column("poly_id", pa.array([], pa.int64()))
-        order = np.argsort(np.asarray(take_idx), kind="stable")
-        taken = batch.take(pa.array(np.asarray(take_idx)[order], pa.int64()))
-        return taken.append_column("poly_id", pa.array(np.asarray(poly_ids)[order], pa.int64()))
+        taken = batch.take(pa.array(pt[order], pa.int64()))
+        return taken.append_column("poly_id", pa.array(self.edges.ids[j[order]], pa.int64()))
 
 
 def cell_pip_join(

@@ -15,15 +15,17 @@ one flat buffer of the batch's band-0 pixels:
   rasterizes, so the selection is the same pixel for pixel.
 
 The polygons' rings are one CSR (compressed sparse row) table,
-:class:`PolygonEdges`, built once per worker; each pass expands (pair x
-polygon edge) from it.  Two reducers fold the spans into one small
-partial per pair: :func:`zonal_partials` (n_px, sum, min, max, with
-``reduceat``) for the flagship and ``zonal_stats``, and
-:func:`zonal_histograms` (nonzero bins) for ``zonal_majority`` /
-``zonal_median``.  Partials, never pixels, leave the process.
-``_rings_cover_tiles`` and ``_rings_mask`` are the one-polygon forms of
-the two tests, kept as their references.  ``CropTiles`` is the full
-crop, for pipelines that need the cropped pixels themselves.
+:class:`PolygonEdges`, built once per worker by the PIP join; each pass
+expands (pair x polygon edge) from it, and the join and the cover test
+share one even-odd kernel over it, :func:`points_in_polygons`.  Two
+reducers fold the spans into one small partial per pair:
+:func:`zonal_partials` (n_px, sum, min, max, with ``reduceat``) for the
+flagship and ``zonal_stats``, and :func:`zonal_histograms` (nonzero
+bins) for ``zonal_majority`` / ``zonal_median``.  Partials, never
+pixels, leave the process.  ``_rings_cover_tiles`` and ``_rings_mask``
+are the one-polygon forms of the two tests, kept as their references.
+``CropTiles`` is the full crop, for pipelines that need the cropped
+pixels themselves.
 """
 
 from __future__ import annotations
@@ -39,27 +41,27 @@ from gdal_boots_ray.stages.decode import binary_column_views, pixels_view
 
 
 class PolygonEdges:
-    """The rings of ``polygons`` ({poly_id: rings}) as one CSR
-    (compressed sparse row) table, built once per worker.  Polygon
-    ``j`` (``ids[j]``, ascending) owns the vertices
+    """The rings of ``polygons``, (poly_id, rings) pairs, as one CSR
+    (compressed sparse row) table, built once per worker.  Polygon ``j``
+    (``ids[j]``, in list order) has the vertex box ``bbox[j]`` (+inf
+    minima, -inf maxima if empty) and owns the vertices
     ``vx/vy[v_off[j]:v_off[j+1]]`` of all of its rings and the edges
     ``e_off[j]:e_off[j+1]`` between consecutive vertices of a ring:
     endpoints ``x0/y0/x1/y1``, ``dx = x1 - x0``, ``dy = y1 - y0``, their
     bbox ``ex_lo/ex_hi/ey_lo/ey_hi`` and ``a``, the polygon-local index
     of the start vertex.  The edges of rings of at least 4 points, the
-    only ones the even-odd tests count, are ``fill[f_off[j]:f_off[j+1]]``.
-    A polygon without vertices is left out: it selects nothing."""
+    only ones the even-odd tests count, are ``fill[f_off[j]:f_off[j+1]]``."""
 
-    def __init__(self, polygons: dict):
-        ids = sorted(int(p) for p in polygons if sum(len(r) for r in polygons[p]))
-        self.ids = np.array(ids, np.int64)
-        rings = [np.asarray(r, np.float64).reshape(-1, 2) for p in ids for r in polygons[p]]
-        ring_poly = np.repeat(np.arange(len(ids)), [len(polygons[p]) for p in ids])
+    def __init__(self, polygons):
+        items = list(polygons)
+        self.ids = np.array([int(p) for p, _ in items], np.int64)
+        rings = [np.asarray(r, np.float64).reshape(-1, 2) for _, rs in items for r in rs]
+        ring_poly = np.repeat(np.arange(len(items)), [len(rs) for _, rs in items])
         n_v = np.array([len(r) for r in rings], np.int64)
         n_e = np.maximum(n_v - 1, 0)
 
         def offsets(counts):
-            return np.concatenate(([0], np.cumsum(np.bincount(ring_poly, counts, len(ids))))).astype(np.int64)
+            return np.concatenate(([0], np.cumsum(np.bincount(ring_poly, counts, len(items))))).astype(np.int64)
 
         self.v_off, self.e_off, self.f_off = offsets(n_v), offsets(n_e), offsets(n_e * (n_v >= 4))
         v = np.concatenate(rings) if rings else np.zeros((0, 2))
@@ -72,14 +74,23 @@ class PolygonEdges:
         self.ey_lo, self.ey_hi = np.minimum(self.y0, self.y1), np.maximum(self.y0, self.y1)
         self.a = start - np.repeat(self.v_off[:-1], np.diff(self.e_off))
         self.fill = np.flatnonzero(np.repeat(n_v >= 4, n_e))
+        has = np.flatnonzero(np.diff(self.v_off))
+        self.bbox = np.tile([np.inf, np.inf, -np.inf, -np.inf], (len(items), 1))
+        self.bbox[has] = np.hstack([np.minimum.reduceat(v, self.v_off[has]), np.maximum.reduceat(v, self.v_off[has])])
+        # the zonal lookup: the last entry of each poly_id, if it has vertices
+        last = len(self.ids) - 1 - np.unique(self.ids[::-1], return_index=True)[1]
+        self._pos = last[np.diff(self.v_off)[last] > 0]
+        self._key = self.ids[self._pos]
 
     def index(self, pids) -> np.ndarray:
-        """Position of each poly_id in ``ids``; -1 for an unknown id."""
+        """The polygon each poly_id selects: the position of its last
+        entry, or -1 for an unknown id or a last entry without
+        vertices."""
         pids = np.asarray(pids, np.int64)
-        if not len(self.ids):
+        if not len(self._key):
             return np.full(len(pids), -1, np.int64)
-        j = np.minimum(np.searchsorted(self.ids, pids), len(self.ids) - 1)
-        return np.where(self.ids[j] == pids, j, -1)
+        j = np.minimum(np.searchsorted(self._key, pids), len(self._key) - 1)
+        return np.where(self._key[j] == pids, self._pos[j], -1)
 
 
 def _expand(off: np.ndarray, q: np.ndarray):
@@ -87,6 +98,24 @@ def _expand(off: np.ndarray, q: np.ndarray):
     pair ``i``, pairs ascending."""
     counts = off[q + 1] - off[q]
     return np.repeat(np.arange(len(q)), counts), np.repeat(off[q], counts) + concat_ranges(counts)
+
+
+def points_in_polygons(polys: PolygonEdges, px, py, q) -> np.ndarray:
+    """bool[n]: is point ``(px[i], py[i])`` inside polygon ``q[i]`` (a
+    position in ``polys``)?  THE batched point-in-polygon test: every
+    (point, edge of a ring of at least 4 points of its polygon) in
+    ``pair_chunks`` slices, with ``points_in_rings``' float operations
+    (the half-open crossing rule), and parity by ``bincount``."""
+    inside = np.zeros(len(q), bool)
+    for lo, hi in pair_chunks(polys.f_off[q + 1] - polys.f_off[q]):
+        p, f = _expand(polys.f_off, q[lo:hi])
+        f = polys.fill[f]
+        x, y, y0 = px[lo:hi][p], py[lo:hi][p], polys.y0[f]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            xint = polys.x0[f] + (y - y0) / polys.dy[f] * polys.dx[f]
+        crosses = ((y0 > y) != (polys.y1[f] > y)) & (x < xint)
+        inside[lo:hi] = np.bincount(p[crosses], minlength=hi - lo) % 2 == 1
+    return inside
 
 
 def zone_spans(matched: pa.Table, polys: PolygonEdges, base: np.ndarray):
@@ -142,14 +171,8 @@ def _cover_pairs(polys: PolygonEdges, q, hs, ws, gts) -> np.ndarray:
     s = polys.dx[e] * (ys[p] - polys.y0[e]) - polys.dy[e] * (xs[p] - polys.x0[e])
     crossed = np.zeros(k, bool)
     crossed[p[~((s > 0).all(axis=1) | (s < 0).all(axis=1))]] = True
-    p, f = _expand(polys.f_off, q)
-    f = polys.fill[f, None]
-    px, py, y0 = xs[p], ys[p], polys.y0[f]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        xint = polys.x0[f] + (py - y0) / polys.dy[f] * polys.dx[f]
-    crosses = ((y0 > py) != (polys.y1[f] > py)) & (px < xint)
-    n_cross = np.bincount((p[:, None] * 4 + np.arange(4)).reshape(-1), crosses.reshape(-1), 4 * k)
-    return ~crossed & (n_cross.reshape(k, 4) % 2 == 1).all(axis=1)
+    inside = points_in_polygons(polys, xs.reshape(-1), ys.reshape(-1), np.repeat(q, 4))
+    return ~crossed & inside.reshape(k, 4).all(axis=1)
 
 
 def _boundary_spans(polys: PolygonEdges, q, hs, ws, gts):

@@ -22,8 +22,10 @@ checkout that keeps those names:
 
 It prints each layer's median over the passes in µs per input row, then
 the matched pairs, how many of them the polygon covers whole (interior,
-counted with the one-tile ``_rings_cover_tile``) or not (boundary), and
-the ``decode_image`` calls of one pass.
+counted with the one-tile ``_rings_cover_tile``) or not (boundary), the
+``decode_image`` calls of one pass, and one sha256 digest of every
+batch's join output and per-batch partials: two checkouts that print the
+same digest produced the same tables.
 """
 
 from __future__ import annotations
@@ -87,6 +89,25 @@ def pair_classes(batch_list, packed) -> tuple:
     return pairs, interior, pairs - interior
 
 
+def digest(worker, batch_list) -> str:
+    """sha256 over the schema and values of every batch's join output
+    and per-batch partials, in batch order, outside the timed passes."""
+    import hashlib
+
+    h = hashlib.sha256()
+
+    def update(table):
+        h.update(table.schema.to_string(show_schema_metadata=False).encode())
+        h.update(repr(table.to_pydict()).encode())
+        return table
+
+    join = worker.join
+    worker.join = lambda batch: update(join(batch))
+    for batch in batch_list:
+        update(worker(batch))
+    return h.hexdigest()
+
+
 def probe(workload: str, seed: int, passes: int) -> dict:
     from perfbench.workloads import BATCH_SIZE, CELL_RES, S2_LEVEL, WITH_S2, WORKLOADS, prepare
 
@@ -128,6 +149,7 @@ def probe(workload: str, seed: int, passes: int) -> dict:
             per_pass[name].append(acc[name] / 1e3 / rows)
     pairs, interior, boundary = pair_classes(batch_list, packed)
     return {
+        "digest": digest(flagship.FusedTileWorker(packed, CELL_RES, S2_LEVEL, WITH_S2), batch_list),
         "rows": rows,
         "us_per_row": {name: statistics.median(v) for name, v in per_pass.items()},
         "pairs": pairs,
@@ -154,6 +176,7 @@ def main(argv=None) -> int:
         f"pairs {out['pairs']}, interior {out['interior']}, boundary {out['boundary']}, "
         f"decode_image calls {out['decodes']} per pass"
     )
+    print(f"join output + partials sha256 {out['digest']}")
     return 0
 
 

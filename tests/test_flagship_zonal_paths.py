@@ -90,13 +90,13 @@ def test_kernel_callers_match_per_row_reference(image_batches, n_polys):
     from gdal_boots_ray.sources.fixtures import bench_polygons
     from gdal_boots_ray.stages.geo import add_bounds
     from gdal_boots_ray.stages.joins import BroadcastPIPJoin
-    from gdal_boots_ray.stages.zonal import PolygonEdges, zonal_histograms
+    from gdal_boots_ray.stages.zonal import zonal_histograms
 
     polys = bench_polygons(384, 24, n_polys=n_polys)
     packed = [(int(p["poly_id"]), polygon_rings(p["geometry"])) for p in polys]
     fused = FusedTileWorker(packed, 5000.0, 9, True)
     join = BroadcastPIPJoin(packed)
-    edges = PolygonEdges(dict(packed))
+    edges = join.edges
     n_tiles = n_px = n_interior = n_boundary = 0
     for batch in image_batches:
         want, interior, boundary, want_hist = reference_partials(batch, packed)

@@ -1,6 +1,8 @@
 """Geometry codec / predicate kernels (reference test_geometry.py
 semantics: to_geojson round-trips :115-179, make_valid bow-tie :184-300)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,17 @@ def test_pip_multipolygon():
     }
     pts = np.array([[1, 1], [6, 6], [3, 3]])
     assert points_in_polygon(pts, mp).tolist() == [True, True, False]
+
+
+def test_pip_near_horizontal_edge_warns_nothing():
+    """A near-horizontal edge far from the point overflows its crossing
+    abscissa; the crossing mask is false there, so the result stands and
+    no RuntimeWarning escapes."""
+    poly = {"type": "Polygon", "coordinates": [[[0, 0], [1e200, 1e-200], [0, 1], [0, 0]]]}
+    pts = np.array([[0.5, 0.5], [-1.0, 0.5], [0.5, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert points_in_polygon(pts, poly).tolist() == [True, False, False]
 
 
 def test_ring_closure():

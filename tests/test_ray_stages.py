@@ -94,6 +94,53 @@ def test_broadcast_pip_and_zonal(ray_mod):
     assert got == expect
 
 
+def test_broadcast_pip_join_matches_per_polygon_reference():
+    """The join's rows are, row for row and in order, the (row, list
+    entry) pairs ``points_in_rings`` puts inside: by row, then list
+    position, over unsorted poly_ids, a duplicated poly_id with other
+    rings, an empty geometry, a hole and a MultiPolygon part outside the
+    first part's box; points on vertices and edges included.  An empty
+    batch gives a typed empty table."""
+    from gdal_boots_ray.kernels.geometry import points_in_rings, polygon_rings
+    from gdal_boots_ray.stages.joins import BroadcastPIPJoin
+
+    def poly(*rings):
+        return {"type": "Polygon", "coordinates": [[list(p) for p in r] for r in rings]}
+
+    geoms = [
+        (9, poly([(0, 4), (4, 0), (8, 4), (4, 8), (0, 4)])),
+        (2, poly([(1, 1), (7, 1), (7, 7), (1, 7), (1, 1)], [(3, 3), (5, 3), (5, 5), (3, 5), (3, 3)])),
+        (9, poly([(2, 2), (6, 2.5), (4, 6), (2, 2)])),
+        (5, {"type": "Polygon", "coordinates": []}),
+        (
+            4,
+            {
+                "type": "MultiPolygon",
+                "coordinates": [[[(0, 0), (2, 0), (2, 2), (0, 2), (0, 0)]], [[(5, 5), (8, 6), (6, 8), (5, 5)]]],
+            },
+        ),
+    ]
+    packed = [(pid, polygon_rings(g)) for pid, g in geoms]
+    grid = np.arange(-2, 21) / 2
+    gx, gy = (a.ravel() for a in np.meshgrid(grid, grid))
+    batch = pa.table({"cx": gx, "cy": gy, "row": np.arange(len(gx)), "other": np.zeros(len(gx))})
+    join = BroadcastPIPJoin(packed, keep_cols=["row", "cy"])
+    rows, pids = [], []
+    for i in range(len(gx)):
+        for pid, rings in packed:
+            if points_in_rings(gx[i : i + 1], gy[i : i + 1], rings)[0]:
+                rows.append(i)
+                pids.append(pid)
+    want = batch.select(["row", "cy"]).take(pa.array(rows, pa.int64()))
+    want = want.append_column("poly_id", pa.array(pids, pa.int64()))
+    # the cases occur: both entries of poly_id 9 on one row, the second part of 4
+    assert set(pids) == {2, 4, 9}
+    assert len(set(zip(rows, pids))) < len(rows)
+    assert any(pid == 4 and gx[i] > 2 for i, pid in zip(rows, pids))
+    assert join(batch).equals(want)
+    assert join(batch.slice(0, 0)).equals(want.schema.empty_table())
+
+
 def test_mosaic_stage(ray_mod):
     import ray.data as rd
 

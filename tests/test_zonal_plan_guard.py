@@ -4,13 +4,21 @@ reduce its spans.  ``_rings_mask`` stays only as the tests' one-tile
 scanline reference, so a ``_rings_mask(`` call in program code is a
 second selection the oracle does not check.  The per-pair generator,
 actor and selector the spans replaced (``zone_pixels``, ``ZonalStats``,
-``select_zone_pixels``) stay gone."""
+``select_zone_pixels``) stay gone.  The broadcast PIP join and the
+batch cover test run the one batched kernel, ``points_in_polygons``,
+with no Python loop, so the per-polygon ``points_in_rings`` pass they
+replaced cannot come back."""
 
 import ast
 import pathlib
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 GONE = {"ZonalStats", "select_zone_pixels", "zone_pixels"}
+PIP_KERNEL_CALLERS = [
+    ("gdal_boots_ray/stages/joins.py", "BroadcastPIPJoin"),
+    ("gdal_boots_ray/stages/zonal.py", "_cover_pairs"),
+]
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
 def program_files(root: pathlib.Path):
@@ -21,6 +29,11 @@ def program_files(root: pathlib.Path):
         if rel.parts[0] == "tests" or any(p.startswith(".") for p in rel.parts):
             continue
         yield path
+
+
+def call_name(call: ast.Call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
 
 
 def zonal_sites(root: pathlib.Path):
@@ -43,9 +56,7 @@ def zonal_sites(root: pathlib.Path):
                     if child.name == "_rings_mask":
                         mask_defs.append((rel, inner))
                 if isinstance(child, ast.Call):
-                    f = child.func
-                    name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
-                    if name == "_rings_mask":
+                    if call_name(child) == "_rings_mask":
                         mask_calls.append((rel, chain))
                 if isinstance(child, (ast.Import, ast.ImportFrom)):
                     gone.extend((rel, a.name) for a in child.names if a.name.split(".")[-1] in GONE)
@@ -69,3 +80,15 @@ def test_rings_mask_called_by_no_program_code():
 def test_per_pair_zonal_selectors_stay_deleted():
     *_, gone = zonal_sites(REPO)
     assert not gone, f"deleted zonal names are back: {gone}; use stages.zonal.zone_spans and its reducers"
+
+
+def test_pip_kernel_callers_make_one_batched_call():
+    for rel, name in PIP_KERNEL_CALLERS:
+        tree = ast.parse((REPO / rel).read_text())
+        defs = {n.name: n for n in tree.body if isinstance(n, (ast.ClassDef, ast.FunctionDef))}
+        assert name in defs, f"{rel} defines no {name}"
+        calls = [call_name(n) for n in ast.walk(defs[name]) if isinstance(n, ast.Call)]
+        loops = [(type(n).__name__, n.lineno) for n in ast.walk(defs[name]) if isinstance(n, LOOPS)]
+        assert calls.count("points_in_polygons") == 1, f"{rel}::{name} should call points_in_polygons once"
+        assert "points_in_rings" not in calls, f"{rel}::{name} calls points_in_rings; use points_in_polygons"
+        assert not loops, f"{rel}::{name} loops in Python at {loops}; batch the pairs through points_in_polygons"

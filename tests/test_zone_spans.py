@@ -3,25 +3,30 @@ polygon) pairs at once, exactly the pixels of the one-pair rules it
 replaced: a tile the one-tile cover test calls covered selects every
 pixel, any other tile the pixels of its ``_rings_mask`` scanline fill.
 Its batch cover test equals ``_rings_cover_tiles`` polygon by polygon,
-and both reducers equal a per-pair reduce of those pixels.  Cases:
+both reducers equal a per-pair reduce of those pixels, and the batched
+point-in-polygon kernel equals ``points_in_rings`` on every vertex,
+every edge midpoint and a half-unit lattice of points.  Cases:
 random and lattice polygons (vertices and edges on pixel centres and
 pixel edges, horizontal edges), holes, MultiPolygons and rings of fewer
 than 4 points, axis, rotated and sheared geotransforms with h != w,
 polygons larger than the tile, tiles only partly overlapped and empty
 windows.  In-process, no Ray."""
 
+import warnings
+
 import numpy as np
 import pyarrow as pa
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gdal_boots_ray.kernels.geometry import polygon_rings
+from gdal_boots_ray.kernels.geometry import points_in_rings, polygon_rings
 from gdal_boots_ray.stages.zonal import (
     PolygonEdges,
     _cover_pairs,
     _rings_cover_tile,
     _rings_cover_tiles,
     _rings_mask,
+    points_in_polygons,
     zonal_histograms,
     zonal_partials,
     zone_spans,
@@ -98,8 +103,31 @@ def _reference(rings, h, w, gt):
     return np.flatnonzero(_rings_mask(rings, (h, w), gt))
 
 
+def check_kernel(polys: dict, edges: PolygonEdges):
+    """One ``points_in_polygons`` call over every polygon's vertices,
+    edge midpoints (on horizontal and sloped edges) and a half-unit
+    lattice equals ``points_in_rings`` polygon by polygon, and neither
+    warns."""
+    grid = np.arange(-26, 62) / 2
+    lattice = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
+    xy, q, want = [], [], []
+    for j, rings in enumerate(polys.values()):
+        pts = np.concatenate([lattice] + list(rings) + [(r[:-1] + r[1:]) / 2 for r in rings])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want.append(points_in_rings(pts[:, 0], pts[:, 1], rings))
+        xy.append(pts)
+        q.append(np.full(len(pts), j))
+    xy = np.concatenate(xy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = points_in_polygons(edges, xy[:, 0], xy[:, 1], np.concatenate(q))
+    np.testing.assert_array_equal(got, np.concatenate(want))
+
+
 def check_batch(polys: dict, pairs):
-    edges = PolygonEdges(polys)
+    edges = PolygonEdges(polys.items())
+    check_kernel(polys, edges)
     matched, base, buf = _batch(pairs)
     pair, start, end = zone_spans(matched, edges, base)
     assert (start < end).all() and (np.diff(pair) >= 0).all()
@@ -164,10 +192,14 @@ def test_unknown_polygon_and_empty_batch_select_nothing():
     polys = {3: polygon_rings(SHAPES["diamond"])}
     check_batch(polys, [(7, 8, 8, GTS["unit"]), (3, 8, 8, GTS["unit"]), (7, 4, 4, GTS["unit"])])
     matched, base, buf = _batch([])
-    pair, start, end = zone_spans(matched, PolygonEdges(polys), base)
+    pair, start, end = zone_spans(matched, PolygonEdges(polys.items()), base)
     assert len(pair) == len(start) == len(end) == 0
-    assert zonal_partials(matched, PolygonEdges(polys), buf, base).num_rows == 0
-    assert zonal_histograms(matched, PolygonEdges({}), buf, base).num_rows == 0
+    assert zonal_partials(matched, PolygonEdges(polys.items()), buf, base).num_rows == 0
+    assert zonal_histograms(matched, PolygonEdges([]), buf, base).num_rows == 0
+    # a poly_id selects its last entry, and nothing if that one is empty
+    rings = [polygon_rings(SHAPES[k]) for k in ("diamond", "holed", "multi")]
+    edges = PolygonEdges([(3, rings[0]), (7, rings[1]), (3, rings[2]), (5, rings[0]), (5, [])])
+    assert edges.index([3, 7, 5, 9]).tolist() == [2, 1, -1, -1]
 
 
 lattice = st.integers(-6, 36).map(lambda v: v / 2)  # pixel centres and pixel edges of the unit grid
@@ -238,11 +270,11 @@ def test_partials_of_wider_pixels(dtype):
                 "max_v": float(px.max()),
             }
         )
-    assert zonal_partials(matched, PolygonEdges(polys), buf, base).to_pylist() == want
+    assert zonal_partials(matched, PolygonEdges(polys.items()), buf, base).to_pylist() == want
     if signed:
         assert min(r["min_v"] for r in want) < 0
         with pytest.raises(ValueError, match="non-negative"):
-            zonal_histograms(matched, PolygonEdges(polys), buf, base)
+            zonal_histograms(matched, PolygonEdges(polys.items()), buf, base)
         return
-    assert zonal_histograms(matched, PolygonEdges(polys), buf, base).to_pylist() == want_hist
+    assert zonal_histograms(matched, PolygonEdges(polys.items()), buf, base).to_pylist() == want_hist
     assert max(r["v"] for r in want_hist) > 255
