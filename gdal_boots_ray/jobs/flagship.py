@@ -38,7 +38,10 @@ def main(argv=None) -> int:
         help="checkpointed run: each input file's task writes its own partition under --out",
     )
     ap.add_argument(
-        "--chunk-files", type=int, default=4, help="with --resume: input files per Ray Data execution"
+        "--chunk-files",
+        type=int,
+        default=None,
+        help="with --resume: input files per Ray Data execution (default: every missing file in one)",
     )
     args = ap.parse_args(argv)
 

@@ -10,9 +10,12 @@ the plan has no exchange: the kB-sized partials are combined on the
 driver (``combine_zonal_partials``).
 
 Two Dataset builders run the worker: ``_read_in_task`` for parquet
-tables and the resumable run (each file's task also writes that file's
-partials as its checkpoint partition), and ``fused_partials`` over an
-existing Dataset (``entry()``'s synthesized tiles).
+tables and the resumable run, and ``fused_partials`` over an existing
+Dataset (``entry()``'s synthesized tiles).  ``_read_in_task`` runs one
+wave: at most one task per CPU, each over a contiguous run of files,
+each building one worker; in the resumable run the task writes each
+file's partials as that file's checkpoint partition as soon as the file
+is done.
 
 Streaming end-to-end: no take_all/materialize on the big side; the
 result is a small per-polygon aggregate table.
@@ -50,7 +53,7 @@ class FusedTileWorker:
     """The whole per-tile chain — bounds -> cell ids -> broadcast PIP
     -> band-0 decode + zonal partials of the matched pairs -> per-batch
     partial aggregate — in one call, so decoded pixels never leave the
-    process.  Both Dataset builders keep one per worker process."""
+    process.  Each task of either Dataset builder builds one."""
 
     def __init__(self, polygons_ref, cell_res: float, s2_level: int, with_s2: bool):
         # no bytes column: the join's take copies metadata and each
@@ -136,23 +139,31 @@ def band0_reader(batch, rows):
 def _partial_zonal_agg(stats):
     """One row per polygon of the per-pair partials ``stats``: its
     pairs (n_tiles), pixels, pixel sum, min and max, by poly_id."""
-    pid = stats.column("poly_id").to_numpy()
-    uniq, inv = np.unique(pid, return_inverse=True)
+    cols = {c: stats.column(c).to_numpy() for c in ("poly_id", "n_px", "sum_v", "min_v", "max_v")}
+    return pa.table(_fold_by_poly(n_tiles=None, **cols))
+
+
+def _fold_by_poly(poly_id, n_tiles, n_px, sum_v, min_v, max_v) -> dict:
+    """``RESULT_DTYPES`` columns with one row per distinct ``poly_id``,
+    ascending: the sums of ``n_px`` and ``sum_v``, the min of ``min_v``
+    and the max of ``max_v``, and the number of rows (``n_tiles`` None:
+    per-pair partials) or the sum of ``n_tiles`` (partials of partials).
+    Both the per-batch aggregate and the final combine are this fold."""
+    uniq, inv = np.unique(poly_id, return_inverse=True)
     k = len(uniq)
-    min_v = np.full(k, np.inf)
-    max_v = np.full(k, -np.inf)
-    np.minimum.at(min_v, inv, stats.column("min_v").to_numpy())
-    np.maximum.at(max_v, inv, stats.column("max_v").to_numpy())
-    return pa.table(
-        {
-            "poly_id": pa.array(uniq.astype(np.int64)),
-            "n_tiles": pa.array(np.bincount(inv, minlength=k).astype(np.int64)),
-            "n_px": pa.array(np.bincount(inv, stats.column("n_px").to_numpy(), k).astype(np.int64)),
-            "sum_v": pa.array(np.bincount(inv, stats.column("sum_v").to_numpy(), k).astype(np.float64)),
-            "min_v": pa.array(min_v),
-            "max_v": pa.array(max_v),
-        }
-    )
+    lo = np.full(k, np.inf)
+    hi = np.full(k, -np.inf)
+    np.minimum.at(lo, inv, min_v)
+    np.maximum.at(hi, inv, max_v)
+    tiles = np.bincount(inv, minlength=k) if n_tiles is None else np.bincount(inv, n_tiles, k)
+    return {
+        "poly_id": uniq.astype(np.int64),
+        "n_tiles": tiles.astype(np.int64),
+        "n_px": np.bincount(inv, n_px, k).astype(np.int64),
+        "sum_v": np.bincount(inv, sum_v, k).astype(np.float64),
+        "min_v": lo,
+        "max_v": hi,
+    }
 
 
 def run_flagship(
@@ -191,11 +202,10 @@ def _input_files(images_path: str) -> list:
 
 def fused_partials(ds, polygons_ref, cell_res, s2_level, with_s2, batch_size):
     """Dataset of the zonal partials of the image Dataset ``ds`` (the
-    tiles ``entry()`` synthesizes): stateless tasks map one cached
-    ``FusedTileWorker`` per worker process over its ``batch_size``
-    batches.  ``run_flagship`` reads a parquet table through
-    ``_read_in_task`` instead, which keeps the payload out of the
-    object store."""
+    tiles ``entry()`` synthesizes): each task maps one cached
+    ``FusedTileWorker`` over its ``batch_size`` batches.
+    ``run_flagship`` reads a parquet table through ``_read_in_task``
+    instead, which keeps the payload out of the object store."""
 
     def fused(batch, _cache={}):
         worker = _cache.get("w")
@@ -224,35 +234,44 @@ def _file_partials(worker, path: str, batch_size: int, out_dir: Optional[str] = 
     return part
 
 
+def _file_groups(files: list, num_cpus_hint: int) -> list:
+    """``files`` cut into ``min(len(files), num_cpus_hint)`` contiguous
+    runs in file order, whose sizes differ by at most one: one wave of
+    tasks."""
+    n = min(len(files), max(1, num_cpus_hint))
+    return [files[len(files) * i // n : len(files) * (i + 1) // n] for i in range(n)]
+
+
 def _read_in_task(files, poly_ref, cell_res, s2_level, with_s2, batch_size, num_cpus_hint, out_dir=None):
     """Dataset of the zonal partials of ``files`` (``_file_partials``
-    of each), one task per group of files.
+    of each), one task per group of ``_file_groups``.
 
     Ray's executor keeps ReadParquet and downstream maps as SEPARATE
     operators (no read->map fusion in 2.49), so a read_parquet plan
     ships every encoded payload through the object store twice (write +
     fetch) just to decode it in the next operator.  Instead the work
-    list is a tiny Dataset of file paths and ONE task reads its files
+    list is a tiny Dataset of file groups and ONE task reads its files
     AND runs the whole tile chain — only the kB-sized zonal partials
     ever leave the task, and with ``out_dir`` the task checkpoints each
-    file itself, so resume needs no exchange.  On a multi-node cluster
-    this is also the locality-optimal plan: the read and the compute
-    are the same task by construction.  Worker state amortizes: Ray
-    reuses worker processes across tasks and the closure cache keeps
-    one FusedTileWorker each."""
+    file as soon as it is done, so resume needs no exchange.  On a
+    multi-node cluster this is also the locality-optimal plan: the read
+    and the compute are the same task by construction.
 
-    def fused_file(batch, _cache={}):
-        worker = _cache.get("w")
-        if worker is None:
-            worker = _cache["w"] = FusedTileWorker(poly_ref, cell_res, s2_level, with_s2)
-        return pa.concat_tables(
-            [_file_partials(worker, p, batch_size, out_dir) for p in batch.column("path").to_pylist()]
-        )
+    The plan is one wave: ``min(len(files), num_cpus_hint)`` tasks.
+    Nothing streams from the partials (the combine waits for every
+    task), so a second wave would only buy tail balance.  Each extra
+    task costs ~25-40 ms of Ray Data fixed cost (an empty 4-item
+    ``from_items -> map_batches -> to_pandas`` job pinned to 1 CPU,
+    medians of 10 in 3 rounds: 159-188 ms as 4 tasks, 70-90 ms as 1)
+    plus one ``FusedTileWorker`` build, since every task deserializes
+    its own copy of the function."""
 
-    # task granularity: ~4 fragments per CPU wave, floor 64 tasks,
-    # so scheduling overhead amortizes while the tail stays short
-    per_task = max(1, len(files) // max(64, 4 * num_cpus_hint))
-    n_blocks = (len(files) + per_task - 1) // per_task
+    def fused_file(batch):
+        worker = FusedTileWorker(poly_ref, cell_res, s2_level, with_s2)
+        paths = [p for group in batch.column("paths").to_pylist() for p in group]
+        return pa.concat_tables([_file_partials(worker, p, batch_size, out_dir) for p in paths])
+
+    groups = _file_groups(files, num_cpus_hint)
     # the executor's default operator reservation withholds ~35%
     # of CPUs from a single-operator plan; this plan IS the job.
     # Datasets snapshot DataContext at creation, so flipping the
@@ -263,8 +282,9 @@ def _read_in_task(files, poly_ref, cell_res, s2_level, with_s2, batch_size, num_
     saved = ctx.op_resource_reservation_enabled
     ctx.op_resource_reservation_enabled = False
     try:
-        paths = rd.from_items([{"path": p} for p in files], override_num_blocks=n_blocks)
-        return paths.map_batches(fused_file, batch_format="pyarrow", batch_size=per_task)
+        # one group per block, and one block per task
+        paths = rd.from_items([{"paths": g} for g in groups], override_num_blocks=max(1, len(groups)))
+        return paths.map_batches(fused_file, batch_format="pyarrow", batch_size=None)
     finally:
         ctx.op_resource_reservation_enabled = saved
 
@@ -277,7 +297,7 @@ def run_flagship_resumable(
     s2_level: int = 9,
     with_s2: bool = True,
     batch_size: int = 64,
-    chunk_files: int = 4,
+    chunk_files: Optional[int] = None,
 ):
     """The flagship pipeline with per-INPUT-FILE checkpoint
     partitions (north_rule: "resumable from checkpoint with
@@ -287,10 +307,11 @@ def run_flagship_resumable(
     ``run_flagship``'s read-in-task plan with a checkpoint dir: the
     task that processes a file writes that file's per-poly zonal
     partials to ``out_dir/part=<stem>/`` with an atomic manifest, as
-    soon as the file is done, so a kill loses only the files whose
-    tasks were still running.  A rerun anti-joins the file stems
-    against completed manifests and runs ONLY the missing files, in
-    Datasets of ``chunk_files`` files each.  The final combine folds
+    soon as the file is done, so a kill loses only the files in
+    progress.  A rerun anti-joins the file stems against completed
+    manifests and runs ONLY the missing files: all of them in one
+    Dataset, or (given ``chunk_files``) in Datasets of ``chunk_files``
+    files each, one after another.  The final combine folds
     all partition partials into the per-polygon aggregate; partial sums
     are integer-valued in float64, so the combined output is
     bit-identical no matter how the work was split before a kill.
@@ -309,8 +330,9 @@ def run_flagship_resumable(
     poly_ref = put_polygons(polygons)
     num_cpus_hint = int(ray.cluster_resources().get("CPU", 8))
 
-    for i in range(0, len(todo_files), chunk_files):
-        chunk = todo_files[i : i + chunk_files]
+    step = chunk_files or len(todo_files) or 1
+    for i in range(0, len(todo_files), step):
+        chunk = todo_files[i : i + step]
         # the tasks checkpoint their files; the partials are read back
         # from the partitions below
         ds = _read_in_task(chunk, poly_ref, cell_res, s2_level, with_s2, batch_size, num_cpus_hint, out_dir)
@@ -328,12 +350,11 @@ def combine_zonal_partials(stats_ds) -> "object":
     """Final combine of the per-batch zonal partials.
 
     The partial rows number ~n_batches x n_polys (tiny by
-    construction), so the global merge streams them to the driver with
-    ``iter_batches`` and reduces in one vectorized pandas groupby —
-    the same shape Ray uses internally for ds.sum()/count().  (A
-    Dataset-level groupby here costs ~6s of fixed sort-shuffle
-    overhead across hundreds of partial blocks for 25 output rows.)
-    Returns a pandas DataFrame ordered by poly_id.
+    construction), so the global merge collects them on the driver and
+    folds them with the per-batch aggregate's NumPy fold
+    (``_fold_by_poly``).  (A Dataset-level groupby here costs ~6s of
+    fixed sort-shuffle overhead across hundreds of partial blocks for
+    25 output rows.)  Returns a pandas DataFrame ordered by poly_id.
     """
     return _combine_frame(stats_ds.to_pandas())
 
@@ -356,16 +377,4 @@ def _combine_frame(allp):
 
     if allp.empty:
         return pd.DataFrame({c: pd.Series(dtype=t) for c, t in RESULT_DTYPES.items()})
-    return (
-        allp.groupby("poly_id")
-        .agg(
-            n_tiles=("n_tiles", "sum"),
-            n_px=("n_px", "sum"),
-            sum_v=("sum_v", "sum"),
-            min_v=("min_v", "min"),
-            max_v=("max_v", "max"),
-        )
-        .reset_index()
-        .sort_values("poly_id")
-        .reset_index(drop=True)
-    )
+    return pd.DataFrame(_fold_by_poly(**{c: allp[c].to_numpy() for c in RESULT_DTYPES}))

@@ -1,7 +1,8 @@
 """Flagship resume: a REAL mid-run SIGKILL at ~50% of checkpoint
 partitions, then replay — the resumed output must be byte-identical to
 a clean single-shot run, and finished partitions must not be
-recomputed (north_rule checkpoint criterion on the flagship path)."""
+recomputed (north_rule checkpoint criterion on the flagship path).
+By default one Dataset runs every missing file."""
 
 import os
 import signal
@@ -117,3 +118,25 @@ def test_kill_at_half_then_resume_byte_identical(ray_session, images_dir, tmp_pa
     # complete rerun is a no-op with identical output
     again, _ = run_flagship_resumable(images_dir, kill_out, polygons=_polys())
     assert _canon(again) == _canon(ref)
+
+
+def test_default_resume_runs_every_file_in_one_dataset(ray_session, images_dir, tmp_path, monkeypatch):
+    from gdal_boots_ray.pipelines import flagship
+
+    calls = []
+    read_in_task = flagship._read_in_task
+
+    def counted(files, *args, **kwargs):
+        calls.append(list(files))
+        return read_in_task(files, *args, **kwargs)
+
+    monkeypatch.setattr(flagship, "_read_in_task", counted)
+    one_by_one, _ = flagship.run_flagship_resumable(
+        images_dir, str(tmp_path / "chunked"), polygons=_polys(), chunk_files=1
+    )
+    assert [len(c) for c in calls] == [1] * N_FILES
+    calls.clear()
+    default, summary = flagship.run_flagship_resumable(images_dir, str(tmp_path / "default"), polygons=_polys())
+    assert [len(c) for c in calls] == [N_FILES]
+    assert summary["partitions"] == N_FILES
+    assert default.equals(one_by_one)
