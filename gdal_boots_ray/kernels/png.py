@@ -122,9 +122,12 @@ def _unfilter(filtered: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray
     return out.astype(np.uint8)
 
 
-def _read_chunks(data: bytes):
-    """(w, h, depth, color, zlib payload) of a PNG stream, or
-    ValueError naming what is missing, short or malformed."""
+def _read_chunks(data):
+    """(w, h, depth, color, zlib payload) of a PNG stream (bytes or any
+    buffer, a memoryview or a uint8 array), or ValueError naming what is
+    missing, short or malformed.  A single IDAT's payload is a view into
+    ``data``, not a copy."""
+    data = memoryview(data)
     if data[:8] != _MAGIC:
         raise ValueError("not a PNG stream")
     pos = 8
@@ -159,26 +162,41 @@ def _read_chunks(data: bytes):
         raise ValueError("corrupt PNG: no IHDR chunk")
     if not idat:
         raise ValueError("corrupt PNG: no IDAT chunk")
-    return ihdr[0], ihdr[1], ihdr[2], ihdr[3], b"".join(idat)
+    return ihdr[0], ihdr[1], ihdr[2], ihdr[3], idat[0] if len(idat) == 1 else b"".join(idat)
 
 
-def png_decode(data: bytes, band=None) -> np.ndarray:
-    """Decode PNG bytes to (bands,h,w) (or (h,w) for 1 band) array.
+def png_dtype(data) -> np.dtype:
+    """The pixel dtype (uint8 or uint16) of a PNG stream, from its IHDR
+    chunk; raises ValueError like ``png_decode`` on a bad stream."""
+    return np.dtype(np.uint16 if _read_chunks(data)[2] == 16 else np.uint8)
+
+
+def png_decode(data, band=None, out=None) -> np.ndarray:
+    """Decode a PNG stream (bytes or any buffer, a memoryview or a uint8
+    array) to (bands,h,w) (or (h,w) for 1 band) array.
 
     ``band=b`` returns only band ``b`` as a contiguous (h, w) array.
     For 8-bit streams whose scanlines use only the None/Sub filters
-    (all that ``png_encode`` writes) it reads just that band's bytes:
-    a (w, h) copy out of the inflated scanlines, Sub undone as a
-    uint8 cumulative sum down axis 0, then one transpose copy — no
-    full-width unfilter and no all-band transpose.  Any other stream
-    is fully decoded and sliced.
+    (all that ``png_encode`` writes) it reads just that band's bytes
+    out of the inflated scanlines, undoing Sub as a uint8 cumulative
+    sum along each row — no full-width unfilter and no all-band
+    transpose.  Any other stream is fully decoded and sliced.
+
+    ``out``, an array of the result's shape (an (h, w) view into a
+    bigger buffer, say), receives the pixels and is returned; on that
+    fast path the cumulative sum writes straight into it.  Its dtype
+    must hold the stream's (casting is ``"safe"``).
 
     A truncated or corrupt stream raises ValueError naming the cause
-    (missing/short chunk, bad zlib data, wrong inflated size)."""
+    (missing/short chunk, bad zlib data, wrong inflated size), and so
+    does an ``out`` of the wrong shape."""
     w, h, depth, color, payload = _read_chunks(data)
     bands = _COLOR_TO_BANDS[color]
     if band is not None and not 0 <= band < bands:
         raise ValueError(f"band {band} out of range for a {bands}-band PNG")
+    shape = (h, w) if band is not None or bands == 1 else (bands, h, w)
+    if out is not None and out.shape != shape:
+        raise ValueError(f"out is {out.shape}, the PNG decodes to {shape}")
     bpp = bands * (depth // 8)
     stride = w * bpp
     try:
@@ -190,25 +208,29 @@ def png_decode(data: bytes, band=None) -> np.ndarray:
     filtered = np.frombuffer(raw, dtype=np.uint8).reshape(h, 1 + stride)
     ftypes = filtered[:, 0]
     if band is not None and depth == 8 and ftypes.max(initial=0) <= 1:
-        plane = filtered[:, 1 + band :: bands].T.copy()  # (w, h)
+        plane = filtered[:, 1 + band :: bands]  # (h, w) view; Sub's left neighbour is the previous column
+        dest = out if out is not None and out.dtype == np.uint8 else np.empty((h, w), np.uint8)
         sub_rows = ftypes == 1
         if sub_rows.all():
-            np.add.accumulate(plane, axis=0, dtype=np.uint8, out=plane)
-        elif sub_rows.any():
-            plane[:, sub_rows] = np.add.accumulate(plane[:, sub_rows], axis=0, dtype=np.uint8)
-        return np.ascontiguousarray(plane.T)
-    flat = _unfilter(filtered, h, stride, bpp)
-    if depth == 16:
-        img = flat.reshape(h, w, bands, 2)
-        img = (img[..., 0].astype(np.uint16) << 8) | img[..., 1]
+            np.add.accumulate(plane, axis=1, dtype=np.uint8, out=dest)
+        else:
+            dest[...] = plane
+            if sub_rows.any():
+                dest[sub_rows] = np.add.accumulate(plane[sub_rows], axis=1, dtype=np.uint8)
+        img = dest
     else:
-        img = flat.reshape(h, w, bands)
-    if band is not None:
-        return np.ascontiguousarray(img[:, :, band])
-    out = np.transpose(img, (2, 0, 1))
-    if bands == 1:
-        return np.ascontiguousarray(out[0])
-    return np.ascontiguousarray(out)
+        flat = _unfilter(filtered, h, stride, bpp)
+        if depth == 16:
+            img = flat.reshape(h, w, bands, 2)
+            img = (img[..., 0].astype(np.uint16) << 8) | img[..., 1]
+        else:
+            img = flat.reshape(h, w, bands)
+        img = img[:, :, band] if band is not None else np.transpose(img, (2, 0, 1)).reshape(shape)
+    if out is None:
+        return np.ascontiguousarray(img)
+    if img is not out:
+        np.copyto(out, img, casting="safe")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -244,57 +266,56 @@ def raw_encode(img: np.ndarray) -> bytes:
 _RAW_HEADER_LEN = 4 + struct.calcsize("<BHII")
 
 
-def raw_header(data) -> Tuple[int, int, int, int]:
-    """(bands, h, w, payload_nbytes) of a uint8 RAW1 stream — lets
-    callers slice the pixel payload zero-copy.  Raises for non-uint8
-    payloads (callers fall back to ``raw_header_full``)."""
-    if bytes(data[:4]) != _RAW_MAGIC:
-        raise ValueError("not a RAW1 stream")
-    code, bands, h, w = struct.unpack_from("<BHII", data, 4)
-    if code != 1:
-        raise ValueError("raw_header supports uint8 payloads only")
-    return bands, h, w, bands * h * w
-
-
 def raw_header_full(data) -> Tuple[np.dtype, int, int, int, int]:
-    """(dtype, bands, h, w, payload_nbytes) of any RAW1 stream — the
-    multi-dtype zero-copy slice path (reference dtype map
-    gdal.py:58-71)."""
+    """(dtype, bands, h, w, payload_nbytes) of any RAW1 stream — lets
+    callers slice the pixel payload zero-copy (reference dtype map
+    gdal.py:58-71).  A short header or an unknown dtype code raises
+    ValueError."""
     if bytes(data[:4]) != _RAW_MAGIC:
         raise ValueError("not a RAW1 stream")
+    if len(data) < _RAW_HEADER_LEN:
+        raise ValueError(f"truncated RAW1: {len(data)} bytes, the header needs {_RAW_HEADER_LEN}")
     code, bands, h, w = struct.unpack_from("<BHII", data, 4)
+    if code not in _CODE_DTYPE:
+        raise ValueError(f"corrupt RAW1: unknown dtype code {code}")
     dt = _CODE_DTYPE[code]
     return dt, bands, h, w, bands * h * w * dt.itemsize
 
 
-def raw_decode(data: bytes) -> np.ndarray:
-    if data[:4] != _RAW_MAGIC:
-        raise ValueError("not a RAW1 stream")
-    code, bands, h, w = struct.unpack_from("<BHII", data, 4)
-    dt = _CODE_DTYPE[code].newbyteorder("<")
-    img = np.frombuffer(data, dtype=dt, offset=4 + struct.calcsize("<BHII"), count=bands * h * w)
-    img = img.reshape(bands, h, w).astype(_CODE_DTYPE[code], copy=False)
+def raw_decode(data) -> np.ndarray:
+    dt, bands, h, w, _nbytes = raw_header_full(data)
+    img = np.frombuffer(data, dtype=dt.newbyteorder("<"), offset=_RAW_HEADER_LEN, count=bands * h * w)
+    img = img.reshape(bands, h, w).astype(dt, copy=False)
     if bands == 1:
         return img[0]
     return img
 
 
-def decode_image(data: bytes, fmt: str, band=None) -> np.ndarray:
-    """Decode ``data`` of format ``fmt`` to (bands,h,w) (or (h,w) for
-    1 band); ``band=b`` returns only band ``b`` as (h, w), which PNG
-    decodes without touching the other bands."""
+def decode_image(data, fmt: str, band=None, out=None) -> np.ndarray:
+    """Decode ``data`` (bytes or any buffer: a memoryview or a uint8
+    array) of format ``fmt`` to (bands,h,w) (or (h,w) for 1 band);
+    ``band=b`` returns only band ``b`` as (h, w), which PNG decodes
+    without touching the other bands.  PNG and raw read the buffer in
+    place; the other formats get it as ``bytes``.  ``out``, an array of
+    the result's shape, receives the pixels and is returned (see
+    ``png_decode``); a wrong shape raises ValueError."""
     if fmt == "png":
-        return png_decode(data, band=band)
-    img = _decode_full(data, fmt)
-    if band is None:
+        return png_decode(data, band=band, out=out)
+    img = _decode_full(memoryview(data) if fmt == "raw" else bytes(data), fmt)
+    if band is not None:
+        nb = 1 if img.ndim == 2 else img.shape[0]
+        if not 0 <= band < nb:
+            raise ValueError(f"band {band} out of range for a {nb}-band {fmt} image")
+        img = img if img.ndim == 2 else img[band]
+    if out is None:
         return img
-    nb = 1 if img.ndim == 2 else img.shape[0]
-    if not 0 <= band < nb:
-        raise ValueError(f"band {band} out of range for a {nb}-band {fmt} image")
-    return img if img.ndim == 2 else img[band]
+    if out.shape != img.shape:
+        raise ValueError(f"out is {out.shape}, the {fmt} image decodes to {img.shape}")
+    np.copyto(out, img, casting="safe")
+    return out
 
 
-def _decode_full(data: bytes, fmt: str) -> np.ndarray:
+def _decode_full(data, fmt: str) -> np.ndarray:
     if fmt == "raw":
         return raw_decode(data)
     if fmt in ("tif", "tiff", "gtiff"):

@@ -95,45 +95,66 @@ class FusedTileWorker:
 
 def band0_reader(batch, rows):
     """``(buf, base)``: band 0 of every distinct row of ``batch`` named
-    in ``rows``, decoded once each straight from its ``bytes`` column
-    (PNG: from the inflated scanlines; raw uint8: a slice), flat and
-    concatenated with one trailing zero element; ``buf[base[i]:base[i]
-    + h*w]`` is row ``rows[i]``'s (h, w) band.  A row that does not
-    decode to an (h, w) band raises ``ValueError`` naming its
-    ``image_id``."""
-    from gdal_boots_ray.kernels.png import _RAW_HEADER_LEN, decode_image, raw_header
+    in ``rows``, written once each straight from its ``bytes`` column
+    into one flat buffer with one trailing zero element; ``buf[base[i]:
+    base[i] + h*w]`` is row ``rows[i]``'s (h, w) band.  The buffer's
+    dtype holds every row's, read from the PNG IHDR or RAW1 header (any
+    other format is decoded first); PNG decodes into it, raw is one
+    slice copy.  A row that does not decode to an (h, w) band raises
+    ``ValueError`` naming its ``image_id``."""
+    from gdal_boots_ray.kernels.png import _RAW_HEADER_LEN, decode_image, png_dtype, raw_header_full
     from gdal_boots_ray.stages.decode import binary_column_views
 
     seen = np.zeros(batch.num_rows, bool)
     seen[rows] = True
     uniq = np.flatnonzero(seen)
-    hs = batch.column("h").to_numpy()
-    ws = batch.column("w").to_numpy()
+    hs = batch.column("h").to_numpy().astype(np.int64)
+    ws = batch.column("w").to_numpy().astype(np.int64)
     fmts = batch.column("fmt").to_pylist()
     blobs = binary_column_views(batch.column("bytes"))
+    sizes = np.zeros(batch.num_rows, np.int64)
+    sizes[uniq] = hs[uniq] * ws[uniq]
+    starts = np.cumsum(sizes) - sizes
+    decoded = {}
 
-    def band0(i):
+    def dtype(i):
+        if fmts[i] == "png":
+            return png_dtype(blobs[i])
         if fmts[i] == "raw":
-            try:
-                nb, _h, _w, nbytes = raw_header(blobs[i])
-                return blobs[i][_RAW_HEADER_LEN : _RAW_HEADER_LEN + nbytes].reshape(nb, hs[i], ws[i])[0]
-            except ValueError:
-                pass  # not a whole uint8 payload: the full decode handles or names it
-        band = decode_image(bytes(blobs[i]), fmts[i], band=0)
-        if band.shape != (hs[i], ws[i]):
-            raise ValueError(f"band 0 is {band.shape}, the row says {(int(hs[i]), int(ws[i]))}")
-        return band
+            return raw_header_full(blobs[i])[0]
+        decoded[i] = decode_image(blobs[i], fmts[i], band=0)
+        return decoded[i].dtype
 
-    bands = []
+    def fill(i, dest):
+        if fmts[i] == "png":
+            decode_image(blobs[i], "png", band=0, out=dest)
+            return
+        if fmts[i] == "raw":
+            dt, _nb, h, w, _n = raw_header_full(blobs[i])
+            band = np.frombuffer(blobs[i], dt.newbyteorder("<"), count=h * w, offset=_RAW_HEADER_LEN).reshape(h, w)
+        else:
+            band = decoded.pop(i)
+        if band.shape != dest.shape:
+            raise ValueError(f"band 0 is {band.shape}, the row says {dest.shape}")
+        dest[...] = band
+
+    def named(i, e):
+        return ValueError(f"image_id {batch.column('image_id')[int(i)].as_py()!r}: {e}")
+
+    dts = []
     for i in uniq:
         try:
-            bands.append(band0(i).reshape(-1))
+            dts.append(dtype(i))
         except ValueError as e:
-            raise ValueError(f"image_id {batch.column('image_id')[int(i)].as_py()!r}: {e}") from e
-    sizes = np.zeros(batch.num_rows, np.int64)
-    sizes[uniq] = [b.size for b in bands]
-    buf = np.concatenate(bands + [np.zeros(1, bands[0].dtype if bands else np.uint8)])
-    return buf, (np.cumsum(sizes) - sizes)[rows]
+            raise named(i, e) from e
+    buf = np.empty(int(sizes.sum()) + 1, np.result_type(*dts) if dts else np.uint8)
+    buf[-1] = 0
+    for i in uniq:
+        try:
+            fill(i, buf[starts[i] : starts[i] + sizes[i]].reshape(hs[i], ws[i]))
+        except ValueError as e:
+            raise named(i, e) from e
+    return buf, starts[rows]
 
 
 def _partial_zonal_agg(stats):

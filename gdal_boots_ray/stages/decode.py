@@ -123,7 +123,7 @@ class DecodeImages:
                     bands[i] = nb
                     dtypes.append(dt.name)
                 else:
-                    img = decode_image(bytes(raw), fmt)
+                    img = decode_image(raw, fmt)
                     bands[i] = 1 if img.ndim == 2 else img.shape[0]
                     dtypes.append(img.dtype.name)
             except Exception:
@@ -183,7 +183,7 @@ class DecodeWindows:
             if fmt in ("tif", "tiff", "gtiff"):
                 img, win_gt, _ = gtiff_decode_window(bytes(blobs[i]), x0, y0, cw, ch)
             else:
-                full = decode_image(bytes(blobs[i]), fmt)
+                full = decode_image(blobs[i], fmt)
                 fh, fw = full.shape[-2:]
                 if not (0 <= x0 and 0 <= y0 and x0 + cw <= fw and y0 + ch <= fh and cw > 0 and ch > 0):
                     raise ValueError(f"window ({x0},{y0},{cw},{ch}) outside image {fw}x{fh}")

@@ -249,13 +249,19 @@ def zonal_partials(matched: pa.Table, polys: PolygonEdges, buf: np.ndarray, base
     the band-0 buffer ``buf`` (one trailing sentinel element past the
     last band, so a span ending at the last pixel is a valid
     ``reduceat`` index) — the stats reducer of the flagship.  Pairs
-    selecting no pixel are dropped."""
+    selecting no pixel are dropped.  An unsigned ``buf`` whose longest
+    span cannot overflow 32 bits is summed in uint32, anything else in
+    float64; on integer pixels both sums are exact, so ``sum_v`` is the
+    same either way."""
     pair, start, end = zone_spans(matched, polys, base)
     idx = np.empty(2 * len(start), np.int64)
     idx[0::2], idx[1::2] = start, end
     if len(idx):
-        # the even results reduce the spans, the odd ones the gaps between
-        span_sum = np.add.reduceat(buf, idx, dtype=np.float64)[0::2]
+        # the even results reduce the spans, the odd ones the gaps between;
+        # unsigned spans too short to overflow uint32 sum without a
+        # per-pixel float64 cast (an exact integer either way)
+        small = buf.dtype.kind == "u" and int((end - start).max()) * int(np.iinfo(buf.dtype).max) < 2**32
+        span_sum = np.add.reduceat(buf, idx, dtype=np.uint32 if small else np.float64)[0::2]
         span_min = np.minimum.reduceat(buf, idx)[0::2]
         span_max = np.maximum.reduceat(buf, idx)[0::2]
     else:

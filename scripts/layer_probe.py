@@ -1,13 +1,15 @@
 """Per-layer time of the fused flagship worker, in process, without Ray.
 
 Usage:
-    python scripts/layer_probe.py [--workload flagship_large_tiles] [--seed 901] [--passes 5]
+    python scripts/layer_probe.py [--workload flagship_large_tiles] [--seed 901] [--passes 5] [--batch-size 32]
 
 It takes a perfbench workload's seeded inputs through
 ``perfbench.workloads.prepare`` (generated on first use into the cache a
 benchmark run uses, ``.perfbench/inputs``), slices every input file into
-perfbench's 32-row batches and runs one ``FusedTileWorker`` over all of
-them ``--passes`` times.  Each layer is timed by wrapping the callable
+batches of ``--batch-size`` rows (perfbench's 32 by default) and runs
+one ``FusedTileWorker`` over all of them ``--passes`` times.  Two runs
+at different batch sizes split each layer into a fixed cost per worker
+call and a cost per row.  Each layer is timed by wrapping the callable
 the worker looks up at call time, so the probe runs unchanged on any
 checkout that keeps those names:
 
@@ -15,7 +17,7 @@ checkout that keeps those names:
 - grid cell: the worker's ``cell_fn``
 - lon/lat + S2: its ``lonlat_fn`` and ``s2_fn``
 - join: its ``join``
-- decode: ``png.decode_image`` (raw tiles are sliced, not decoded)
+- decode: ``png.decode_image`` (a raw tile is one slice copy, not decoded)
 - zonal: ``_decode_zonal_rowwise`` less the decode time inside it
 - fold: ``flagship._partial_zonal_agg``
 - worker: the whole ``FusedTileWorker.__call__``
@@ -25,7 +27,7 @@ the matched pairs, how many of them the polygon covers whole (interior,
 counted with the one-tile ``_rings_cover_tile``) or not (boundary), the
 ``decode_image`` calls of one pass, and one sha256 digest of every
 batch's join output and per-batch partials: two checkouts that print the
-same digest produced the same tables.
+same digest produced the same tables (at the same batch size).
 """
 
 from __future__ import annotations
@@ -108,8 +110,8 @@ def digest(worker, batch_list) -> str:
     return h.hexdigest()
 
 
-def probe(workload: str, seed: int, passes: int) -> dict:
-    from perfbench.workloads import BATCH_SIZE, CELL_RES, S2_LEVEL, WITH_S2, WORKLOADS, prepare
+def probe(workload: str, seed: int, passes: int, batch_size: int) -> dict:
+    from perfbench.workloads import CELL_RES, S2_LEVEL, WITH_S2, WORKLOADS, prepare
 
     from gdal_boots_ray.kernels import png
     from gdal_boots_ray.kernels.geometry import polygon_rings
@@ -120,7 +122,7 @@ def probe(workload: str, seed: int, passes: int) -> dict:
         raise SystemExit(f"{workload} does not run the flagship worker")
     inputs = prepare(w, seed, os.path.join(ROOT, ".perfbench", "inputs"))
     packed = [(int(p["poly_id"]), polygon_rings(p["geometry"])) for p in inputs.polygons]
-    batch_list = batches(inputs.images, BATCH_SIZE)
+    batch_list = batches(inputs.images, batch_size)
     rows = sum(b.num_rows for b in batch_list)
 
     acc, calls = defaultdict(int), defaultdict(int)
@@ -160,14 +162,22 @@ def probe(workload: str, seed: int, passes: int) -> dict:
 
 
 def main(argv=None) -> int:
+    from perfbench.workloads import BATCH_SIZE
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", default="flagship_large_tiles")
     parser.add_argument("--seed", type=int, default=901)
     parser.add_argument("--passes", type=int, default=5)
+    parser.add_argument("--batch-size", type=int, default=BATCH_SIZE)
     args = parser.parse_args(argv)
-    out = probe(args.workload, args.seed, args.passes)
+    if args.batch_size < 1:
+        parser.error("--batch-size must be at least 1")
+    out = probe(args.workload, args.seed, args.passes, args.batch_size)
     cpus = len(os.sched_getaffinity(0))
-    print(f"{args.workload}, seed {args.seed}: {out['rows']} rows, median of {args.passes} passes, {cpus} CPUs in affinity")
+    print(
+        f"{args.workload}, seed {args.seed}: {out['rows']} rows in batches of {args.batch_size}, "
+        f"median of {args.passes} passes, {cpus} CPUs in affinity"
+    )
     print("| layer | µs per row |")
     print("|---|---|")
     for name in LAYERS:
