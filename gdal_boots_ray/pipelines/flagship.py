@@ -3,11 +3,21 @@
 North-star shape (BASELINE.json): read the parquet images table →
 vectorized bounds + cell ids (grid + S2) → broadcast PIP join against
 the polygon side → band-0 decode of each matched tile, once → one
-vectorized zonal pass over every (poly, tile) pair of the batch → a
-per-batch partial per polygon, all in one
-``FusedTileWorker`` call per batch.  Pixels never cross a shuffle and
-the plan has no exchange: the kB-sized partials are combined on the
-driver (``combine_zonal_partials``).
+vectorized zonal pass over every (poly, tile) pair → one partial per
+polygon, all in one ``FusedTileWorker`` call per input file (or Dataset
+block).  The call splits its work by what it reads:
+
+- the plan (``TilePlan``) runs once per file on NumPy arrays of the
+  metadata: bounds, cells, the join's (row, polygon) index pairs and
+  every pair's zone spans, as offsets into its tile;
+- the pixel step runs per ``batch_size`` rows: band-0 decode of that
+  slice's matched tiles into one buffer and the span reduce over it,
+  so ``batch_size`` bounds the decoded pixels held at once;
+- the fold (``_fold_by_poly``) runs once per file and builds the only
+  Arrow table the worker makes.
+
+Pixels never cross a shuffle and the plan has no exchange: the
+kB-sized partials are combined on the driver (``combine_zonal_partials``).
 
 Two Dataset builders run the worker: ``_read_in_task`` for parquet
 tables and the resumable run, and ``fused_partials`` over an existing
@@ -23,7 +33,10 @@ result is a small per-polygon aggregate table.
 
 from __future__ import annotations
 
+import functools
 import glob
+import hashlib
+import json
 import os
 from typing import Optional, Sequence
 
@@ -33,64 +46,99 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
+from gdal_boots_ray.kernels.affine import bounds
+from gdal_boots_ray.kernels.cells import grid_cell_id, s2_cell_id
 from gdal_boots_ray.sources.fixtures import nation_polygons
-from gdal_boots_ray.stages.geo import add_bounds, make_add_grid_cell, make_add_lonlat, make_add_s2_cell
-from gdal_boots_ray.stages.joins import BroadcastPIPJoin, put_polygons
-from gdal_boots_ray.stages.zonal import zonal_partials
+from gdal_boots_ray.stages.geo import add_bounds  # noqa: F401  (perfbench/spans.py wraps flagship.add_bounds)
+from gdal_boots_ray.stages.geo import gt_matrix, to_lonlat
+from gdal_boots_ray.stages.joins import BroadcastPIPJoin, pack_polygons, put_polygons
+from gdal_boots_ray.stages.zonal import zonal_partials, zone_spans
 from gdal_boots_ray.state import manifest
 
-ROW = "_row"
 
+class TilePlan:
+    """The metadata half of the zonal chain over one table of tiles (an
+    input file or a Dataset block), computed once on NumPy arrays: the
+    tile centers, the broadcast PIP join's ``Matches`` (``row``, by
+    row), each pair's ``pids`` and the ``zone_spans`` of every pair as
+    ``(pair, start, end)`` offsets into its tile's band.  None of it
+    reads a pixel.  ``pixels`` then decodes band 0 of one slice of rows
+    and shifts that slice's spans onto it, so only the pixel step is
+    bounded by a batch size."""
 
-def with_rows(batch):
-    """``batch`` with its row index as the ``ROW`` column, which the PIP
-    join carries to each matched pair, so the payload stays in
-    ``batch``."""
-    return batch.append_column(ROW, pa.array(np.arange(batch.num_rows, dtype=np.int64)))
+    def __init__(self, table: pa.Table, join, edges):
+        self.table = table
+        gts = gt_matrix(table)
+        hs = table.column("h").to_numpy().astype(np.int64)
+        ws = table.column("w").to_numpy().astype(np.int64)
+        b = bounds(gts, ws, hs)
+        self.cx, self.cy = (b[:, 0] + b[:, 2]) / 2, (b[:, 1] + b[:, 3]) / 2
+        m = join(self.cx, self.cy)
+        self.row, self.pids = m.row, edges.ids[m.pos]
+        self.pair, self.start, self.end = zone_spans(edges, self.pids, hs[m.row], ws[m.row], gts[m.row])
+
+    def steps(self, batch_size: int):
+        """``(lo, rows lo .. lo + batch_size of the table)`` for every
+        pixel step; a zero-row table has one empty step."""
+        for lo in range(0, max(1, self.table.num_rows), batch_size):
+            yield lo, self.table.slice(lo, batch_size)
+
+    def pixels(self, lo: int, batch: pa.Table):
+        """``(pair, start, end, buf)``: the spans of the pairs of rows
+        ``lo .. lo + batch.num_rows`` (``batch``), shifted onto ``buf``,
+        the band 0 of those rows' matched tiles (``band0_reader``)."""
+        p_lo, p_hi = np.searchsorted(self.row, (lo, lo + batch.num_rows))
+        s_lo, s_hi = np.searchsorted(self.pair, (p_lo, p_hi))
+        buf, base = band0_reader(batch, self.row[p_lo:p_hi] - lo)
+        pair = self.pair[s_lo:s_hi]
+        off = base[pair - p_lo]
+        return pair, self.start[s_lo:s_hi] + off, self.end[s_lo:s_hi] + off, buf
 
 
 class FusedTileWorker:
     """The whole per-tile chain — bounds -> cell ids -> broadcast PIP
-    -> band-0 decode + zonal partials of the matched pairs -> per-batch
-    partial aggregate — in one call, so decoded pixels never leave the
-    process.  Each task of either Dataset builder builds one."""
+    -> zone spans, once per table (``TilePlan``), then band-0 decode +
+    span reduce per ``batch_size`` rows, then one per-polygon fold — in
+    one call, so decoded pixels never leave the process.  Each task of
+    either Dataset builder builds one.  ``cell_range`` is the (min,
+    max) grid cell of the last table, None if it had no rows."""
 
-    def __init__(self, polygons_ref, cell_res: float, s2_level: int, with_s2: bool):
-        # no bytes column: the join's take copies metadata and each
-        # pair's batch row only, and the decode reads the payload from
-        # the unjoined batch; the zonal pass reuses the join's edge table
-        self.join = BroadcastPIPJoin(polygons_ref, keep_cols=["w", "h", "gt", ROW])
-        self.edges = self.join.edges
-        self.cell_fn = make_add_grid_cell(cell_res)
+    def __init__(self, polygons_ref, cell_res: float, s2_level: int, with_s2: bool, batch_size: int = 64):
+        pip = BroadcastPIPJoin(polygons_ref)
+        # the zonal pass reuses the join's edge table
+        self.join = pip.pairs
+        self.edges = pip.edges
+        self.cell_fn = functools.partial(grid_cell_id, res=cell_res)
         self.with_s2 = with_s2
-        self.lonlat_fn = make_add_lonlat()
-        self.s2_fn = make_add_s2_cell(s2_level)
+        self.lonlat_fn = to_lonlat
+        self.s2_fn = functools.partial(s2_cell_id, level=s2_level)
+        self.batch_size = batch_size
+        self.cell_range = None
 
     def __call__(self, batch):
-        # bounds/cells/PIP run on georeferencing metadata only; decode
-        # is pushed BELOW the join so only matched tiles pay it (the
-        # reference's crop_by_geometry also decodes only what it crops)
-        batch = add_bounds(batch)
-        batch = self.cell_fn(batch)
+        # bounds/cells/PIP/spans run on georeferencing metadata only;
+        # decode is pushed BELOW the join so only matched tiles pay it
+        # (the reference's crop_by_geometry also decodes only what it crops)
+        plan = TilePlan(batch, self.join, self.edges)
+        cells = self.cell_fn(plan.cx, plan.cy)
+        self.cell_range = (int(cells.min()), int(cells.max())) if len(cells) else None
         if self.with_s2:
-            batch = self.s2_fn(self.lonlat_fn(batch))
-        batch = with_rows(batch)
-        stats = self._decode_zonal_rowwise(batch, self.join(batch))
-        # partial aggregate per batch: the task then returns (and
-        # checkpoints) one row per (batch, polygon) instead of one per
-        # (tile, polygon), and the final combine is trivial
+            # the S2 ids of the tile centers; nothing downstream reads them yet
+            self.s2_fn(*self.lonlat_fn(batch.column("epsg").to_numpy(), plan.cx, plan.cy))
+        # one partial aggregate per table: the task returns (and
+        # checkpoints) one row per (file, polygon), and the final
+        # combine is trivial
+        stats = [self._decode_zonal_rowwise(plan, lo, step) for lo, step in plan.steps(self.batch_size)]
         return _partial_zonal_agg(stats)
 
-    def _decode_zonal_rowwise(self, batch, matched):
-        """``zonal_partials`` of the matched (tile, polygon) pairs of
-        ``batch``: band 0 of each matched tile is decoded once from the
-        batch's bytes column (``band0_reader``), however many polygons
-        it matched, with no intermediate Arrow pixels column, and one
-        vectorized pass (``stages.zonal.zone_spans``) selects and
-        reduces the zone pixels of every pair.  A tile whose bytes do
-        not decode raises ``ValueError`` naming its ``image_id``."""
-        buf, base = band0_reader(batch, matched.column(ROW).to_numpy())
-        return zonal_partials(matched, self.edges, buf, base)
+    def _decode_zonal_rowwise(self, plan: TilePlan, lo: int, batch):
+        """``zonal_partials`` of the matched (tile, polygon) pairs of the
+        rows ``lo .. lo + batch.num_rows`` of ``plan``: band 0 of each
+        matched tile is decoded once from ``batch``'s bytes column
+        (``band0_reader``), however many polygons it matched, and its
+        pairs' spans are reduced over it.  A tile whose bytes do not
+        decode raises ``ValueError`` naming its ``image_id``."""
+        return zonal_partials(plan.pids, *plan.pixels(lo, batch))
 
 
 def band0_reader(batch, rows):
@@ -158,9 +206,10 @@ def band0_reader(batch, rows):
 
 
 def _partial_zonal_agg(stats):
-    """One row per polygon of the per-pair partials ``stats``: its
-    pairs (n_tiles), pixels, pixel sum, min and max, by poly_id."""
-    cols = {c: stats.column(c).to_numpy() for c in ("poly_id", "n_px", "sum_v", "min_v", "max_v")}
+    """One row per polygon of the per-pair partials ``stats`` (a list of
+    ``zonal_partials``): its pairs (n_tiles), pixels, pixel sum, min and
+    max, by poly_id."""
+    cols = {c: np.concatenate([s[c] for s in stats]) for c in ("poly_id", "n_px", "sum_v", "min_v", "max_v")}
     return pa.table(_fold_by_poly(n_tiles=None, **cols))
 
 
@@ -169,7 +218,7 @@ def _fold_by_poly(poly_id, n_tiles, n_px, sum_v, min_v, max_v) -> dict:
     ascending: the sums of ``n_px`` and ``sum_v``, the min of ``min_v``
     and the max of ``max_v``, and the number of rows (``n_tiles`` None:
     per-pair partials) or the sum of ``n_tiles`` (partials of partials).
-    Both the per-batch aggregate and the final combine are this fold."""
+    Both the per-table aggregate and the final combine are this fold."""
     uniq, inv = np.unique(poly_id, return_inverse=True)
     k = len(uniq)
     lo = np.full(k, np.inf)
@@ -197,12 +246,13 @@ def run_flagship(
     num_cpus_hint: Optional[int] = None,
     input_reps: int = 1,
 ):
-    """Returns the Dataset of zonal partials (one row per batch and
+    """Returns the Dataset of zonal partials (one row per input file and
     polygon; fold it with ``combine_zonal_partials``).
 
     A parquet table runs the read-in-task plan, its files listed
     ``input_reps`` times; ``num_cpus_hint`` (default: the cluster CPU
-    count) sizes its tasks.
+    count) sizes its tasks.  ``batch_size`` bounds the rows whose band 0
+    is decoded at once.
     """
     if polygons is None:
         polygons = nation_polygons(np.arange(25))
@@ -223,35 +273,42 @@ def _input_files(images_path: str) -> list:
 
 def fused_partials(ds, polygons_ref, cell_res, s2_level, with_s2, batch_size):
     """Dataset of the zonal partials of the image Dataset ``ds`` (the
-    tiles ``entry()`` synthesizes): each task maps one cached
-    ``FusedTileWorker`` over its ``batch_size`` batches.
-    ``run_flagship`` reads a parquet table through ``_read_in_task``
-    instead, which keeps the payload out of the object store."""
+    tiles ``entry()`` synthesizes): each task runs one cached
+    ``FusedTileWorker`` over each of its blocks, decoding ``batch_size``
+    rows at a time.  ``run_flagship`` reads a parquet table through
+    ``_read_in_task`` instead, which keeps the payload out of the object
+    store."""
 
-    def fused(batch, _cache={}):
+    def fused(block, _cache={}):
         worker = _cache.get("w")
         if worker is None:
-            worker = _cache["w"] = FusedTileWorker(polygons_ref, cell_res, s2_level, with_s2)
-        return worker(batch)
+            worker = _cache["w"] = FusedTileWorker(polygons_ref, cell_res, s2_level, with_s2, batch_size)
+        return worker(block)
 
-    return ds.map_batches(fused, batch_format="pyarrow", batch_size=batch_size)
+    return ds.map_batches(fused, batch_format="pyarrow", batch_size=None)
 
 
-def _file_partials(worker, path: str, batch_size: int, out_dir: Optional[str] = None) -> pa.Table:
-    """Zonal partials of one input file: read it, run ``worker`` over
-    ``batch_size`` slices and, given ``out_dir``, checkpoint them as the
-    file's own partition ``part=<file stem>`` (with a constant ``shard``
-    column).  A zero-row file yields one empty table, checkpointed like
-    any other.  Errors of the tile chain are re-raised naming the file."""
+def _file_partials(worker, path: str, out_dir: Optional[str] = None) -> pa.Table:
+    """Zonal partials of one input file: read it, run ``worker`` over it
+    and, given ``out_dir``, checkpoint them as the file's own partition
+    ``part=<file stem>`` (with a constant ``shard`` column and the
+    file's grid-cell range in its manifest).  A file whose partition is
+    already written (a retried task) is not read: its checkpointed
+    partials are returned.  A zero-row file yields one empty table,
+    checkpointed like any other.  Errors of the tile chain are re-raised
+    naming the file."""
+    stem = os.path.splitext(os.path.basename(path))[0]
+    done = None if out_dir is None else manifest.read_partition(out_dir, stem)
+    if done is not None:
+        return done.drop_columns(["shard"])
     t = pq.read_table(path, columns=IMAGE_COLS)
     try:
-        part = pa.concat_tables([worker(t.slice(s, batch_size)) for s in range(0, max(1, t.num_rows), batch_size)])
+        part = worker(t)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
     if out_dir is not None:
-        stem = os.path.splitext(os.path.basename(path))[0]
         shard = pa.array([stem] * part.num_rows, pa.string())
-        manifest.write_partition(out_dir, stem, part.add_column(0, "shard", shard))
+        manifest.write_partition(out_dir, stem, part.add_column(0, "shard", shard), cell_range=worker.cell_range)
     return part
 
 
@@ -288,9 +345,9 @@ def _read_in_task(files, poly_ref, cell_res, s2_level, with_s2, batch_size, num_
     its own copy of the function."""
 
     def fused_file(batch):
-        worker = FusedTileWorker(poly_ref, cell_res, s2_level, with_s2)
+        worker = FusedTileWorker(poly_ref, cell_res, s2_level, with_s2, batch_size)
         paths = [p for group in batch.column("paths").to_pylist() for p in group]
-        return pa.concat_tables([_file_partials(worker, p, batch_size, out_dir) for p in paths])
+        return pa.concat_tables([_file_partials(worker, p, out_dir) for p in paths])
 
     groups = _file_groups(files, num_cpus_hint)
     # the executor's default operator reservation withholds ~35%
@@ -337,18 +394,25 @@ def run_flagship_resumable(
     are integer-valued in float64, so the combined output is
     bit-identical no matter how the work was split before a kill.
 
+    ``out_dir`` records the run's fingerprint (``_run_fingerprint``) on
+    first use; a rerun into it with other polygons or another
+    ``cell_res`` raises ``ValueError`` instead of reusing partitions
+    that answer another question.
+
     Returns (final pandas DataFrame, run summary dict).
     """
     import pandas as pd
+
+    if polygons is None:
+        polygons = nation_polygons(np.arange(25))
+    packed = pack_polygons(polygons)
+    manifest.claim_run(out_dir, _run_fingerprint(packed, cell_res))
 
     files = _input_files(images_path)
     stems = [os.path.splitext(os.path.basename(f))[0] for f in files]
     todo = set(manifest.resume_plan(out_dir, stems))
     todo_files = [f for f, s in zip(files, stems) if s in todo]
-
-    if polygons is None:
-        polygons = nation_polygons(np.arange(25))
-    poly_ref = put_polygons(polygons)
+    poly_ref = ray.put(packed)
     num_cpus_hint = int(ray.cluster_resources().get("CPU", 8))
 
     step = chunk_files or len(todo_files) or 1
@@ -361,18 +425,32 @@ def run_flagship_resumable(
 
     # final combine over ALL partitions (tiny: rows ~ files x polys)
     parts = manifest.completed_partitions(out_dir)
-    frames = [pq.read_table(os.path.join(out_dir, f"part={k}", "data.parquet")).to_pandas() for k in sorted(parts)]
+    frames = [manifest.read_partition(out_dir, k).to_pandas() for k in sorted(parts)]
     final = _combine_frame(pd.concat(frames, ignore_index=True) if frames else pd.DataFrame())
     summary = manifest.finalize_run(out_dir, metrics={"shards": len(parts)})
     return final, summary
 
 
-def combine_zonal_partials(stats_ds) -> "object":
-    """Final combine of the per-batch zonal partials.
+def _run_fingerprint(packed, cell_res: float) -> str:
+    """blake2b digest of what a checkpointed partition depends on beside
+    its input file: the packed polygons (ids and ring coordinates, in
+    list order), ``cell_res`` and ``RESULT_DTYPES``."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(json.dumps({"cell_res": float(cell_res), "dtypes": RESULT_DTYPES}, sort_keys=True).encode())
+    for pid, rings in packed:
+        h.update(np.array([pid, len(rings)], np.int64).tobytes())
+        for ring in rings:
+            ring = np.ascontiguousarray(ring, np.float64)
+            h.update(np.int64(ring.size).tobytes() + ring.tobytes())
+    return h.hexdigest()
 
-    The partial rows number ~n_batches x n_polys (tiny by
+
+def combine_zonal_partials(stats_ds) -> "object":
+    """Final combine of the per-file (or per-block) zonal partials.
+
+    The partial rows number ~n_files x n_polys (tiny by
     construction), so the global merge collects them on the driver and
-    folds them with the per-batch aggregate's NumPy fold
+    folds them with the per-table aggregate's NumPy fold
     (``_fold_by_poly``).  (A Dataset-level groupby here costs ~6s of
     fixed sort-shuffle overhead across hundreds of partial blocks for
     25 output rows.)  Returns a pandas DataFrame ordered by poly_id.

@@ -278,30 +278,28 @@ ORACLE_SQL["zonal_stats"] = f"""
 
 def _zonal_histograms(sf_dir: str, finish):
     """One row per polygon zone from the histogram of its covered
-    band-0 pixel-center values.  Plan: the flagship's broadcast PIP
-    join, band-0 decode and zone selection; each (tile, poly) pair
-    emits its NONZERO histogram bins as (poly_id, v, cnt) rows
-    (``zonal_histograms``) — a 256-row-bounded partial, so the
-    exchange carries histograms, never pixels — then one ``exchange``
-    on poly_id whose bucket body sums each polygon's bins and calls
-    ``finish(v, cnt)`` with its distinct values ascending and their
-    counts.  ``finish`` returns the polygon's int64 output columns as
-    a dict."""
-    from gdal_boots_ray.pipelines.flagship import ROW, band0_reader, with_rows
+    band-0 pixel-center values.  Plan: the flagship's ``TilePlan`` (its
+    broadcast PIP join and zone spans) once per block, then band-0
+    decode per 256 rows; each (tile, poly) pair emits its NONZERO
+    histogram bins as (poly_id, v, cnt) rows (``zonal_histograms``) —
+    a 256-row-bounded partial, so the exchange carries histograms,
+    never pixels — then one ``exchange`` on poly_id whose bucket body
+    sums each polygon's bins and calls ``finish(v, cnt)`` with its
+    distinct values ascending and their counts.  ``finish`` returns
+    the polygon's int64 output columns as a dict."""
+    from gdal_boots_ray.pipelines.flagship import TilePlan
     from gdal_boots_ray.stages.agg import exchange
-    from gdal_boots_ray.stages.geo import add_bounds
     from gdal_boots_ray.stages.joins import BroadcastPIPJoin, put_polygons
     from gdal_boots_ray.stages.zonal import zonal_histograms
 
     poly_ref = put_polygons(_nation_polygons(sf_dir))
 
-    def hist_rows(batch: pa.Table, _cache={}) -> pa.Table:
+    def hist_rows(block: pa.Table, _cache={}) -> pa.Table:
         join = _cache.get("j")
         if join is None:
-            join = _cache["j"] = BroadcastPIPJoin(poly_ref, keep_cols=["w", "h", "gt", ROW])
-        batch = with_rows(add_bounds(batch))
-        matched = join(batch)
-        return zonal_histograms(matched, join.edges, *band0_reader(batch, matched.column(ROW).to_numpy()))
+            join = _cache["j"] = BroadcastPIPJoin(poly_ref)
+        plan = TilePlan(block, join.pairs, join.edges)
+        return pa.concat_tables([zonal_histograms(plan.pids, *plan.pixels(lo, step)) for lo, step in plan.steps(256)])
 
     def per_bucket(g: pa.Table) -> pa.Table:
         pid = g.column("poly_id").to_numpy()
@@ -315,7 +313,7 @@ def _zonal_histograms(sf_dir: str, finish):
         rows = [{"poly_id": int(pid[s]), **finish(v[s:e], cnt[s:e])} for s, e in zip(bounds[:-1], bounds[1:])]
         return pa.table({c: pa.array([r[c] for r in rows], pa.int64()) for c in rows[0]})
 
-    parts = _tiles_dataset(sf_dir, decode=False).map_batches(hist_rows, batch_format="pyarrow", batch_size=256)
+    parts = _tiles_dataset(sf_dir, decode=False).map_batches(hist_rows, batch_format="pyarrow", batch_size=None)
     return exchange(parts, ["poly_id"], per_bucket)
 
 

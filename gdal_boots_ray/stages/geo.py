@@ -16,7 +16,8 @@ from gdal_boots_ray.kernels.cells import grid_cell_id, s2_cell_id
 from gdal_boots_ray.kernels.crs import transform_points
 
 
-def _gt_matrix(batch: pa.Table) -> np.ndarray:
+def gt_matrix(batch: pa.Table) -> np.ndarray:
+    """The (n, 6) geotransforms of the ``gt`` column."""
     col = batch.column("gt")
     flat = col.combine_chunks().flatten() if isinstance(col, pa.ChunkedArray) else col.flatten()
     return flat.to_numpy(zero_copy_only=False).reshape(-1, 6)
@@ -24,7 +25,7 @@ def _gt_matrix(batch: pa.Table) -> np.ndarray:
 
 def add_bounds(batch: pa.Table) -> pa.Table:
     """Append minx/miny/maxx/maxy + center cx/cy columns from gt+w+h."""
-    gt = _gt_matrix(batch)
+    gt = gt_matrix(batch)
     w = batch.column("w").to_numpy()
     h = batch.column("h").to_numpy()
     b = bounds_kernel(gt, w, h)
@@ -55,19 +56,24 @@ def make_add_s2_cell(level: int, lon_col: str = "lon", lat_col: str = "lat", out
     return fn
 
 
+def to_lonlat(epsg: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """(lon, lat) of the points (x[i], y[i]) in CRS ``epsg[i]``, grouped
+    by code so the CRS kernel runs vectorized per distinct code."""
+    lon = np.empty_like(x)
+    lat = np.empty_like(y)
+    for code in np.unique(epsg):
+        m = epsg == code
+        lon[m], lat[m] = transform_points(int(code), 4326, x[m], y[m])
+    return lon, lat
+
+
 def make_add_lonlat(crs_col: str = "epsg", x_col: str = "cx", y_col: str = "cy"):
-    """Reproject point columns to lon/lat (grouped by the epsg value so
-    the CRS kernel runs vectorized per distinct code)."""
+    """Reproject point columns to lon/lat (``to_lonlat``)."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        x = batch.column(x_col).to_numpy()
-        y = batch.column(y_col).to_numpy()
-        epsg = batch.column(crs_col).to_numpy()
-        lon = np.empty_like(x)
-        lat = np.empty_like(y)
-        for code in np.unique(epsg):
-            m = epsg == code
-            lon[m], lat[m] = transform_points(int(code), 4326, x[m], y[m])
+        lon, lat = to_lonlat(
+            batch.column(crs_col).to_numpy(), batch.column(x_col).to_numpy(), batch.column(y_col).to_numpy()
+        )
         batch = batch.append_column("lon", pa.array(lon, pa.float64()))
         batch = batch.append_column("lat", pa.array(lat, pa.float64()))
         return batch

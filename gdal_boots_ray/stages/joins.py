@@ -18,7 +18,7 @@ Join strategies (SURVEY §2.6):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -29,12 +29,30 @@ from gdal_boots_ray.kernels.geometry import points_in_rings, polygon_rings
 from gdal_boots_ray.stages.agg import concat_ranges, exchange
 
 
+def pack_polygons(polygons: Sequence[dict]) -> list:
+    """(poly_id, rings) of every polygon dict, in list order: the
+    parsed form the broadcast join and the zonal pass take."""
+    return [(int(p["poly_id"]), polygon_rings(p["geometry"])) for p in polygons]
+
+
 def put_polygons(polygons: Sequence[dict]):
     """Parse + pack polygon rings once on the driver; broadcast via
     ray.put (read by every actor, shipped once per node — not per
     batch)."""
-    packed = [(int(p["poly_id"]), polygon_rings(p["geometry"])) for p in polygons]
-    return ray.put(packed)
+    return ray.put(pack_polygons(polygons))
+
+
+class Matches(NamedTuple):
+    """The (row, polygon list position) index pairs of a broadcast PIP
+    join, by row, then position.  ``num_rows`` is the pair count, as
+    for the joined table these pairs take."""
+
+    row: np.ndarray
+    pos: np.ndarray
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.row)
 
 
 class BroadcastPIPJoin:
@@ -43,7 +61,8 @@ class BroadcastPIPJoin:
     polygons' edge table ``edges`` (which the zonal pass reuses) and an
     STRtree over their boxes once per actor (the stateful-setup
     contract); a batch's tree candidates go through one
-    ``points_in_polygons`` call.  Inputs need x/y columns."""
+    ``points_in_polygons`` call (``pairs``, which callers holding plain
+    x/y arrays use directly).  Inputs need x/y columns."""
 
     def __init__(self, polygons_ref, x_col: str = "cx", y_col: str = "cy", keep_cols: Optional[List[str]] = None):
         # not at module level: stages.zonal's imports would slow every shuffle worker
@@ -57,17 +76,21 @@ class BroadcastPIPJoin:
         self.tree = STRtree(self.edges.bbox)
         self.points_in_polygons = points_in_polygons
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        x = batch.column(self.x_col).to_numpy()
-        y = batch.column(self.y_col).to_numpy()
+    def pairs(self, x: np.ndarray, y: np.ndarray) -> Matches:
+        """The (point, polygon position) pairs with point ``(x[i], y[i])``
+        inside the polygon, by point, then position."""
         pt, j = self.tree.query_points(x, y)
         hit = self.points_in_polygons(self.edges, x[pt], y[pt], j)
         pt, j = pt[hit], j[hit]
         order = np.lexsort((j, pt))
+        return Matches(pt[order], j[order])
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        m = self.pairs(batch.column(self.x_col).to_numpy(), batch.column(self.y_col).to_numpy())
         if self.keep_cols:
             batch = batch.select(self.keep_cols)
-        taken = batch.take(pa.array(pt[order], pa.int64()))
-        return taken.append_column("poly_id", pa.array(self.edges.ids[j[order]], pa.int64()))
+        taken = batch.take(pa.array(m.row, pa.int64()))
+        return taken.append_column("poly_id", pa.array(self.edges.ids[m.pos], pa.int64()))
 
 
 def cell_pip_join(

@@ -2,10 +2,11 @@
 
 The Ray shape of reference ``crop_by_geometry`` (gdal.py:819-888,
 SURVEY §3.2) plus a reduce over the polygon's pixels: after the PIP
-join has attached ``poly_id`` to tile rows, :func:`zone_spans` selects
-the band-0 pixels of every (tile, poly) pair of a batch inside its
-polygon in one vectorized pass, as ``(pair, start, end)`` spans into
-one flat buffer of the batch's band-0 pixels:
+join has matched tiles to polygons, :func:`zone_spans` selects the
+band-0 pixels of every (tile, poly) pair inside its polygon in one
+vectorized pass over plain arrays, as ``(pair, start, end)`` spans into
+the tile's flat band.  The spans read the geotransform, the tile size
+and the polygon only, never a pixel:
 
 - a batch-wide cover test (:func:`_cover_pairs`) sends each tile the
   polygon covers whole to one span over the tile;
@@ -18,10 +19,11 @@ The polygons' rings are one CSR (compressed sparse row) table,
 :class:`PolygonEdges`, built once per worker by the PIP join; each pass
 expands (pair x polygon edge) from it, and the join and the cover test
 share one even-odd kernel over it, :func:`points_in_polygons`.  Two
-reducers fold the spans into one small partial per pair:
-:func:`zonal_partials` (n_px, sum, min, max, with ``reduceat``) for the
-flagship and ``zonal_stats``, and :func:`zonal_histograms` (nonzero
-bins) for ``zonal_majority`` / ``zonal_median``.  Partials, never
+reducers fold the spans, shifted into one flat buffer of decoded band-0
+pixels, into one small partial per pair: :func:`zonal_partials` (n_px,
+sum, min, max, with ``reduceat``) for the flagship and ``zonal_stats``,
+and :func:`zonal_histograms` (nonzero bins) for ``zonal_majority`` /
+``zonal_median``.  Partials, never
 pixels, leave the process.  ``_rings_cover_tiles`` and ``_rings_mask``
 are the one-polygon forms of the two tests, kept as their references.
 ``CropTiles`` is the full crop, for pipelines that need the cropped
@@ -118,18 +120,19 @@ def points_in_polygons(polys: PolygonEdges, px, py, q) -> np.ndarray:
     return inside
 
 
-def zone_spans(matched: pa.Table, polys: PolygonEdges, base: np.ndarray):
+def zone_spans(polys: PolygonEdges, pids, hs, ws, gts):
     """THE zone-pixel selection of every zonal reduction: ``(pair,
     start, end)`` int64 arrays, sorted by pair, of the non-empty spans
-    ``buf[start:end]`` of the band-0 pixels inside the pair's polygon,
-    where row ``i`` of ``matched`` has its (h, w) band 0 flat at
-    ``buf[base[i]:base[i] + h*w]``.  A pair whose polygon is not in
+    ``band[start:end]`` of the pixels inside polygon ``pids[i]`` of
+    pair ``i``'s tile (``hs[i]`` x ``ws[i]`` pixels, geotransform
+    ``gts[i]``), as offsets into the tile's flat (h, w) band.  The
+    spans read no pixel, so a caller computes them once and shifts
+    them by wherever it puts each band.  A pair whose polygon is not in
     ``polys`` selects nothing."""
-    gts = matched.column("gt").combine_chunks().flatten().to_numpy(zero_copy_only=False)
-    gts = gts.reshape(-1, 6).astype(np.float64, copy=False)
-    hs = matched.column("h").to_numpy().astype(np.int64)
-    ws = matched.column("w").to_numpy().astype(np.int64)
-    q = polys.index(matched.column("poly_id").to_numpy())
+    gts = np.asarray(gts, np.float64).reshape(-1, 6)
+    hs = np.asarray(hs, np.int64)
+    ws = np.asarray(ws, np.int64)
+    q = polys.index(pids)
     known = np.flatnonzero(q >= 0)
     out = [np.zeros((3, 0), np.int64)]
     # bounded (pair x edge) expansions, whatever the polygons' sizes
@@ -137,10 +140,10 @@ def zone_spans(matched: pa.Table, polys: PolygonEdges, base: np.ndarray):
         i = known[lo:hi]
         covered = _cover_pairs(polys, q[i], hs[i], ws[i], gts[i])
         inner = i[covered]
-        out.append(np.stack([inner, base[inner], base[inner] + hs[inner] * ws[inner]]))
+        out.append(np.stack([inner, np.zeros_like(inner), hs[inner] * ws[inner]]))
         b = i[~covered]
         pair, start, end = _boundary_spans(polys, q[b], hs[b], ws[b], gts[b])
-        out.append(np.stack([b[pair], base[b[pair]] + start, base[b[pair]] + end]))
+        out.append(np.stack([b[pair], start, end]))
     pair, start, end = np.concatenate(out, axis=1)
     keep = np.flatnonzero(start < end)
     order = keep[np.argsort(pair[keep], kind="stable")]
@@ -243,17 +246,17 @@ def _boundary_spans(polys: PolygonEdges, q, hs, ws, gts):
     return pair, flat + gap_lo[inside], flat + t[inside]
 
 
-def zonal_partials(matched: pa.Table, polys: PolygonEdges, buf: np.ndarray, base: np.ndarray) -> pa.Table:
-    """Per-(poly, tile) partials (poly_id, n_px, sum_v, min_v, max_v),
-    by pair, of the :func:`zone_spans` of a batch of matched pairs over
-    the band-0 buffer ``buf`` (one trailing sentinel element past the
-    last band, so a span ending at the last pixel is a valid
-    ``reduceat`` index) — the stats reducer of the flagship.  Pairs
-    selecting no pixel are dropped.  An unsigned ``buf`` whose longest
-    span cannot overflow 32 bits is summed in uint32, anything else in
-    float64; on integer pixels both sums are exact, so ``sum_v`` is the
-    same either way."""
-    pair, start, end = zone_spans(matched, polys, base)
+def zonal_partials(pids, pair, start, end, buf: np.ndarray) -> dict:
+    """Per-(poly, tile) partials, by pair, of the spans ``buf[start:
+    end]`` of the pairs ``pair`` (sorted, as :func:`zone_spans` gives
+    them, shifted to where each band lies in ``buf``): ``poly_id``
+    (``pids[pair]``), ``n_px``, ``sum_v``, ``min_v`` and ``max_v``
+    arrays, one entry per pair with a span — the stats reducer of the
+    flagship.  ``buf`` has one trailing sentinel element past its last
+    band, so a span ending at the last pixel is a valid ``reduceat``
+    index.  An unsigned ``buf`` whose longest span cannot overflow 32
+    bits is summed in uint32, anything else in float64; on integer
+    pixels both sums are exact, so ``sum_v`` is the same either way."""
     idx = np.empty(2 * len(start), np.int64)
     idx[0::2], idx[1::2] = start, end
     if len(idx):
@@ -267,33 +270,31 @@ def zonal_partials(matched: pa.Table, polys: PolygonEdges, buf: np.ndarray, base
     else:
         span_sum = span_min = span_max = np.zeros(0, buf.dtype)
     first = np.flatnonzero(np.concatenate(([len(pair) > 0], pair[1:] != pair[:-1])))
-    i = pair[first]
 
     def per_pair(ufunc, x):
         return ufunc.reduceat(x, first) if len(first) else x[:0]
 
-    return pa.table(
-        {
-            "poly_id": pa.array(matched.column("poly_id").to_numpy()[i].astype(np.int64)),
-            "n_px": pa.array(per_pair(np.add, end - start).astype(np.int64)),
-            "sum_v": pa.array(per_pair(np.add, span_sum.astype(np.float64))),
-            "min_v": pa.array(per_pair(np.minimum, span_min).astype(np.float64)),
-            "max_v": pa.array(per_pair(np.maximum, span_max).astype(np.float64)),
-        }
-    )
+    return {
+        "poly_id": np.asarray(pids, np.int64)[pair[first]],
+        "n_px": per_pair(np.add, end - start).astype(np.int64),
+        "sum_v": per_pair(np.add, span_sum.astype(np.float64)),
+        "min_v": per_pair(np.minimum, span_min).astype(np.float64),
+        "max_v": per_pair(np.maximum, span_max).astype(np.float64),
+    }
 
 
-def zonal_histograms(matched: pa.Table, polys: PolygonEdges, buf: np.ndarray, base: np.ndarray) -> pa.Table:
-    """The nonzero histogram bins of the :func:`zone_spans` of each
-    matched pair, as (poly_id, v, cnt) int64 rows by pair, then value
-    ascending — the histogram reducer of the zonal MAJORITY / QUARTILES
-    queries.  A pair emits at most 256 rows for uint8 pixels, so an
-    exchange downstream carries histograms, never pixels."""
-    pair, start, end = zone_spans(matched, polys, base)
+def zonal_histograms(pids, pair, start, end, buf: np.ndarray) -> pa.Table:
+    """The nonzero histogram bins of the spans ``buf[start:end]`` of
+    each pair of ``pair`` (sorted, as for :func:`zonal_partials`), as
+    (poly_id, v, cnt) int64 rows by pair, then value ascending, with
+    ``pids[pair]`` the pair's poly_id — the histogram reducer of the
+    zonal MAJORITY / QUARTILES queries.  A pair emits at most 256 rows
+    for uint8 pixels, so an exchange downstream carries histograms,
+    never pixels."""
     n = end - start
     v = buf[np.repeat(start, n) + concat_ranges(n)].astype(np.int64)
     pair = np.repeat(pair, n)
-    pids = matched.column("poly_id").to_numpy().astype(np.int64)
+    pids = np.asarray(pids, np.int64)
     if len(v) and v.min() < 0:
         j = int(np.argmin(v))
         raise ValueError(f"poly_id {pids[pair[j]]}: zonal histograms need non-negative pixels, got {v[j]}")

@@ -8,10 +8,13 @@ Layout:
     out_dir/
       part=<key>/data.parquet        # written via temp file + atomic rename
       part=<key>/MANIFEST.json       # {key, rows, digest, cell_range, schema}
+      _FINGERPRINT                   # what the partitions depend on besides their input
       _MANIFEST.json                 # run-level summary (after finalize)
 
 ``resume_plan`` anti-joins the partition keys against completed
-manifests so a rerun only processes missing partitions.
+manifests so a rerun only processes missing partitions; ``claim_run``
+refuses a rerun whose fingerprint differs, so those partitions are
+never another run's.
 """
 
 from __future__ import annotations
@@ -41,6 +44,37 @@ def completed_partitions(out_dir: str) -> Dict[str, dict]:
                 m = json.load(fd)
             done[name[len("part=") :]] = m
     return done
+
+
+def read_partition(out_dir: str, key) -> Optional[pa.Table]:
+    """The data of partition ``key`` once its manifest is written, else
+    None."""
+    pdir = _partition_dir(out_dir, key)
+    if not os.path.exists(os.path.join(pdir, "MANIFEST.json")):
+        return None
+    return pq.read_table(os.path.join(pdir, "data.parquet"))
+
+
+def claim_run(out_dir: str, fingerprint: str) -> None:
+    """Record ``fingerprint`` — a digest of everything besides its input
+    that a partition depends on — as ``out_dir``'s, or raise
+    ``ValueError`` naming both if ``out_dir`` already holds another: a
+    resume must not reuse partitions that answer another question.
+    Partitions without a recorded fingerprint cannot be checked, so
+    they are refused too."""
+    path = os.path.join(out_dir, "_FINGERPRINT")
+    if os.path.exists(path):
+        with open(path) as fd:
+            have = fd.read().strip()
+        if have != fingerprint:
+            raise ValueError(f"{out_dir} holds the partitions of run {have}, not of this run {fingerprint}")
+        return
+    if completed_partitions(out_dir):
+        raise ValueError(f"{out_dir} holds partitions of a run with no fingerprint, not of this run {fingerprint}")
+    os.makedirs(out_dir, exist_ok=True)
+    with open(path + ".tmp", "w") as fd:
+        fd.write(fingerprint)
+    os.replace(path + ".tmp", path)
 
 
 def resume_plan(out_dir: str, all_keys: Sequence) -> List:

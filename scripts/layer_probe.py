@@ -5,34 +5,41 @@ Usage:
 
 It takes a perfbench workload's seeded inputs through
 ``perfbench.workloads.prepare`` (generated on first use into the cache a
-benchmark run uses, ``.perfbench/inputs``), slices every input file into
-batches of ``--batch-size`` rows (perfbench's 32 by default) and runs
-one ``FusedTileWorker`` over all of them ``--passes`` times.  Two runs
-at different batch sizes split each layer into a fixed cost per worker
-call and a cost per row.  Each layer is timed by wrapping the callable
-the worker looks up at call time, so the probe runs unchanged on any
-checkout that keeps those names:
+benchmark run uses, ``.perfbench/inputs``), reads every input file whole
+and runs one ``FusedTileWorker(..., batch_size)`` over each file
+``--passes`` times, as a flagship task does.  The worker plans each file
+once and decodes band 0 per ``--batch-size`` rows, so the layers fall in
+three groups, each timed by wrapping the callable the worker looks up at
+call time:
 
-- bounds: ``flagship.add_bounds``
-- grid cell: the worker's ``cell_fn``
-- lon/lat + S2: its ``lonlat_fn`` and ``s2_fn``
-- join: its ``join``
-- decode: ``png.decode_image`` (a raw tile is one slice copy, not decoded)
-- zonal: ``_decode_zonal_rowwise`` less the decode time inside it
-- fold: ``flagship._partial_zonal_agg``
-- worker: the whole ``FusedTileWorker.__call__``
+- plan, once per file: ``flagship.TilePlan`` as a whole, and inside it
+  the join (the worker's ``join``) and the zone spans
+  (``flagship.zone_spans``); bounds are the plan less those two.  Grid
+  cell (``cell_fn``) and lon/lat + S2 (``lonlat_fn``, ``s2_fn``) run
+  beside it.
+- pixel step, once per ``--batch-size`` rows:
+  ``FusedTileWorker._decode_zonal_rowwise``, and inside it band-0
+  decode (``png.decode_image``; a raw tile is one slice copy, not
+  decoded) and the span reduce (the step less decode).
+- fold, once per file: ``flagship._partial_zonal_agg``.
 
-It prints each layer's median over the passes in µs per input row, then
-the matched pairs, how many of them the polygon covers whole (interior,
-counted with the one-tile ``_rings_cover_tile``) or not (boundary), the
-``decode_image`` calls of one pass, and one sha256 digest of every
-batch's join output and per-batch partials: two checkouts that print the
-same digest produced the same tables (at the same batch size).
+It prints each layer's median over the passes in µs per input row with
+its calls per pass, then the matched pairs, how many of them the polygon
+covers whole (interior, counted with the one-tile ``_rings_cover_tile``)
+or not (boundary), and one sha256 digest of the input's final combined
+frame (``_combine_frame`` of every file's partials).  Runs at two batch
+sizes split the pixel step into a fixed cost per step and a cost per
+row.  A checkout whose worker takes no ``batch_size`` (it planned every
+batch anew) is run over ``--batch-size`` slices instead, and prints the
+layers it does not have as n/a; equal digests show that two checkouts
+computed the same answer.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import inspect
 import os
 import statistics
 import sys
@@ -43,7 +50,20 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
-LAYERS = ["bounds", "grid cell", "lon/lat + S2", "join", "decode", "zonal", "fold", "worker"]
+# (group, layer) in print order; "bounds" and "reduce" are derived
+LAYERS = [
+    ("plan, per file", "plan"),
+    ("plan, per file", "bounds"),
+    ("plan, per file", "join"),
+    ("plan, per file", "spans"),
+    ("plan, per file", "grid cell"),
+    ("plan, per file", "lon/lat + S2"),
+    ("pixels, per step", "step"),
+    ("pixels, per step", "decode"),
+    ("pixels, per step", "reduce"),
+    ("fold, per file", "fold"),
+    ("", "worker"),
+]
 
 
 def timed(acc: dict, calls: dict, name: str, fn):
@@ -58,20 +78,45 @@ def timed(acc: dict, calls: dict, name: str, fn):
     return run
 
 
-def batches(images_dir: str, batch_size: int) -> list:
+def wrap(owner, attr: str, acc: dict, calls: dict, name: str) -> bool:
+    """Time ``owner.attr`` as layer ``name``; False if it has none."""
+    if not hasattr(owner, attr):
+        return False
+    setattr(owner, attr, timed(acc, calls, name, getattr(owner, attr)))
+    return True
+
+
+def tables(images_dir: str) -> list:
     import pyarrow.parquet as pq
 
     from gdal_boots_ray.pipelines.flagship import IMAGE_COLS, _input_files
 
-    out = []
-    for path in _input_files(images_dir):
-        t = pq.read_table(path, columns=IMAGE_COLS)
-        out.extend(t.slice(s, batch_size) for s in range(0, t.num_rows, batch_size))
-    return out
+    return [pq.read_table(path, columns=IMAGE_COLS) for path in _input_files(images_dir)]
 
 
-def pair_classes(batch_list, packed) -> tuple:
-    """(pairs, interior, boundary) of every batch's matched pairs, from
+def file_runner(packed, batch_size: int):
+    """(worker, run) where ``run(table)`` is the partials of one file:
+    one call over the whole file, or, for a worker without
+    ``batch_size``, one call per ``batch_size`` slice."""
+    from perfbench.workloads import CELL_RES, S2_LEVEL, WITH_S2
+
+    import pyarrow as pa
+
+    from gdal_boots_ray.pipelines.flagship import FusedTileWorker
+
+    if "batch_size" in inspect.signature(FusedTileWorker.__init__).parameters:
+        worker = FusedTileWorker(packed, CELL_RES, S2_LEVEL, WITH_S2, batch_size=batch_size)
+        return worker, lambda t: worker(t)
+    worker = FusedTileWorker(packed, CELL_RES, S2_LEVEL, WITH_S2)
+
+    def run(t):
+        return pa.concat_tables([worker(t.slice(s, batch_size)) for s in range(0, t.num_rows, batch_size)])
+
+    return worker, run
+
+
+def pair_classes(file_list, packed) -> tuple:
+    """(pairs, interior, boundary) of every file's matched pairs, from
     the one-tile cover test, outside the timed passes."""
     import numpy as np
 
@@ -81,8 +126,8 @@ def pair_classes(batch_list, packed) -> tuple:
 
     join, rings = BroadcastPIPJoin(packed), dict(packed)
     pairs = interior = 0
-    for batch in batch_list:
-        m = join(add_bounds(batch))
+    for t in file_list:
+        m = join(add_bounds(t))
         gts = np.array(m.column("gt").to_pylist(), np.float64).reshape(-1, 6)
         pids, hs, ws = (m.column(c).to_pylist() for c in ("poly_id", "h", "w"))
         for pid, h, w, gt in zip(pids, hs, ws, gts):
@@ -91,27 +136,19 @@ def pair_classes(batch_list, packed) -> tuple:
     return pairs, interior, pairs - interior
 
 
-def digest(worker, batch_list) -> str:
-    """sha256 over the schema and values of every batch's join output
-    and per-batch partials, in batch order, outside the timed passes."""
-    import hashlib
+def digest(run, file_list) -> str:
+    """sha256 of the final combined frame of every file's partials,
+    outside the timed passes."""
+    import pyarrow as pa
 
-    h = hashlib.sha256()
+    from gdal_boots_ray.pipelines.flagship import _combine_frame
 
-    def update(table):
-        h.update(table.schema.to_string(show_schema_metadata=False).encode())
-        h.update(repr(table.to_pydict()).encode())
-        return table
-
-    join = worker.join
-    worker.join = lambda batch: update(join(batch))
-    for batch in batch_list:
-        update(worker(batch))
-    return h.hexdigest()
+    frame = _combine_frame(pa.concat_tables([run(t) for t in file_list]).to_pandas())
+    return hashlib.sha256(frame.to_csv(index=False).encode()).hexdigest()
 
 
 def probe(workload: str, seed: int, passes: int, batch_size: int) -> dict:
-    from perfbench.workloads import CELL_RES, S2_LEVEL, WITH_S2, WORKLOADS, prepare
+    from perfbench.workloads import WORKLOADS, prepare
 
     from gdal_boots_ray.kernels import png
     from gdal_boots_ray.kernels.geometry import polygon_rings
@@ -122,42 +159,62 @@ def probe(workload: str, seed: int, passes: int, batch_size: int) -> dict:
         raise SystemExit(f"{workload} does not run the flagship worker")
     inputs = prepare(w, seed, os.path.join(ROOT, ".perfbench", "inputs"))
     packed = [(int(p["poly_id"]), polygon_rings(p["geometry"])) for p in inputs.polygons]
-    batch_list = batches(inputs.images, batch_size)
-    rows = sum(b.num_rows for b in batch_list)
+    file_list = tables(inputs.images)
+    rows = sum(t.num_rows for t in file_list)
+    sha = digest(file_runner(packed, batch_size)[1], file_list)
 
     acc, calls = defaultdict(int), defaultdict(int)
-    flagship.add_bounds = timed(acc, calls, "bounds", flagship.add_bounds)
-    flagship._partial_zonal_agg = timed(acc, calls, "fold", flagship._partial_zonal_agg)
-    png.decode_image = timed(acc, calls, "decode", png.decode_image)
-    worker = flagship.FusedTileWorker(packed, CELL_RES, S2_LEVEL, WITH_S2)
-    worker.cell_fn = timed(acc, calls, "grid cell", worker.cell_fn)
-    worker.lonlat_fn = timed(acc, calls, "lon/lat + S2", worker.lonlat_fn)
-    worker.s2_fn = timed(acc, calls, "lon/lat + S2", worker.s2_fn)
-    worker.join = timed(acc, calls, "join", worker.join)
-    worker._decode_zonal_rowwise = timed(acc, calls, "rowwise", worker._decode_zonal_rowwise)
+    have = {"bounds", "reduce", "worker"}
+    for owner, attr, name in [
+        (flagship, "TilePlan", "plan"),
+        (flagship, "zone_spans", "spans"),
+        (flagship, "_partial_zonal_agg", "fold"),
+        (png, "decode_image", "decode"),
+    ]:
+        if wrap(owner, attr, acc, calls, name):
+            have.add(name)
+    worker, run = file_runner(packed, batch_size)
+    for attr, name in [
+        ("join", "join"),
+        ("cell_fn", "grid cell"),
+        ("lonlat_fn", "lon/lat + S2"),
+        ("s2_fn", "lon/lat + S2"),
+        ("_decode_zonal_rowwise", "step"),
+    ]:
+        if wrap(worker, attr, acc, calls, name):
+            have.add(name)
+    if "plan" not in have or "spans" not in have:
+        have.discard("bounds")
+    if "step" not in have:
+        have.discard("reduce")
 
     per_pass = defaultdict(list)
-    decodes = 0
+    counts = {}
     for _ in range(passes):
         acc.clear()
         calls.clear()
         t0 = time.perf_counter_ns()
-        for batch in batch_list:
-            worker(batch)
+        for t in file_list:
+            run(t)
         acc["worker"] = time.perf_counter_ns() - t0
-        acc["zonal"] = acc["rowwise"] - acc["decode"]
-        decodes = calls["decode"]
-        for name in LAYERS:
+        calls["worker"] = len(file_list)
+        acc["bounds"] = acc["plan"] - acc["join"] - acc["spans"]
+        calls["bounds"] = calls["plan"]
+        acc["reduce"] = acc["step"] - acc["decode"]
+        calls["reduce"] = calls["step"]
+        counts = dict(calls)
+        for _group, name in LAYERS:
             per_pass[name].append(acc[name] / 1e3 / rows)
-    pairs, interior, boundary = pair_classes(batch_list, packed)
+    pairs, interior, boundary = pair_classes(file_list, packed)
     return {
-        "digest": digest(flagship.FusedTileWorker(packed, CELL_RES, S2_LEVEL, WITH_S2), batch_list),
+        "digest": sha,
         "rows": rows,
-        "us_per_row": {name: statistics.median(v) for name, v in per_pass.items()},
+        "files": len(file_list),
+        "us_per_row": {n: statistics.median(v) if n in have else None for n, v in per_pass.items()},
+        "calls": {n: counts.get(n, 0) if n in have else None for _g, n in LAYERS},
         "pairs": pairs,
         "interior": interior,
         "boundary": boundary,
-        "decodes": decodes,
     }
 
 
@@ -175,18 +232,19 @@ def main(argv=None) -> int:
     out = probe(args.workload, args.seed, args.passes, args.batch_size)
     cpus = len(os.sched_getaffinity(0))
     print(
-        f"{args.workload}, seed {args.seed}: {out['rows']} rows in batches of {args.batch_size}, "
-        f"median of {args.passes} passes, {cpus} CPUs in affinity"
+        f"{args.workload}, seed {args.seed}: {out['rows']} rows in {out['files']} files, "
+        f"pixel steps of {args.batch_size} rows, median of {args.passes} passes, {cpus} CPUs in affinity"
     )
-    print("| layer | µs per row |")
-    print("|---|---|")
-    for name in LAYERS:
-        print(f"| {name} | {out['us_per_row'][name]:.1f} |")
+    print("| group | layer | µs per row | calls per pass |")
+    print("|---|---|---|---|")
+    for group, name in LAYERS:
+        us, n = out["us_per_row"][name], out["calls"][name]
+        print(f"| {group} | {name} | {'n/a' if us is None else f'{us:.1f}'} | {'n/a' if n is None else n} |")
     print(
         f"pairs {out['pairs']}, interior {out['interior']}, boundary {out['boundary']}, "
-        f"decode_image calls {out['decodes']} per pass"
+        f"decode_image calls {out['calls']['decode']} per pass"
     )
-    print(f"join output + partials sha256 {out['digest']}")
+    print(f"final frame sha256 {out['digest']}")
     return 0
 
 

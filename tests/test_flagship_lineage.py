@@ -1,10 +1,13 @@
 """Lineage of the resumable flagship: every input file, including a
 zero-row file and a file whose tiles match no polygon, gets exactly one
-checkpoint partition whose manifest describes its data, and the
-resumable final equals the streaming ``run_flagship`` result."""
+checkpoint partition whose manifest describes its data and its grid-cell
+range, and the resumable final equals the streaming ``run_flagship``
+result.  A resume into the directory with other polygons or another
+``cell_res`` is refused rather than answered from the old partitions."""
 
 import glob
 import os
+import re
 import shutil
 
 import pandas as pd
@@ -86,3 +89,61 @@ def test_one_partition_per_file_with_matching_manifest(image_dirs, resumed):
             no_match += 1
     # the files of the bottom grid rows: tiles present, no polygon hit
     assert no_match > 0
+
+
+def test_manifests_record_each_files_cell_range(image_dirs, resumed):
+    import numpy as np
+
+    from gdal_boots_ray.kernels.cells import grid_cell_id
+    from gdal_boots_ray.state.manifest import completed_partitions
+    from gdal_boots_ray.stages.geo import add_bounds
+
+    parts = completed_partitions(resumed[0])
+    assert parts[EMPTY]["cell_range"] is None
+    for f in sorted(glob.glob(os.path.join(image_dirs[1], "part-*.parquet"))):
+        t = add_bounds(pq.read_table(f))
+        if t.num_rows == 0:
+            continue
+        cells = grid_cell_id(t.column("cx").to_numpy(), t.column("cy").to_numpy(), 5000.0)
+        stem = os.path.splitext(os.path.basename(f))[0]
+        # every file's tiles, matched or not
+        assert parts[stem]["cell_range"] == [int(np.min(cells)), int(np.max(cells))]
+
+
+@pytest.mark.parametrize("change", ["polygons", "cell_res"])
+def test_resume_of_another_run_is_refused(image_dirs, resumed, change):
+    from gdal_boots_ray.pipelines.flagship import run_flagship_resumable
+    from gdal_boots_ray.sources.fixtures import bench_polygons
+    from gdal_boots_ray.state.manifest import completed_partitions
+
+    out_dir = resumed[0]
+    before = completed_partitions(out_dir)
+    kwargs = {"polygons": _polys(), "batch_size": 16}
+    if change == "polygons":
+        kwargs["polygons"] = bench_polygons(N_IMAGES // 2, TILE_PX, n_polys=9)
+    else:
+        kwargs["cell_res"] = 1000.0
+    with pytest.raises(ValueError, match="not of this run") as err:
+        run_flagship_resumable(image_dirs[1], out_dir, **kwargs)
+    assert len(set(re.findall(r"\b[0-9a-f]{32}\b", str(err.value)))) == 2  # both digests
+    assert completed_partitions(out_dir) == before
+    # the same run still resumes, as a no-op with the same answer
+    again, _ = run_flagship_resumable(image_dirs[1], out_dir, polygons=_polys(), batch_size=16)
+    pd.testing.assert_frame_equal(again, resumed[1])
+
+
+def test_claim_run_keeps_one_fingerprint_per_dir(tmp_path):
+    import pyarrow as pa
+
+    from gdal_boots_ray.state.manifest import claim_run, write_partition
+
+    out_dir = str(tmp_path / "out")
+    claim_run(out_dir, "a" * 32)
+    claim_run(out_dir, "a" * 32)
+    with pytest.raises(ValueError, match="b{32}"):
+        claim_run(out_dir, "b" * 32)
+    # partitions written before any fingerprint cannot be vouched for
+    legacy = str(tmp_path / "legacy")
+    write_partition(legacy, "part-0", pa.table({"x": [1]}))
+    with pytest.raises(ValueError, match="no fingerprint"):
+        claim_run(legacy, "a" * 32)

@@ -86,25 +86,22 @@ def reference_partials(batch, packed):
 @pytest.mark.parametrize("n_polys", [4, 25])
 def test_kernel_callers_match_per_row_reference(image_batches, n_polys):
     from gdal_boots_ray.kernels.geometry import polygon_rings
-    from gdal_boots_ray.pipelines.flagship import ROW, FusedTileWorker, band0_reader, with_rows
+    from gdal_boots_ray.pipelines.flagship import FusedTileWorker, TilePlan
     from gdal_boots_ray.sources.fixtures import bench_polygons
-    from gdal_boots_ray.stages.geo import add_bounds
     from gdal_boots_ray.stages.joins import BroadcastPIPJoin
     from gdal_boots_ray.stages.zonal import zonal_histograms
 
     polys = bench_polygons(384, 24, n_polys=n_polys)
     packed = [(int(p["poly_id"]), polygon_rings(p["geometry"])) for p in polys]
-    fused = FusedTileWorker(packed, 5000.0, 9, True)
+    fused = FusedTileWorker(packed, 5000.0, 9, True, batch_size=32)
     join = BroadcastPIPJoin(packed)
-    edges = join.edges
     n_tiles = n_px = n_interior = n_boundary = 0
     for batch in image_batches:
         want, interior, boundary, want_hist = reference_partials(batch, packed)
         got = fused(batch)
         assert got.sort_by("poly_id").equals(want)
-        batch = with_rows(add_bounds(batch))
-        matched = join(batch)
-        h = zonal_histograms(matched, edges, *band0_reader(batch, matched.column(ROW).to_numpy()))
+        plan = TilePlan(batch, join.pairs, join.edges)
+        h = zonal_histograms(plan.pids, *plan.pixels(0, batch))
         assert [h.column(c).type for c in ("poly_id", "v", "cnt")] == [pa.int64()] * 3
         got_hist = Counter()
         for pid, v, cnt in zip(*(h.column(c).to_pylist() for c in ("poly_id", "v", "cnt"))):

@@ -29,15 +29,20 @@ def _diamond(cx, cy, r):
 
 
 def _matched(pairs):
-    """Matched table of ``pairs`` of (poly_id, h, w, gt)."""
-    return pa.table(
-        {
-            "w": pa.array([w for _, _, w, _ in pairs], pa.int32()),
-            "h": pa.array([h for _, h, _, _ in pairs], pa.int32()),
-            "gt": pa.array([list(g) for *_, g in pairs], pa.list_(pa.float64(), 6)),
-            "poly_id": pa.array([p for p, *_ in pairs], pa.int64()),
-        }
+    """The (pids, hs, ws, gts) arrays of ``pairs`` of (poly_id, h, w, gt)."""
+    return (
+        np.array([p for p, *_ in pairs], np.int64),
+        np.array([h for _, h, _, _ in pairs], np.int64),
+        np.array([w for _, _, w, _ in pairs], np.int64),
+        np.array([g for *_, g in pairs], np.float64).reshape(-1, 6),
     )
+
+
+def _spans(matched, edges, base):
+    """The zone spans of ``matched`` shifted onto a buffer that holds
+    pair ``i``'s band at ``base[i]``."""
+    pair, start, end = zone_spans(edges, *matched)
+    return pair, start + base[pair], end + base[pair]
 
 
 class SpanSumSpy(np.ndarray):
@@ -56,8 +61,8 @@ class SpanSumSpy(np.ndarray):
 def _reference(matched, edges, buf, base):
     """Per-pair (poly_id, n_px, sum_v, min_v, max_v) of the zone spans,
     each pair's pixels gathered and summed in float64."""
-    pair, start, end = zone_spans(matched, edges, base)
-    pids = matched.column("poly_id").to_pylist()
+    pair, start, end = _spans(matched, edges, base)
+    pids = matched[0].tolist()
     out = []
     for i in np.unique(pair):
         sel = pair == i
@@ -66,13 +71,13 @@ def _reference(matched, edges, buf, base):
     return out
 
 
-def _rows(table):
-    return list(zip(*(table.column(c).to_pylist() for c in ("poly_id", "n_px", "sum_v", "min_v", "max_v"))))
+def _rows(partials):
+    return list(zip(*(partials[c].tolist() for c in ("poly_id", "n_px", "sum_v", "min_v", "max_v"))))
 
 
 def _spied_partials(matched, edges, buf, base):
     SpanSumSpy.dtypes = []
-    got = zonal_partials(matched, edges, buf.view(SpanSumSpy), base)
+    got = zonal_partials(matched[0], *_spans(matched, edges, base), buf.view(SpanSumSpy))
     return _rows(got), SpanSumSpy.dtypes
 
 
@@ -147,7 +152,7 @@ def test_mixed_raw_uint8_and_png_uint16_batch_equals_separate_batches():
         at = {r: i for i, r in enumerate(rows)}
         matched = _matched([(p, tiles[r][2], tiles[r][3], gts[r]) for r, p in pairs if r in at])
         buf, base = band0_reader(batch, np.array([at[r] for r, _ in pairs if r in at]))
-        got = _rows(zonal_partials(matched, edges, buf, base))
+        got = _rows(zonal_partials(matched[0], *_spans(matched, edges, base), buf))
         assert got == _reference(matched, edges, buf, base)
         return buf.dtype, got
 

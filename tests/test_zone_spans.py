@@ -76,24 +76,25 @@ SHAPES_HW = [(8, 12), (16, 16), (5, 3)]
 
 def _batch(pairs):
     """The inputs of the zonal pass for ``pairs`` of (poly_id, h, w,
-    gt): the matched table, each pair's band-0 offset in one flat buffer
-    of random uint8 pixels, and the buffer itself (one sentinel byte
-    past the end)."""
+    gt): the per-pair (pids, hs, ws, gts) arrays, each pair's band-0
+    offset in one flat buffer of random uint8 pixels, and the buffer
+    itself (one sentinel byte past the end)."""
+    pids = np.array([p for p, *_ in pairs], np.int64)
     hs = np.array([h for _, h, _, _ in pairs], np.int64)
     ws = np.array([w for _, _, w, _ in pairs], np.int64)
-    matched = pa.table(
-        {
-            "w": pa.array(ws, pa.int32()),
-            "h": pa.array(hs, pa.int32()),
-            "gt": pa.array([list(g) for *_, g in pairs], pa.list_(pa.float64(), 6)),
-            "poly_id": pa.array([p for p, *_ in pairs], pa.int64()),
-        }
-    )
+    gts = np.array([g for *_, g in pairs], np.float64).reshape(-1, 6)
     sizes = hs * ws
     base = np.cumsum(sizes) - sizes
     rng = np.random.default_rng(len(pairs))
     buf = np.concatenate([rng.integers(0, 256, int(sizes.sum()), dtype=np.uint8), np.zeros(1, np.uint8)])
-    return matched, base, buf
+    return (pids, hs, ws, gts), base, buf
+
+
+def _shifted_spans(edges, matched, base):
+    """``zone_spans`` of the pairs ``matched``, shifted onto the buffer
+    that holds pair ``i``'s band at ``base[i]``."""
+    pair, start, end = zone_spans(edges, *matched)
+    return pair, start + base[pair], end + base[pair]
 
 
 def _reference(rings, h, w, gt):
@@ -129,7 +130,7 @@ def check_batch(polys: dict, pairs):
     edges = PolygonEdges(polys.items())
     check_kernel(polys, edges)
     matched, base, buf = _batch(pairs)
-    pair, start, end = zone_spans(matched, edges, base)
+    pair, start, end = _shifted_spans(edges, matched, base)
     assert (start < end).all() and (np.diff(pair) >= 0).all()
     for i, (pid, h, w, gt) in enumerate(pairs):
         sel = pair == i
@@ -138,14 +139,12 @@ def check_batch(polys: dict, pairs):
         np.testing.assert_array_equal(got, want, err_msg=f"pair {i}: poly {pid}, {h}x{w}, gt {gt}")
 
     # the batch cover test, polygon by polygon
-    q = edges.index(matched.column("poly_id").to_numpy())
-    hs = np.array([h for _, h, _, _ in pairs])
-    ws = np.array([w for _, _, w, _ in pairs])
-    gts = np.array([g for *_, g in pairs], np.float64)
+    pids, hs, ws, gts = matched
+    q = edges.index(pids)
     known = np.flatnonzero(q >= 0)
     covered = _cover_pairs(edges, q[known], hs[known], ws[known], gts[known])
     for pid in {p for p, *_ in pairs if p in polys}:
-        j = np.flatnonzero(matched.column("poly_id").to_numpy()[known] == pid)
+        j = np.flatnonzero(pids[known] == pid)
         ix = known[j]
         np.testing.assert_array_equal(covered[j], _rings_cover_tiles(polys[pid], hs[ix], ws[ix], gts[ix]))
 
@@ -159,10 +158,10 @@ def check_batch(polys: dict, pairs):
             want_rows.append((pid, px.size, float(px.sum(dtype=np.float64)), float(px.min()), float(px.max())))
         cnt = np.bincount(px, minlength=1)
         want_hist.extend((pid, v, int(cnt[v])) for v in np.flatnonzero(cnt))
-    stats = zonal_partials(matched, edges, buf, base)
-    assert [stats.column(c).type for c in stats.column_names] == [pa.int64(), pa.int64()] + [pa.float64()] * 3
-    assert list(zip(*(stats.column(c).to_pylist() for c in stats.column_names))) == want_rows
-    hist = zonal_histograms(matched, edges, buf, base)
+    stats = zonal_partials(pids, pair, start, end, buf)
+    assert [stats[c].dtype for c in stats] == [np.int64, np.int64] + [np.float64] * 3
+    assert list(zip(*(stats[c].tolist() for c in stats))) == want_rows
+    hist = zonal_histograms(pids, pair, start, end, buf)
     assert [hist.column(c).type for c in hist.column_names] == [pa.int64()] * 3
     assert list(zip(*(hist.column(c).to_pylist() for c in ("poly_id", "v", "cnt")))) == want_hist
 
@@ -192,10 +191,10 @@ def test_unknown_polygon_and_empty_batch_select_nothing():
     polys = {3: polygon_rings(SHAPES["diamond"])}
     check_batch(polys, [(7, 8, 8, GTS["unit"]), (3, 8, 8, GTS["unit"]), (7, 4, 4, GTS["unit"])])
     matched, base, buf = _batch([])
-    pair, start, end = zone_spans(matched, PolygonEdges(polys.items()), base)
+    pair, start, end = zone_spans(PolygonEdges(polys.items()), *matched)
     assert len(pair) == len(start) == len(end) == 0
-    assert zonal_partials(matched, PolygonEdges(polys.items()), buf, base).num_rows == 0
-    assert zonal_histograms(matched, PolygonEdges([]), buf, base).num_rows == 0
+    assert all(len(v) == 0 for v in zonal_partials(matched[0], pair, start, end, buf).values())
+    assert zonal_histograms(matched[0], pair, start, end, buf).num_rows == 0
     # a poly_id selects its last entry, and nothing if that one is empty
     rings = [polygon_rings(SHAPES[k]) for k in ("diamond", "holed", "multi")]
     edges = PolygonEdges([(3, rings[0]), (7, rings[1]), (3, rings[2]), (5, rings[0]), (5, [])])
@@ -270,11 +269,12 @@ def test_partials_of_wider_pixels(dtype):
                 "max_v": float(px.max()),
             }
         )
-    assert zonal_partials(matched, PolygonEdges(polys.items()), buf, base).to_pylist() == want
+    spans = _shifted_spans(PolygonEdges(polys.items()), matched, base)
+    assert pa.table(zonal_partials(matched[0], *spans, buf)).to_pylist() == want
     if signed:
         assert min(r["min_v"] for r in want) < 0
         with pytest.raises(ValueError, match="non-negative"):
-            zonal_histograms(matched, PolygonEdges(polys.items()), buf, base)
+            zonal_histograms(matched[0], *spans, buf)
         return
-    assert zonal_histograms(matched, PolygonEdges(polys.items()), buf, base).to_pylist() == want_hist
+    assert zonal_histograms(matched[0], *spans, buf).to_pylist() == want_hist
     assert max(r["v"] for r in want_hist) > 255
