@@ -684,7 +684,7 @@ def _sessions(g: pd.DataFrame, gap_us: int) -> pd.DataFrame:
 def q_sessionize(sf_dir: str, gap_minutes: int = 30):
     """Session windows per user (gap > 30 min starts a new session) —
     the streaming-shaped operator; ordering within a group is explicit
-    (sort by ts inside each bucket, never block order)."""
+    (sort by ts inside each partition, never block order)."""
     ev = _read(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"])
     return exchange(ev, ["user_id"], lambda g: _sessions(g, gap_minutes * 60 * 1_000_000), batch_format="pandas")
 

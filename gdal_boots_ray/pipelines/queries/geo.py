@@ -803,7 +803,7 @@ def q_point_values(sf_dir: str):
 
     def sample_bucket(g: pa.Table) -> pa.Table:
         # Arrow group: tile pixel payloads stay zero-copy buffer views
-        # (never pandas object cells); points sort once per bucket and
+        # (never pandas object cells); points sort once per partition and
         # each tile's points are a searchsorted slice
         from gdal_boots_ray.stages.decode import binary_column_views
 

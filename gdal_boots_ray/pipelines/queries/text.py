@@ -206,10 +206,10 @@ def q_line_dedup(sf_dir: str, chunk_tokens: int = 8):
     Scale shape: chunks flat-map out of the docs carrying only their
     own text span; ONE bucketed shuffle keyed on the chunk string
     co-locates duplicates (bounded fan-out via ``stages.agg.exchange``,
-    never a per-chunk groupby); each bucket resolves keep-first with
+    never a per-chunk groupby); each partition resolves keep-first with
     np.unique + a packed (doc_id, idx) min, emits per-doc count
     partials, and a second bounded shuffle sums them per doc.  No
-    stage ever holds more than its bucket; duplicate-heavy (skewed)
+    stage ever holds more than its partition; duplicate-heavy (skewed)
     chunks cost one group pass, not a cross join."""
     from gdal_boots_ray.stages.agg import bucketed_aggregate
 

@@ -7,23 +7,27 @@ dozens of groups, pathological for millions of tiny groups (30s for a
 1. **partial**: aggregate inside each batch (vectorized pandas/numpy),
    emitting one row per (key, batch);
 2. **bucketed final**: hash keys into a bounded number of buckets,
-   shuffle once on the small partials, combine each bucket vectorized.
+   shuffle once on the small partials into ``P = min(n_buckets, CPUs)``
+   partitions, combine each partition vectorized.
 
 :func:`exchange` is the one keyed shuffle: it owns the key hash
 (:func:`_key_buckets_arrow`), the bucket count
-(:func:`_default_n_buckets`) and the bucket column, and every reducer
-in the package that can segment its bucket by key runs through it
-(aggregate, top-k, quantile walk, hash / as-of / cell joins, the knn
-cell probe, the HLL register merge, the zonal histograms, LSH pair
-generation, the per-user and per-range query bodies).  Hot keys are
-its job too.  Only a body that makes exactly one output per key stays
-on plain ``groupby(key).map_groups``: the mosaic groups (one raster
-per key), ``manifest.write_partitioned`` (one partition file per key)
-and ``q_semdedup``'s cluster dedup (one keep decision per cluster).
+(:func:`_default_n_buckets`), the bucket column and the partition
+count, and every reducer in the package that can segment its
+partition by key runs through it (aggregate, top-k, quantile walk,
+hash / as-of / cell joins, the knn cell probe, the HLL register merge,
+the zonal histograms, LSH pair generation, the per-user and per-range
+query bodies).  Its body runs once per partition — one reduce wave —
+never once per key or per bucket.  Hot keys are its job too.  Only a
+body that makes exactly one output per key stays on plain
+``groupby(key).map_groups``: the mosaic groups (one raster per key),
+``manifest.write_partitioned`` (one partition file per key) and
+``q_semdedup``'s cluster dedup (one keep decision per cluster).
 """
 
 from __future__ import annotations
 
+import os
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -31,16 +35,22 @@ import pandas as pd
 import pyarrow as pa
 
 
-def _default_n_buckets() -> int:
-    """Scale the final-combine fan-out with the cluster (2x CPUs,
-    floor 32) so the reducer count grows with the cluster instead of
-    silently capping parallelism at a constant."""
+def _cluster_cpus() -> int:
+    """CPUs of the Ray cluster (this machine's before ``ray.init``)."""
     try:
         import ray
 
-        return max(32, 2 * int(ray.cluster_resources().get("CPU", 16)))
+        return max(1, int(ray.cluster_resources().get("CPU", 1)))
     except Exception:
-        return 32
+        return os.cpu_count() or 1
+
+
+def _default_n_buckets() -> int:
+    """The key-hash resolution of :func:`exchange`: 2x CPUs, floor 32.
+    It is not the reducer count — :func:`exchange` folds the buckets
+    into ``min(n_buckets, CPUs)`` partitions, each a contiguous bucket
+    range."""
+    return max(32, 2 * _cluster_cpus())
 
 
 def _key_buckets_arrow(batch: pa.Table, keys: Sequence[str], n_buckets: int) -> np.ndarray:
@@ -113,35 +123,51 @@ def exchange(
     batch_format: str = "pyarrow",
 ):
     """The bucketed shuffle: hash ``keys`` into ``n_buckets`` buckets
-    (default :func:`_default_n_buckets`), co-shuffle once on the
-    bucket, and call ``fn`` once per bucket.
+    (default :func:`_default_n_buckets`), co-shuffle once into
+    ``P = min(n_buckets, CPUs)`` partitions, and call ``fn`` once per
+    partition — one reduce wave.
+
+    Bucket ids are uniform hashes in ``[0, n_buckets)``, so partition
+    ``i`` takes the bucket range ``[n_buckets*i//P, n_buckets*(i+1)//P)``
+    by explicit sort boundaries, with no sampling round; at ``P == 1`` a
+    plain ``repartition(1)`` gathers every row.  A partition holds about
+    1/P of the exchanged rows.
 
     ``inputs`` is one Dataset or a list of Datasets with identical
     schemas (unioned after each gets its bucket column, so that map
     fuses with the caller's own per-batch map).  ``fn`` receives every
-    row of its bucket — all rows of any one key arrive in the same
+    row of its partition — all rows of any one key arrive in the same
     call, many keys share a call — as a ``batch_format`` batch without
-    the bucket column.  Lazy: no schema probe, no materialization.
+    the bucket column, and is never called on an empty partition.
+    Lazy: no schema probe, no materialization.
     """
     keys = list(keys)
     if n_buckets is None:
         n_buckets = _default_n_buckets()
+    p = min(n_buckets, _cluster_cpus())
 
     def tag(batch: pa.Table) -> pa.Table:
         return batch.append_column(
             _BUCKET, pa.array(_key_buckets_arrow(batch, keys, n_buckets), pa.int64())
         )
 
-    def call(g):
+    def call(part):
+        if len(part) == 0:
+            return
         if batch_format == "pandas":
-            return fn(g.drop(columns=[_BUCKET]))
-        return fn(g.drop_columns([_BUCKET]))
+            yield fn(part.drop(columns=[_BUCKET]))
+        else:
+            yield fn(part.drop_columns([_BUCKET]))
 
     if not isinstance(inputs, (list, tuple)):
         inputs = [inputs]
     tagged = [ds.map_batches(tag, batch_format="pyarrow") for ds in inputs]
     both = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
-    return both.groupby(_BUCKET).map_groups(call, batch_format=batch_format)
+    if p > 1:
+        parts = both.sort(_BUCKET, boundaries=[n_buckets * i // p for i in range(1, p)])
+    else:
+        parts = both.repartition(1)
+    return parts.map_batches(call, batch_size=None, batch_format=batch_format)
 
 
 def bucketed_aggregate(
@@ -156,10 +182,10 @@ def bucketed_aggregate(
     needs no source column (use any name).  Returns Dataset with key
     columns + aggregated columns (named as the dict keys).
 
-    ``n_buckets`` bounds the final-combine shuffle fan-out; the
-    default scales with the cluster (2x CPU count, floor 32) so the
-    reducer count grows with the cluster instead of silently capping
-    parallelism at a constant.
+    ``n_buckets`` is the final combine's key-hash resolution (default
+    :func:`_default_n_buckets`: 2x CPUs, floor 32); :func:`exchange`
+    runs the combine once per partition, ``min(n_buckets, CPUs)`` of
+    them.
     """
     keys = list(keys)
     spec_items = list(agg.items())
@@ -427,7 +453,7 @@ def grouped_quantiles(
     ``exact_quantiles``: (group, value, count) partials -> bucketed
     merge keyed on (group, value) -> per-group cumulative walk.  The
     final walk runs distributed (one :func:`exchange` on the group over
-    count rows, :func:`_quantile_walk` per bucket), so the driver never
+    count rows, :func:`_quantile_walk` per partition), so the driver never
     sees more than the result."""
     qs = list(qs)
 

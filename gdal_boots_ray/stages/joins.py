@@ -113,19 +113,21 @@ def cell_pip_join(
     Physical plan: each polygon row explodes to the covering grid
     cells of its envelope (a Dataset map, so the polygon side scales
     out too); each point carries its single home cell; both co-shuffle
-    once through ``stages.agg.exchange`` keyed on ``cell``.  Each
-    bucket sorts its points by cell, slices every (polygon, cell)
+    once through ``stages.agg.exchange`` keyed on ``cell``, whose body
+    runs once per partition (``min(n_buckets, CPUs)`` of them).  Each
+    partition sorts its points by cell, slices every (polygon, cell)
     row's candidates out of that order, and parses each distinct
     (poly_id, geom) once for one vectorized ray-casting call over all
-    of its candidates in the bucket.  A matching (point, polygon) pair
+    of its candidates in the partition.  A matching (point, polygon) pair
     meets in EXACTLY the point's home cell — the polygon's covering
     cells include every cell it touches — so matches are globally
     unique and no dedup shuffle is needed.
 
     Partitioning assumption: a polygon spans few grid cells at the
     chosen ``cell_res`` (envelope explosion is exact; res only
-    affects fan-out).  A hot cell lands in one bucket; splitting hot
-    buckets is ``exchange``'s job, not the caller's.
+    affects fan-out).  A hot cell lands in one bucket and so in one
+    partition; splitting hot buckets is ``exchange``'s job, not the
+    caller's.
     """
     import json
 
@@ -246,7 +248,7 @@ def asof_join(
     the greatest ``ts_col`` <= the left row's, within the same
     ``by_col`` group (the temporal join Ray Data lacks natively;
     composition: tag -> :func:`exchange` on ``by_col`` ->
-    :func:`asof_merge` per bucket).  Left rows with no prior right row
+    :func:`asof_merge` per partition).  Left rows with no prior right row
     are dropped (inner as-of), and so are rows with a null ``by_col``.
 
     ``left_cols`` / ``right_cols`` name the carried payload columns
@@ -437,7 +439,7 @@ def hash_join(
     Neither side is broadcast or driver-materialized: both stream
     through ``stages.agg.exchange`` (key-hash buckets whose fan-out
     scales with the cluster), co-shuffle ONCE on the
-    bucket, and each bucket merges vectorized (Arrow take + numpy
+    bucket, and each partition merges vectorized (Arrow take + numpy
     searchsorted, no pandas frame in the exchange).  This is
     the partitioned hash join a SQL engine plans for orders ⋈
     customer — the exchange moves each row exactly once.

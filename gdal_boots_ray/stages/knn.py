@@ -200,7 +200,7 @@ def spatial_knn_dataset(
     - **data side large**: cell-partitioned shuffle join.  Each query
       explodes to every grid cell within ``ring`` Chebyshev rings of
       its home cell; both sides co-shuffle through
-      ``stages.agg.exchange`` keyed on ``cell``; each bucket computes
+      ``stages.agg.exchange`` keyed on ``cell``; each partition computes
       every cell's exact local top-k per query (:func:`cell_topk`); a
       per-qid merge keeps the global k and checks
       the ring-termination bound — kth distance <= ring*cell_res

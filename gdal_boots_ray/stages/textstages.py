@@ -324,7 +324,7 @@ def band_pairs(
     key, with ``n_bands`` = the number of keys they share: the tail of
     every blocking family (MinHash, md5-MinHash, hyperplane, SimHash
     and phash bands, prefix tokens, fingerprints).  One
-    :func:`exchange` on ``key`` runs :func:`run_pairs` per bucket; a
+    :func:`exchange` on ``key`` runs :func:`run_pairs` per partition; a
     bucketed count then dedups pairs that share several keys.  Given
     the expected row count ``n_rows`` (n_docs * keys per doc), the
     bucket count scales with it (``max(32, n_rows / 512)``); without
@@ -399,7 +399,7 @@ def attach_pair_columns(
 
     Exchange 1 keys on the doc id: every pair explodes to two probes
     (k=end, a, b, side) unioned with the tagged docs (k=doc_id,
-    payload); each bucket binary-searches its local docs once and
+    payload); each partition binary-searches its local docs once and
     emits (a, b, side, payload).  Exchange 2 keys on the pair and
     zips side 0/1 into (out_a, out_b).  Inner semantics: a pair
     missing either end is dropped, and a pair duplicated k times

@@ -1,8 +1,11 @@
 """``stages.agg.exchange``: every key's rows reach exactly one ``fn``
 call, no row is lost or duplicated, and ``fn`` never sees the bucket
 column — for integer (negative too), string and composite keys, one
-or two inputs, one or seven buckets, and an empty input.  The key
-``b`` holds integers past 2**53 and a null in every other block: a
+or two inputs, one or seven buckets, and an empty input.  ``fn`` runs
+once per partition, at most ``min(n_buckets, CPUs)`` times (the test
+session has 4 CPUs: one bucket takes the one-partition gather, seven
+the bucket-range boundaries), and never on an empty partition.  The
+key ``b`` holds integers past 2**53 and a null in every other block: a
 key's bucket must not depend on whether its block holds a null."""
 
 import uuid
@@ -72,7 +75,7 @@ def test_each_key_reaches_one_call(ray_session, keys, n_inputs, n_buckets):
 
     assert set(out["seen"]) == {",".join(COLS)}
     assert (out.groupby(keys, dropna=False)["call"].nunique() == 1).all()
-    assert out["call"].nunique() <= n_buckets
+    assert out["call"].nunique() <= min(n_buckets, 4)
     want = _table(0, 300).to_pandas()
     got = out[COLS].sort_values("v").reset_index(drop=True)
     assert got.equals(want)  # same multiset: v is unique per row
@@ -94,3 +97,27 @@ def test_empty_input(ray_session):
 
     out = exchange(rd.from_arrow(_table(0, 0)), ["k"], _tag_call_fn(), 7).to_pandas()
     assert len(out) == 0
+
+
+def test_empty_partitions_are_not_called(ray_session):
+    """Eight buckets over 4 CPUs make the bucket ranges [0,2) [2,4)
+    [4,6) [6,8); keys 0, 1, 6 and 7 hash to buckets 0, 1, 6 and 7, so
+    the middle two partitions hold no rows.  ``fn`` answers a call on
+    zero rows with one null-``v`` row, which must never appear."""
+    import ray.data as rd
+
+    from gdal_boots_ray.stages.agg import exchange
+
+    def fn(g: pa.Table) -> pa.Table:
+        if not g.num_rows:
+            return pa.table({"k": pa.array([None], pa.int64()), "v": pa.array([None], pa.int64())})
+        return g.select(["k", "v"])
+
+    v = np.arange(400, dtype=np.int64)
+    blocks = [
+        pa.table({"k": pa.array(np.array([0, 1, 6, 7])[v[i : i + 50] % 4]), "v": pa.array(v[i : i + 50])})
+        for i in range(0, 400, 50)
+    ]
+    out = exchange(rd.from_arrow(blocks), ["k"], fn, 8).to_pandas()
+    assert out["v"].notna().all()
+    assert sorted(out["v"]) == list(range(400))

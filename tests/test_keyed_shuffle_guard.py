@@ -2,14 +2,15 @@
 ``groupby(key).map_groups`` calls Python once per key, so it is allowed
 only where the body makes exactly one output per key: the mosaic
 groups, the partitioned manifest writer and ``q_semdedup``'s cluster
-dedup — plus ``exchange`` itself, which groups on its bucket column."""
+dedup.  ``exchange`` itself calls no ``map_groups``: it splits its
+buckets by explicit ranges and calls its body once per partition."""
 
 import ast
 import pathlib
 
 import gdal_boots_ray
 
-ALLOWED = {"exchange", "mosaic_dataset", "write_partitioned", "q_semdedup"}
+ALLOWED = {"mosaic_dataset", "write_partitioned", "q_semdedup"}
 
 
 def map_groups_sites(root: pathlib.Path):
@@ -39,6 +40,6 @@ def map_groups_sites(root: pathlib.Path):
 def test_map_groups_only_in_one_output_per_key_sites():
     root = pathlib.Path(gdal_boots_ray.__file__).parent
     sites = map_groups_sites(root)
-    assert {fn for _, fn in sites} >= {"exchange"}  # the scan sees the package
+    assert {fn for _, fn in sites} >= {"write_partitioned"}  # the scan sees the package
     stray = [s for s in sites if s[1] not in ALLOWED]
     assert not stray, f"per-key map_groups outside {sorted(ALLOWED)}: {stray}; use stages.agg.exchange"
