@@ -172,9 +172,9 @@ def q_phash_neardup(sf_dir: str, max_hamming: int = 3):
 
     # verify INSIDE the pair generator: the 20-bit fixture phash gives
     # only 32 buckets per band, so raw band candidates are O((N/32)^2)
-    # per bucket (~25M rows at sf0.1) — filtering to exact
+    # per band value (~25M rows at sf0.1) — filtering to exact
     # hamming<=max BEFORE emitting means only true pairs (~20x fewer)
-    # ever leave the bucket task or cross the dedup exchange.  Recall
+    # ever leave the exchange task or cross the dedup exchange.  Recall
     # is untouched: the filter is the same closed-form check the
     # oracle applies.
     def close(t: pa.Table, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1117,11 +1117,8 @@ def q_minhash_pairs(sf_dir: str, doc_cap: int = 1500):
     ``doc_cap`` bounds the quadratic twin (and this construction
     check) at larger SFs — the full-corpus production path is
     minhash_neardup / corpus_clean."""
-    import pyarrow.parquet as pq
-
     from gdal_boots_ray.stages.textstages import MD5MinHashStage, band_pairs
 
-    n_docs = min(pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows, doc_cap)
     docs = _read(
         f"{sf_dir}/documents.parquet",
         columns=["doc_id", "text"],
@@ -1133,7 +1130,7 @@ def q_minhash_pairs(sf_dir: str, doc_cap: int = 1500):
         fn_constructor_kwargs={"num_perm": 64, "bands": 32},
         concurrency=(1, 8),
     )
-    out = band_pairs(band_rows, int(n_docs) * 32)
+    out = band_pairs(band_rows)
 
     def cast(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -1188,16 +1185,13 @@ def q_minhash_neardup(sf_dir: str, threshold: float = 0.5):
     x 2 rows over 64 perms — P[miss] < 1e-6 at jaccard 0.5) followed
     by an EXACT 5-gram Jaccard >= 0.5 verify; the oracle is the
     quadratic DuckDB twin, so this hash-checks the whole LSH+verify
-    construction end to end.  Candidate generation shuffles with
-    count-derived bucket fan-out; texts are attached to candidate
+    construction end to end.  Candidate generation is one exchange
+    (one reduce wave); texts are attached to candidate
     pairs with two streaming shuffle joins (no document broadcast)."""
-    import pyarrow.parquet as pq
-
     from gdal_boots_ray.stages.textstages import attach_pair_columns, minhash_candidate_pairs
 
-    n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
     docs = _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    cand = minhash_candidate_pairs(docs, num_perm=64, bands=32, n_docs=n_docs).select_columns(
+    cand = minhash_candidate_pairs(docs, num_perm=64, bands=32).select_columns(
         ["doc_a", "doc_b"]
     )
     withtext = attach_pair_columns(cand, docs)
@@ -1256,22 +1250,19 @@ def q_jaccard_neardup(sf_dir: str, threshold: float = 0.6):
     shingles; any pair at Jaccard >= t provably shares a prefix
     token, so the blocking has recall EXACTLY 1 — this is the
     deterministic sibling of minhash_neardup (P[miss] < 1e-6).
-    Candidates shuffle through count-scaled buckets with the exact
+    Candidates shuffle through one exchange with the exact
     length filter (min(sz) >= t*max(sz)); texts attach via streaming
     shuffle joins; the exact Jaccard verify makes precision 1.  The
     oracle is the quadratic DuckDB shingle-Jaccard twin at the same
     threshold, so recall=1 of the prefix blocking is hash-checked
     end to end."""
-    import pyarrow.parquet as pq
-
     from gdal_boots_ray.stages.textstages import (
         attach_pair_columns,
         prefix_jaccard_candidate_pairs,
     )
 
-    n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
     docs = _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    cand = prefix_jaccard_candidate_pairs(docs, threshold=threshold, n_docs=n_docs).select_columns(
+    cand = prefix_jaccard_candidate_pairs(docs, threshold=threshold).select_columns(
         ["doc_a", "doc_b"]
     )
     withtext = attach_pair_columns(cand, docs)
@@ -1291,20 +1282,17 @@ def q_corpus_clean(
     composition of the verified pieces: language-ID + token-count
     filter (stateless map) -> exact dedup (md5 co-shuffle, min doc_id
     survives) -> MinHash-LSH near-dup detection with exact-Jaccard
-    verify (count-scaled bucket shuffle) -> ANTI join dropping every
+    verify (one-wave bucket shuffle) -> ANTI join dropping every
     verified near-duplicate's doc_b.  The DuckDB twin replays the
     entire chain (stopword argmax, QUALIFY dedup, quadratic shingle
     Jaccard, NOT EXISTS), so the whole pipeline is hash-checked —
     the corpus a 100 TB text job would actually ship."""
     import hashlib as _hashlib
 
-    import pyarrow.parquet as pq
-
     from gdal_boots_ray.kernels.text import lang_id
     from gdal_boots_ray.stages.joins import hash_join
     from gdal_boots_ray.stages.textstages import attach_pair_columns, minhash_candidate_pairs
 
-    n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
     docs = _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def feat_filter(batch: pa.Table) -> pa.Table:
@@ -1374,9 +1362,7 @@ def q_corpus_clean(
         os.rename(tmp, checkpoint_dir)  # atomic publish = completion marker
     unique = _read(checkpoint_dir)
 
-    cand = minhash_candidate_pairs(
-        unique, num_perm=64, bands=32, n_docs=n_docs
-    ).select_columns(["doc_a", "doc_b"])
+    cand = minhash_candidate_pairs(unique, num_perm=64, bands=32).select_columns(["doc_a", "doc_b"])
     withtext = attach_pair_columns(cand, unique)
 
     def verify_drop(batch: pa.Table) -> pa.Table:
@@ -2021,16 +2007,13 @@ def q_fingerprint_dups(sf_dir: str, doc_cap: int = 1500, keep: int = 4):
     flagged as overlap candidates — a dedup family orthogonal to
     MinHash (set Jaccard) and SimHash (token frequency): it fires on
     shared raw character runs.  Reuses the LSH pair tail
-    (``band_pairs``: count-scaled bucket shuffle,
+    (``band_pairs``: one-wave bucket shuffle,
     vectorized per-fingerprint pair generation, bucketed pair dedup)
     with fingerprints as the band keys; the DuckDB twin replays the
     md5 winnowing construction and the quadratic self-join."""
-    import pyarrow.parquet as pq
-
     from gdal_boots_ray.kernels.text import md5_fingerprints
     from gdal_boots_ray.stages.textstages import band_pairs
 
-    n_docs = min(pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows, doc_cap)
     docs = _read(
         f"{sf_dir}/documents.parquet",
         columns=["doc_id", "text"],
@@ -2049,7 +2032,7 @@ def q_fingerprint_dups(sf_dir: str, doc_cap: int = 1500, keep: int = 4):
             {"doc_id": pa.array(out_id, pa.int64()), "band_key": pa.array(out_fp, pa.int64())}
         )
 
-    pairs = band_pairs(docs.map_batches(fps, batch_format="pyarrow"), int(n_docs) * keep)
+    pairs = band_pairs(docs.map_batches(fps, batch_format="pyarrow"))
 
     def finish(batch: pa.Table) -> pa.Table:
         ns = batch.column("n_bands").cast(pa.int64())

@@ -36,12 +36,15 @@ import pyarrow as pa
 
 
 def _cluster_cpus() -> int:
-    """CPUs of the Ray cluster (this machine's before ``ray.init``)."""
+    """CPUs of the Ray cluster; before ``ray.init``, the CPUs this
+    process may run on (its affinity mask, not the host's count)."""
     try:
         import ray
 
         return max(1, int(ray.cluster_resources().get("CPU", 1)))
     except Exception:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
 
 
@@ -152,6 +155,8 @@ def exchange(
         )
 
     def call(part):
+        # Ray's batcher drops zero-row blocks today; the guard keeps the
+        # "never called on an empty partition" contract if it stops
         if len(part) == 0:
             return
         if batch_format == "pandas":

@@ -213,7 +213,6 @@ def prefix_jaccard_candidate_pairs(
     docs_ds,
     threshold: float = 0.6,
     ngram: int = 5,
-    n_docs: Optional[int] = None,
     hot_cap: Optional[int] = None,
 ):
     """EXACT-recall near-dup candidate pairs (doc_a < doc_b, n_bands =
@@ -221,13 +220,10 @@ def prefix_jaccard_candidate_pairs(
     prefix-token blocking (PrefixShingleStage) -> :func:`band_pairs`
     on the token hash, with the exact length filter (J >= t implies
     min(sz) >= t * max(sz)) as its pair filter.  No all-pairs stage
-    anywhere; the shuffle fan-out is count-scaled like the LSH path.
+    anywhere; the shuffle is the LSH path's one-wave exchange.
     ``hot_cap`` defaults to off (recall must stay 1 for the oracle);
     production corpora with boilerplate-heavy prefixes can lower it
     to star-link hot tokens at a documented recall cost."""
-    if n_docs is None:
-        n_docs = docs_ds.count()
-
     rows = docs_ds.map_batches(
         PrefixShingleStage,
         batch_format="pyarrow",
@@ -239,9 +235,7 @@ def prefix_jaccard_candidate_pairs(
         sz = t.column("sz").to_numpy().astype(np.float64)
         return np.minimum(sz[a], sz[b]) >= threshold * np.maximum(sz[a], sz[b]) - 1e-9
 
-    # avg prefix ~ (1-t) * shingles-per-doc; 64 is a conservative
-    # stand-in so the bucket count scales with corpus size
-    return band_pairs(rows, int(n_docs) * 64, key="sh", hot_cap=hot_cap, pair_filter=size_bound)
+    return band_pairs(rows, key="sh", hot_cap=hot_cap, pair_filter=size_bound)
 
 
 class SimHashStage:
@@ -281,39 +275,28 @@ def minhash_candidate_pairs(
     docs_ds,
     num_perm: int = 64,
     bands: int = 16,
-    n_docs: Optional[int] = None,
     hot_cap: int = 4096,
 ):
     """Near-dup candidate pairs via LSH buckets: rows (doc_a, doc_b)
     with doc_a < doc_b appearing in >= 1 shared band bucket.
 
-    Scale controls:
-
-    - the shuffle fan-out is sized from the input cardinality
-      (:func:`band_pairs` on ``n_docs * bands`` rows) —
-      pass ``n_docs`` (parquet metadata is free) or it is counted.
-      Bucket count grows with the data instead of a fixed 32.
-    - band buckets larger than ``hot_cap`` docs (boilerplate text
-      colliding into one signature) degrade from all-pairs (B^2/2
-      fan-out) to star-linking against the minimum doc id — the
-      connected component survives for clustering while the emitted
-      pair count is capped at B-1 per hot bucket.
+    Band buckets larger than ``hot_cap`` docs (boilerplate text
+    colliding into one signature) degrade from all-pairs (B^2/2
+    fan-out) to star-linking against the minimum doc id — the
+    connected component survives for clustering while the emitted
+    pair count is capped at B-1 per hot bucket.
     """
-    if n_docs is None:
-        n_docs = docs_ds.count()
-
     band_rows = docs_ds.map_batches(
         MinHashStage,
         batch_format="pyarrow",
         fn_constructor_kwargs={"num_perm": num_perm, "bands": bands},
         concurrency=(1, 8),
     )
-    return band_pairs(band_rows, int(n_docs) * bands, hot_cap=hot_cap)
+    return band_pairs(band_rows, hot_cap=hot_cap)
 
 
 def band_pairs(
     rows,
-    n_rows: Optional[int] = None,
     key: str = "band_key",
     id_col: str = "doc_id",
     out: Sequence[str] = ("doc_a", "doc_b"),
@@ -325,15 +308,13 @@ def band_pairs(
     every blocking family (MinHash, md5-MinHash, hyperplane, SimHash
     and phash bands, prefix tokens, fingerprints).  One
     :func:`exchange` on ``key`` runs :func:`run_pairs` per partition; a
-    bucketed count then dedups pairs that share several keys.  Given
-    the expected row count ``n_rows`` (n_docs * keys per doc), the
-    bucket count scales with it (``max(32, n_rows / 512)``); without
-    it, ``exchange`` scales it with the cluster.  The pairs do not
-    depend on it."""
+    bucketed count then dedups pairs that share several keys.  A
+    partition holds about 1/P of the rows (P = min(buckets, CPUs)), so
+    a call's sort and output grow with the corpus; the candidate pairs
+    are generated about 2M at a time whatever the partition size."""
     from gdal_boots_ray.stages.agg import bucketed_aggregate, exchange
 
-    n_buckets = max(32, int(n_rows) // 512) if n_rows is not None else None
-    cand = exchange(rows, [key], lambda g: run_pairs(g, key, id_col, out, hot_cap, pair_filter), n_buckets)
+    cand = exchange(rows, [key], lambda g: run_pairs(g, key, id_col, out, hot_cap, pair_filter))
     return bucketed_aggregate(cand, list(out), {"n_bands": "count"})
 
 

@@ -1,7 +1,7 @@
 """Bucket bodies of the keyed shuffles, checked without Ray: each body
-that ``exchange`` calls once per bucket must give, on one bucket that
-holds many keys, exactly what the former one-key-per-call body gives
-when applied key by key.  The reference bodies below are those
+that ``exchange`` calls once per partition must give, on one partition
+that holds many keys, exactly what the former one-key-per-call body
+gives when applied key by key.  The reference bodies below are those
 per-key bodies.  Tables mix single-row keys, ties on ``ts`` and NaN
 values; every body also takes an empty bucket."""
 

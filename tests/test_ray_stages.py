@@ -467,7 +467,7 @@ def test_prefix_jaccard_recall_exact(ray_mod):
     assert truth, "planted corpus must contain at least one near-dup pair"
 
     ds = rd.from_pandas(pd.DataFrame(docs)).repartition(4)
-    cand = prefix_jaccard_candidate_pairs(ds, threshold=t, n_docs=len(docs)).to_pandas()
+    cand = prefix_jaccard_candidate_pairs(ds, threshold=t).to_pandas()
     got_cand = {(int(r.doc_a), int(r.doc_b)) for r in cand.itertuples()}
     assert truth <= got_cand  # recall = 1 (blocking may add extras)
 
