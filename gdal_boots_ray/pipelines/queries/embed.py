@@ -529,10 +529,10 @@ def q_dup_components(sf_dir: str, max_iters: int = 30, broadcast_threshold: int 
     the loop and compares)."""
     import ray.data as rd
 
-    from gdal_boots_ray.stages.agg import _default_n_buckets, bucketed_aggregate
+    from gdal_boots_ray.stages.agg import _cluster_cpus, bucketed_aggregate
     from gdal_boots_ray.stages.joins import hash_join
 
-    n_parts = max(8, _default_n_buckets() // 8)
+    n_parts = max(8, _cluster_cpus() // 4)
     # edge sets are pair-scale (banding caps bound them), so one
     # object-store materialization avoids re-executing the phash
     # lineage for the size probe AND the collect/loop that follows

@@ -996,15 +996,16 @@ ORACLE_SQL["spatial_knn"] = f"""
 
 
 def q_salted_cell_counts(sf_dir: str):
-    """Skew machinery in the correctness gate: two-phase salted
-    aggregation keyed on grid cell must produce exactly the plain
-    GROUP BY result (salting is a physical plan detail)."""
+    """Tiles per grid cell, the skewed cell-keyed aggregate: the
+    per-batch partial of :func:`bucketed_aggregate` cuts a hot cell to
+    one row per block before the one exchange, so it needs no salt and
+    must produce exactly the plain GROUP BY result."""
+    from gdal_boots_ray.stages.agg import bucketed_aggregate
     from gdal_boots_ray.stages.geo import make_add_grid_cell
-    from gdal_boots_ray.stages.skew import salted_cell_aggregate
 
     ds = _with_bounds(_tiles_dataset(sf_dir, decode=False))
     ds = ds.map_batches(make_add_grid_cell(5000.0), batch_format="pyarrow")
-    out = salted_cell_aggregate(ds, {"n_tiles": "count"}, cell_col="cell", hot_threshold=8)
+    out = bucketed_aggregate(ds, ["cell"], {"n_tiles": "count"})
 
     def cast(batch: pa.Table) -> pa.Table:
         return pa.table(

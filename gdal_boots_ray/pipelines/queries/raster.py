@@ -847,7 +847,7 @@ def q_pixel_histogram(sf_dir: str, n_tiles: int = 64):
         )
 
     part = ds.map_batches(partial_hist, batch_format="pyarrow")
-    out = bucketed_aggregate(part, ["value"], {"n_px": "sum"}, n_buckets=8)
+    out = bucketed_aggregate(part, ["value"], {"n_px": "sum"})
 
     def cast(batch: pa.Table) -> pa.Table:
         return pa.table(

@@ -302,7 +302,7 @@ def generate_images_parquet(
     """Write the input_hint-schema images table to ``path`` (dir of
     parquet files).  Deterministic; returns path.  ``skew_frac`` of the
     tiles share one hot grid cell (same x0/y0 block) to exercise the
-    salted-shuffle path."""
+    cell-keyed shuffles with a hot key."""
     os.makedirs(path, exist_ok=True)
     done = os.path.join(path, "_DONE")
     if os.path.exists(done):

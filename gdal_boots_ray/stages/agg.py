@@ -5,21 +5,20 @@ dozens of groups, pathological for millions of tiny groups (30s for a
 126k-group count in local testing).  The scale-correct shape is:
 
 1. **partial**: aggregate inside each batch (vectorized pandas/numpy),
-   emitting one row per (key, batch);
-2. **bucketed final**: hash keys into a bounded number of buckets,
-   shuffle once on the small partials into ``P = min(n_buckets, CPUs)``
-   partitions, combine each partition vectorized.
+   emitting one row per (key, batch) — a hot key shrinks to one row
+   per batch before any shuffle;
+2. **final**: hash keys into one partition per cluster CPU, shuffle
+   once on the small partials, combine each partition vectorized.
 
 :func:`exchange` is the one keyed shuffle: it owns the key hash
-(:func:`_key_buckets_arrow`), the bucket count
-(:func:`_default_n_buckets`), the bucket column and the partition
-count, and every reducer in the package that can segment its
-partition by key runs through it (aggregate, top-k, quantile walk,
-hash / as-of / cell joins, the knn cell probe, the HLL register merge,
-the zonal histograms, LSH pair generation, the per-user and per-range
-query bodies).  Its body runs once per partition — one reduce wave —
-never once per key or per bucket.  Hot keys are its job too.  Only a
-body that makes exactly one output per key stays on plain
+(:func:`_key_buckets_arrow`), the partition count (the cluster's CPUs)
+and the bucket column, and every reducer in the package that can
+segment its partition by key runs through it (aggregate, top-k,
+quantile walk, hash / as-of / cell joins, the knn cell probe, the HLL
+register merge, the zonal histograms, LSH pair generation, the
+per-user and per-range query bodies).  Its body runs once per
+partition — one reduce wave — never once per key.  Only a body that
+makes exactly one output per key stays on plain
 ``groupby(key).map_groups``: the mosaic groups (one raster per key),
 ``manifest.write_partitioned`` (one partition file per key) and
 ``q_semdedup``'s cluster dedup (one keep decision per cluster).
@@ -28,7 +27,7 @@ body that makes exactly one output per key stays on plain
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 import pandas as pd
@@ -48,16 +47,8 @@ def _cluster_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _default_n_buckets() -> int:
-    """The key-hash resolution of :func:`exchange`: 2x CPUs, floor 32.
-    It is not the reducer count — :func:`exchange` folds the buckets
-    into ``min(n_buckets, CPUs)`` partitions, each a contiguous bucket
-    range."""
-    return max(32, 2 * _cluster_cpus())
-
-
-def _key_buckets_arrow(batch: pa.Table, keys: Sequence[str], n_buckets: int) -> np.ndarray:
-    """Deterministic hash of the key columns into ``n_buckets``, read
+def _key_buckets_arrow(batch: pa.Table, keys: Sequence[str], n_parts: int) -> np.ndarray:
+    """Deterministic hash of the key columns into ``[0, n_parts)``, read
     straight off the Arrow table (no DataFrame wrapper in the exchange
     hot path).  Integer keys hash from their integer values even when
     the batch holds a null (a null would otherwise turn the column into
@@ -78,7 +69,7 @@ def _key_buckets_arrow(batch: pa.Table, keys: Sequence[str], n_buckets: int) -> 
         else:
             vals = col.to_numpy(zero_copy_only=False).astype(np.uint64, copy=False)
         h = h * np.uint64(1000003) + vals
-    b = (h % np.uint64(n_buckets)).astype(np.int64)
+    b = (h % np.uint64(n_parts)).astype(np.int64)
     if nulls is not None:
         b[nulls] = 0
     return b
@@ -118,23 +109,19 @@ def pair_chunks(counts: np.ndarray):
 _BUCKET = "_bucket"
 
 
-def exchange(
-    inputs,
-    keys: Sequence[str],
-    fn,
-    n_buckets: Optional[int] = None,
-    batch_format: str = "pyarrow",
-):
-    """The bucketed shuffle: hash ``keys`` into ``n_buckets`` buckets
-    (default :func:`_default_n_buckets`), co-shuffle once into
-    ``P = min(n_buckets, CPUs)`` partitions, and call ``fn`` once per
-    partition — one reduce wave.
+def exchange(inputs, keys: Sequence[str], fn, batch_format: str = "pyarrow"):
+    """The keyed shuffle: hash ``keys`` into ``P`` partitions, one per
+    cluster CPU (:func:`_cluster_cpus`, read once on the driver),
+    co-shuffle once and call ``fn`` once per partition — one reduce
+    wave.  The bucket id is the partition id: at ``P > 1`` explicit
+    sort boundaries ``1..P-1`` split the buckets with no sampling
+    round, and at ``P == 1`` a plain ``repartition(1)`` gathers every
+    row.
 
-    Bucket ids are uniform hashes in ``[0, n_buckets)``, so partition
-    ``i`` takes the bucket range ``[n_buckets*i//P, n_buckets*(i+1)//P)``
-    by explicit sort boundaries, with no sampling round; at ``P == 1`` a
-    plain ``repartition(1)`` gathers every row.  A partition holds about
-    1/P of the exchanged rows.
+    The hash is not uniform on every key: a single integer key hashes
+    to itself, so its partition is ``key mod P``, and keys that share a
+    residue share a partition.  A partition holds about 1/P of the
+    exchanged rows, and a hot key lands whole in one partition.
 
     ``inputs`` is one Dataset or a list of Datasets with identical
     schemas (unioned after each gets its bucket column, so that map
@@ -145,14 +132,10 @@ def exchange(
     Lazy: no schema probe, no materialization.
     """
     keys = list(keys)
-    if n_buckets is None:
-        n_buckets = _default_n_buckets()
-    p = min(n_buckets, _cluster_cpus())
+    p = _cluster_cpus()
 
     def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            _BUCKET, pa.array(_key_buckets_arrow(batch, keys, n_buckets), pa.int64())
-        )
+        return batch.append_column(_BUCKET, pa.array(_key_buckets_arrow(batch, keys, p), pa.int64()))
 
     def call(part):
         # Ray's batcher drops zero-row blocks today; the guard keeps the
@@ -169,7 +152,7 @@ def exchange(
     tagged = [ds.map_batches(tag, batch_format="pyarrow") for ds in inputs]
     both = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
     if p > 1:
-        parts = both.sort(_BUCKET, boundaries=[n_buckets * i // p for i in range(1, p)])
+        parts = both.sort(_BUCKET, boundaries=list(range(1, p)))
     else:
         parts = both.repartition(1)
     return parts.map_batches(call, batch_size=None, batch_format=batch_format)
@@ -179,7 +162,6 @@ def bucketed_aggregate(
     ds,
     keys: Sequence[str],
     agg: Dict[str, str],
-    n_buckets: Optional[int] = None,
 ):
     """Partial-per-batch then bucketed-final aggregation.
 
@@ -187,10 +169,9 @@ def bucketed_aggregate(
     needs no source column (use any name).  Returns Dataset with key
     columns + aggregated columns (named as the dict keys).
 
-    ``n_buckets`` is the final combine's key-hash resolution (default
-    :func:`_default_n_buckets`: 2x CPUs, floor 32); :func:`exchange`
-    runs the combine once per partition, ``min(n_buckets, CPUs)`` of
-    them.
+    The per-batch partial is the skew answer (FP-Hadoop's intermediate
+    reduce): a hot key reaches :func:`exchange` as at most one row per
+    block, and the final combine runs once per partition.
     """
     keys = list(keys)
     spec_items = list(agg.items())
@@ -218,7 +199,7 @@ def bucketed_aggregate(
     def final(g: pa.Table) -> pa.Table:
         return _arrow_agg(g, final_items)
 
-    return exchange(ds.map_batches(partial, batch_format="pyarrow"), keys, final, n_buckets)
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"), keys, final)
 
 
 def grouped_top_k(
@@ -228,7 +209,6 @@ def grouped_top_k(
     k: int,
     descending: bool = True,
     tie_cols: Sequence[str] = (),
-    n_buckets: Optional[int] = None,
 ):
     """Per-group top-k without a global sort.
 
@@ -283,34 +263,36 @@ def grouped_top_k(
         pos = np.arange(n) - np.repeat(starts, runlen)
         return t.take(pa.array(order[pos < k], pa.int64()))
 
-    return exchange(ds.map_batches(_topk, batch_format="pyarrow"), keys, _topk, n_buckets)
+    return exchange(ds.map_batches(_topk, batch_format="pyarrow"), keys, _topk)
 
 
-def approx_count_distinct(ds, col: str, n_buckets: int = 64) -> float:
+def approx_count_distinct(ds, col: str) -> float:
     """Distributed HyperLogLog count-distinct: per-batch 4 KB register
-    partials (vectorized, kernels/sketch.py) -> bucketed elementwise-
-    max merge -> driver final estimate.  NO key shuffle at any scale:
-    the exchange moves one 4 KB row per batch, the driver sees
-    ``n_buckets`` rows.  ~1.6% standard error at p=12."""
+    partials (vectorized, kernels/sketch.py) -> elementwise-max merge
+    per partition -> driver final estimate.  NO key shuffle at any
+    scale: the exchange moves one 4 KB row per batch, the driver sees
+    one row per partition.  ~1.6% standard error at p=12."""
     from gdal_boots_ray.kernels import sketch
 
     def partial(batch: pa.Table) -> pa.Table:
         reg = sketch.hll_partial(
             sketch.hash64(batch.column(col).to_numpy(zero_copy_only=False))
         )
-        # deterministic bucket from the register content spreads the
-        # merge tree without needing a batch index
-        b = int(reg.view(np.uint32).sum()) % n_buckets
+        # the register content is the key: deterministic, and it spreads
+        # the merge over partitions without needing a batch index
         return pa.table(
-            {"bucket": pa.array([b], pa.int64()), "reg": pa.array([reg.tobytes()], pa.binary())}
+            {
+                "key": pa.array([int(reg.view(np.uint32).sum())], pa.int64()),
+                "reg": pa.array([reg.tobytes()], pa.binary()),
+            }
         )
 
     def merge(g: pa.Table) -> pa.Table:
-        # elementwise max is associative, so a bucket may hold many keys
+        # elementwise max is associative, so a partition may hold many keys
         stack = np.stack([np.frombuffer(r, dtype=np.uint8) for r in g.column("reg").to_pylist()])
         return pa.table({"reg": pa.array([sketch.hll_merge(stack).tobytes()], pa.binary())})
 
-    rows = exchange(ds.map_batches(partial, batch_format="pyarrow"), ["bucket"], merge, n_buckets).to_pandas()
+    rows = exchange(ds.map_batches(partial, batch_format="pyarrow"), ["key"], merge).to_pandas()
     final = sketch.hll_merge(np.stack([np.frombuffer(r, dtype=np.uint8) for r in rows["reg"]]))
     return sketch.hll_estimate(final)
 
@@ -427,7 +409,7 @@ def percentile_disc(vals: np.ndarray, cnts: np.ndarray, qs: Sequence[float]) -> 
 
 
 def _quantile_walk(g: pd.DataFrame, group_col: str, col: str, qs: Sequence[float]) -> pd.DataFrame:
-    """:func:`percentile_disc` for every group of a bucket of
+    """:func:`percentile_disc` for every group of a partition of
     (group, value, cnt) rows at once: one sort by (group, value), then
     per q one comparison of each group's cumulative count against that
     group's q*n (the same int-vs-double test as the one-group walk) and
@@ -451,9 +433,7 @@ def _quantile_walk(g: pd.DataFrame, group_col: str, col: str, qs: Sequence[float
     )
 
 
-def grouped_quantiles(
-    ds, group_col: str, col: str, qs: Sequence[float], n_buckets: Optional[int] = None
-):
+def grouped_quantiles(ds, group_col: str, col: str, qs: Sequence[float]):
     """Per-group exact quantiles, same histogram plan as
     ``exact_quantiles``: (group, value, count) partials -> bucketed
     merge keyed on (group, value) -> per-group cumulative walk.  The
@@ -481,14 +461,14 @@ def grouped_quantiles(
         )
 
     counts = bucketed_aggregate(
-        ds.map_batches(partial, batch_format="pyarrow"), [group_col, col], {"cnt": "sum"}, n_buckets
+        ds.map_batches(partial, batch_format="pyarrow"), [group_col, col], {"cnt": "sum"}
     )
     return exchange(
-        counts, [group_col], lambda g: _quantile_walk(g, group_col, col, qs), n_buckets, batch_format="pandas"
+        counts, [group_col], lambda g: _quantile_walk(g, group_col, col, qs), batch_format="pandas"
     )
 
 
-def exact_quantiles(ds, col: str, qs: Sequence[float], n_buckets: Optional[int] = None):
+def exact_quantiles(ds, col: str, qs: Sequence[float]):
     """EXACT distributed quantiles for a bounded-domain column
     (integer measures: token counts, lengths, pixel values).
 
@@ -513,7 +493,7 @@ def exact_quantiles(ds, col: str, qs: Sequence[float], n_buckets: Optional[int] 
         return pa.table({col: pa.array(vals), "cnt": pa.array(cnts.astype(np.int64))})
 
     counts = bucketed_aggregate(
-        ds.map_batches(partial, batch_format="pyarrow"), [col], {"cnt": "sum"}, n_buckets
+        ds.map_batches(partial, batch_format="pyarrow"), [col], {"cnt": "sum"}
     ).to_pandas()
     counts = counts.sort_values(col)
     vals = percentile_disc(counts[col].to_numpy(), counts["cnt"].to_numpy(), qs)

@@ -114,7 +114,7 @@ def cell_pip_join(
     cells of its envelope (a Dataset map, so the polygon side scales
     out too); each point carries its single home cell; both co-shuffle
     once through ``stages.agg.exchange`` keyed on ``cell``, whose body
-    runs once per partition (``min(n_buckets, CPUs)`` of them).  Each
+    runs once per partition (one per cluster CPU).  Each
     partition sorts its points by cell, slices every (polygon, cell)
     row's candidates out of that order, and parses each distinct
     (poly_id, geom) once for one vectorized ray-casting call over all
@@ -426,7 +426,6 @@ def hash_join(
     on: str,
     left_cols: Sequence[str],
     right_cols: Sequence[str],
-    n_buckets: Optional[int] = None,
     how: str = "inner",
 ):
     """Generic two-large-sides equi-join: bucketed shuffle hash join.
@@ -544,7 +543,7 @@ def hash_join(
             return pa.concat_tables([inner, pa.table(cols)], promote_options="default")
         raise ValueError(f"unknown join how={how!r}")
 
-    return exchange(sides, ["k"], merge, n_buckets)
+    return exchange(sides, ["k"], merge)
 
 
 def knn_brute_force(embeddings_ds, queries: np.ndarray, k: int, query_ids: Optional[np.ndarray] = None):

@@ -309,7 +309,7 @@ def band_pairs(
     and phash bands, prefix tokens, fingerprints).  One
     :func:`exchange` on ``key`` runs :func:`run_pairs` per partition; a
     bucketed count then dedups pairs that share several keys.  A
-    partition holds about 1/P of the rows (P = min(buckets, CPUs)), so
+    partition holds about 1/P of the rows (P = the cluster's CPUs), so
     a call's sort and output grow with the corpus; the candidate pairs
     are generated about 2M at a time whatever the partition size."""
     from gdal_boots_ray.stages.agg import bucketed_aggregate, exchange
@@ -372,7 +372,6 @@ def attach_pair_columns(
     out_a: str = "text_a",
     out_b: str = "text_b",
     val_col: str = "text",
-    n_buckets: Optional[int] = None,
 ):
     """Fused BOTH-ENDS payload attach for (key_a, key_b) pair rows: the
     document table crosses the wire ONCE, not once per end, and the
@@ -459,7 +458,7 @@ def attach_pair_columns(
             }
         )
 
-    fetched = exchange(sides, ["k"], fetch, n_buckets)
+    fetched = exchange(sides, ["k"], fetch)
 
     def zip_pair(g: pa.Table) -> pa.Table:
         a = g.column("a").to_numpy()
@@ -502,4 +501,4 @@ def attach_pair_columns(
             }
         )
 
-    return exchange(fetched, ["a", "b"], zip_pair, n_buckets)
+    return exchange(fetched, ["a", "b"], zip_pair)

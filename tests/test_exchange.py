@@ -1,12 +1,13 @@
 """``stages.agg.exchange``: every key's rows reach exactly one ``fn``
 call, no row is lost or duplicated, and ``fn`` never sees the bucket
 column — for integer (negative too), string and composite keys, one
-or two inputs, one or seven buckets, and an empty input.  ``fn`` runs
-once per partition, at most ``min(n_buckets, CPUs)`` times (the test
-session has 4 CPUs: one bucket takes the one-partition gather, seven
-the bucket-range boundaries), and never on an empty partition.  The
-key ``b`` holds integers past 2**53 and a null in every other block: a
-key's bucket must not depend on whether its block holds a null."""
+or two inputs, one or four partitions, and an empty input.  ``fn``
+runs once per partition, at most P times, where P is the cluster's
+CPUs (the test session has 4, which takes the bucket boundaries; a
+driver that sees one CPU takes the one-partition gather), and never
+on an empty partition.  The key ``b`` holds integers past 2**53 and a
+null in every other block: a key's bucket must not depend on whether
+its block holds a null."""
 
 import uuid
 
@@ -66,16 +67,19 @@ def _datasets(n_inputs: int, n_rows: int = 300):
 
 @pytest.mark.parametrize("keys", [["k"], ["s"], ["k", "s"], ["b"]])
 @pytest.mark.parametrize("n_inputs", [1, 2])
-@pytest.mark.parametrize("n_buckets", [1, 7])
-def test_each_key_reaches_one_call(ray_session, keys, n_inputs, n_buckets):
-    from gdal_boots_ray.stages.agg import exchange
+@pytest.mark.parametrize("p", [1, 4])
+def test_each_key_reaches_one_call(ray_session, monkeypatch, keys, n_inputs, p):
+    from gdal_boots_ray.stages import agg
 
+    if p == 1:
+        monkeypatch.setattr(agg, "_cluster_cpus", lambda: 1)
+    assert agg._cluster_cpus() == p
     inputs = _datasets(n_inputs)
-    out = exchange(inputs if n_inputs > 1 else inputs[0], keys, _tag_call_fn(), n_buckets).to_pandas()
+    out = agg.exchange(inputs if n_inputs > 1 else inputs[0], keys, _tag_call_fn()).to_pandas()
 
     assert set(out["seen"]) == {",".join(COLS)}
     assert (out.groupby(keys, dropna=False)["call"].nunique() == 1).all()
-    assert out["call"].nunique() <= min(n_buckets, 4)
+    assert out["call"].nunique() <= p
     want = _table(0, 300).to_pandas()
     got = out[COLS].sort_values("v").reset_index(drop=True)
     assert got.equals(want)  # same multiset: v is unique per row
@@ -85,7 +89,7 @@ def test_each_key_reaches_one_call(ray_session, keys, n_inputs, n_buckets):
 def test_batch_formats_drop_the_bucket_column(ray_session, batch_format):
     from gdal_boots_ray.stages.agg import exchange
 
-    out = exchange(_datasets(2), ["k", "s"], _tag_call_fn(), 7, batch_format=batch_format).to_pandas()
+    out = exchange(_datasets(2), ["k", "s"], _tag_call_fn(), batch_format=batch_format).to_pandas()
     assert set(out["seen"]) == {",".join(COLS)}
     assert sorted(out["v"]) == list(range(300))
 
@@ -95,18 +99,20 @@ def test_empty_input(ray_session):
 
     from gdal_boots_ray.stages.agg import exchange
 
-    out = exchange(rd.from_arrow(_table(0, 0)), ["k"], _tag_call_fn(), 7).to_pandas()
+    out = exchange(rd.from_arrow(_table(0, 0)), ["k"], _tag_call_fn()).to_pandas()
     assert len(out) == 0
 
 
 def test_empty_partitions_are_not_called(ray_session):
-    """Eight buckets over 4 CPUs make the bucket ranges [0,2) [2,4)
-    [4,6) [6,8); keys 0, 1, 6 and 7 hash to buckets 0, 1, 6 and 7, so
-    the middle two partitions hold no rows.  ``fn`` answers a call on
-    zero rows with one null-``v`` row, which must never appear."""
+    """A single integer key hashes to itself, so over the session's
+    4 partitions keys 0, 3, 4 and 7 land in partitions 0 and 3, and
+    the middle two hold no rows.  ``fn`` answers a call on zero rows
+    with one null-``v`` row, which must never appear."""
     import ray.data as rd
 
-    from gdal_boots_ray.stages.agg import exchange
+    from gdal_boots_ray.stages.agg import _cluster_cpus, exchange
+
+    assert _cluster_cpus() == 4
 
     def fn(g: pa.Table) -> pa.Table:
         if not g.num_rows:
@@ -115,9 +121,9 @@ def test_empty_partitions_are_not_called(ray_session):
 
     v = np.arange(400, dtype=np.int64)
     blocks = [
-        pa.table({"k": pa.array(np.array([0, 1, 6, 7])[v[i : i + 50] % 4]), "v": pa.array(v[i : i + 50])})
+        pa.table({"k": pa.array(np.array([0, 3, 4, 7])[v[i : i + 50] % 4]), "v": pa.array(v[i : i + 50])})
         for i in range(0, 400, 50)
     ]
-    out = exchange(rd.from_arrow(blocks), ["k"], fn, 8).to_pandas()
+    out = exchange(rd.from_arrow(blocks), ["k"], fn).to_pandas()
     assert out["v"].notna().all()
     assert sorted(out["v"]) == list(range(400))

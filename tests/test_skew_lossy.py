@@ -1,44 +1,49 @@
-"""Salted-cell skew handling + lossy PSNR fidelity gate."""
+"""Hot-cell aggregate + lossy PSNR fidelity gate."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
 
-def test_plan_salts():
-    from gdal_boots_ray.stages.skew import plan_salts
-
-    hist = {1: 100, 2: 95_000, 3: 10_001}
-    salts = plan_salts(hist, hot_threshold=10_000)
-    assert 1 not in salts
-    assert salts[2] == 10 and salts[3] == 2
-
-
-def test_salted_cell_aggregate(ray_session):
+def test_salted_cell_aggregate(ray_session, monkeypatch):
+    """One hot cell with 90% of the rows, over 8 blocks: exact counts
+    and sums, and the per-batch partial hands ``exchange`` at most one
+    row per (block, cell), so the hot cell reaches the shuffle as one
+    row per block."""
     import ray.data as rd
 
-    from gdal_boots_ray.stages.skew import cell_histogram, salted_cell_aggregate
+    from gdal_boots_ray.stages import agg
 
     rng = np.random.default_rng(2)
-    # one hot cell (90% of rows) + 10 cold cells
-    n = 20_000
+    n, n_blocks = 20_000, 8
     hot = rng.random(n) < 0.9
     cells = np.where(hot, 7, rng.integers(100, 110, n)).astype(np.int64)
-    t = pa.table(
-        {
-            "cell": pa.array(cells),
-            "phash": pa.array(rng.integers(0, 1 << 30, n), pa.int64()),
-            "v": pa.array(np.ones(n)),
-        }
-    )
-    ds = rd.from_arrow(t)
-    hist = cell_histogram(ds)
-    assert hist[7] > 15_000
-    out = salted_cell_aggregate(ds, {"n": "count", "v": "sum"}, hot_threshold=2_000).to_pandas()
-    got = dict(zip(out["cell"], out["n"]))
-    expect = dict(zip(*np.unique(cells, return_counts=True)))
-    assert got == {int(k): int(v) for k, v in expect.items()}
-    assert np.allclose(sorted(out["v"]), sorted(expect.values()))
+    vals = rng.integers(0, 1000, n).astype(np.int64)
+    t = pa.table({"cell": pa.array(cells), "v": pa.array(vals)})
+    step = n // n_blocks
+    ds = rd.from_arrow([t.slice(i, step) for i in range(0, n, step)])
+
+    exchanged = []
+    real_exchange = agg.exchange
+
+    def capture(inputs, *args, **kwargs):
+        exchanged.append(inputs)
+        return real_exchange(inputs, *args, **kwargs)
+
+    monkeypatch.setattr(agg, "exchange", capture)
+    out = agg.bucketed_aggregate(ds, ["cell"], {"n": "count", "v": "sum"}).to_pandas()
+
+    uniq, counts = np.unique(cells, return_counts=True)
+    assert dict(zip(out["cell"], out["n"])) == dict(zip(uniq.tolist(), counts.tolist()))
+    sums = {int(c): int(vals[cells == c].sum()) for c in uniq}
+    assert dict(zip(out["cell"], out["v"])) == sums
+
+    (partials,) = exchanged
+    blocks = list(partials.iter_batches(batch_size=None, batch_format="pyarrow"))
+    assert len(blocks) >= n_blocks
+    for b in blocks:
+        keys = b.column("cell").to_numpy()
+        assert len(np.unique(keys)) == len(keys)
 
 
 def test_lossy_quantize_psnr():
