@@ -24,6 +24,8 @@ from typing import List, Tuple
 
 import numpy as np
 
+from gdal_boots_ray.kernels.ranges import concat_ranges
+
 # S2 Hilbert lookup tables (public algorithm constants)
 _IJ_TO_POS = np.array(
     [
@@ -256,6 +258,28 @@ def grid_cells_covering_bounds(b, res: float) -> np.ndarray:
     ys = np.arange(cy0, cy1 + 1, dtype=np.int64) + (1 << 19)
     gx, gy = np.meshgrid(xs, ys)
     return (gx.ravel() * _GRID_WIDTH + gy.ravel()).astype(np.int64)
+
+
+def grid_cells_covering_boxes(boxes, res: float) -> Tuple[np.ndarray, np.ndarray]:
+    """``(box, cell)``: every grid cell intersecting each (minx, miny,
+    maxx, maxy) row of ``boxes``, box by box, with one ``concat_ranges``
+    expansion for the whole array and no loop over boxes.  Each box's
+    cells are exactly ``grid_cells_covering_bounds``' (same order, x
+    fastest, and the same edge rule: a max edge on a cell boundary does
+    not reach into the next cell).  A non-finite box raises
+    ``ValueError``."""
+    b = np.asarray(boxes, np.float64).reshape(-1, 4)
+    if not np.isfinite(b).all():
+        raise ValueError("grid cells of a non-finite box")
+    c0 = np.floor(b[:, :2] / res).astype(np.int64)
+    c1 = np.floor(np.nextafter(b[:, 2:], -np.inf) / res).astype(np.int64)
+    span = np.maximum(c1, c0) - c0 + 1
+    nx = span[:, 0]
+    box = np.repeat(np.arange(len(b), dtype=np.int64), nx * span[:, 1])
+    k = concat_ranges(nx * span[:, 1])
+    gx = c0[box, 0] + k % nx[box] + (1 << 19)
+    gy = c0[box, 1] + k // nx[box] + (1 << 19)
+    return box, gx * _GRID_WIDTH + gy
 
 
 def grid_cell_center(cell_id, res: float) -> Tuple[np.ndarray, np.ndarray]:

@@ -38,7 +38,7 @@ import glob
 import hashlib
 import json
 import os
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -49,11 +49,47 @@ import ray.data as rd
 from gdal_boots_ray.kernels.affine import bounds
 from gdal_boots_ray.kernels.cells import grid_cell_id, s2_cell_id
 from gdal_boots_ray.sources.fixtures import nation_polygons
+from gdal_boots_ray.stages.decode import binary_column_views
 from gdal_boots_ray.stages.geo import add_bounds  # noqa: F401  (perfbench/spans.py wraps flagship.add_bounds)
 from gdal_boots_ray.stages.geo import gt_matrix, to_lonlat
 from gdal_boots_ray.stages.joins import BroadcastPIPJoin, pack_polygons, put_polygons
 from gdal_boots_ray.stages.zonal import zonal_partials, zone_spans
 from gdal_boots_ray.state import manifest
+
+
+class TileBytes(NamedTuple):
+    """The columns of a table of tiles that ``band0_reader`` reads,
+    converted once: ``h`` and ``w`` as int64 arrays, ``fmt`` as a list,
+    one zero-copy view per row of ``bytes``, and ``image_id`` for error
+    messages.  ``slice`` shares them, so a table converted once serves
+    every pixel step."""
+
+    hs: np.ndarray
+    ws: np.ndarray
+    fmts: list
+    blobs: list
+    image_ids: pa.ChunkedArray
+
+    @classmethod
+    def of(cls, table: pa.Table, hs=None, ws=None) -> "TileBytes":
+        return cls(
+            table.column("h").to_numpy().astype(np.int64) if hs is None else hs,
+            table.column("w").to_numpy().astype(np.int64) if ws is None else ws,
+            table.column("fmt").to_pylist(),
+            binary_column_views(table.column("bytes")),
+            table.column("image_id"),
+        )
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.hs)
+
+    def slice(self, lo: int, n: int) -> "TileBytes":
+        """Rows ``lo .. lo + n`` (fewer at the end)."""
+        hi = lo + n
+        return TileBytes(
+            self.hs[lo:hi], self.ws[lo:hi], self.fmts[lo:hi], self.blobs[lo:hi], self.image_ids.slice(lo, n)
+        )
 
 
 class TilePlan:
@@ -62,12 +98,12 @@ class TilePlan:
     tile centers, the broadcast PIP join's ``Matches`` (``row``, by
     row), each pair's ``pids`` and the ``zone_spans`` of every pair as
     ``(pair, start, end)`` offsets into its tile's band.  None of it
-    reads a pixel.  ``pixels`` then decodes band 0 of one slice of rows
-    and shifts that slice's spans onto it, so only the pixel step is
-    bounded by a batch size."""
+    reads a pixel; the ``TileBytes`` the pixel steps read (``tiles``)
+    are converted here too.  ``pixels`` then decodes band 0 of one
+    slice of rows and shifts that slice's spans onto it, so only the
+    pixel step is bounded by a batch size."""
 
     def __init__(self, table: pa.Table, join, edges):
-        self.table = table
         gts = gt_matrix(table)
         hs = table.column("h").to_numpy().astype(np.int64)
         ws = table.column("w").to_numpy().astype(np.int64)
@@ -76,17 +112,19 @@ class TilePlan:
         m = join(self.cx, self.cy)
         self.row, self.pids = m.row, edges.ids[m.pos]
         self.pair, self.start, self.end = zone_spans(edges, self.pids, hs[m.row], ws[m.row], gts[m.row])
+        self.tiles = TileBytes.of(table, hs, ws)
 
     def steps(self, batch_size: int):
-        """``(lo, rows lo .. lo + batch_size of the table)`` for every
-        pixel step; a zero-row table has one empty step."""
-        for lo in range(0, max(1, self.table.num_rows), batch_size):
-            yield lo, self.table.slice(lo, batch_size)
+        """``(lo, rows lo .. lo + batch_size of the table as TileBytes)``
+        for every pixel step; a zero-row table has one empty step."""
+        for lo in range(0, max(1, self.tiles.num_rows), batch_size):
+            yield lo, self.tiles.slice(lo, batch_size)
 
-    def pixels(self, lo: int, batch: pa.Table):
+    def pixels(self, lo: int, batch):
         """``(pair, start, end, buf)``: the spans of the pairs of rows
-        ``lo .. lo + batch.num_rows`` (``batch``), shifted onto ``buf``,
-        the band 0 of those rows' matched tiles (``band0_reader``)."""
+        ``lo .. lo + batch.num_rows`` (``batch``, a table or its
+        ``TileBytes``), shifted onto ``buf``, the band 0 of those rows'
+        matched tiles (``band0_reader``)."""
         p_lo, p_hi = np.searchsorted(self.row, (lo, lo + batch.num_rows))
         s_lo, s_hi = np.searchsorted(self.pair, (p_lo, p_hi))
         buf, base = band0_reader(batch, self.row[p_lo:p_hi] - lo)
@@ -142,25 +180,24 @@ class FusedTileWorker:
 
 
 def band0_reader(batch, rows):
-    """``(buf, base)``: band 0 of every distinct row of ``batch`` named
-    in ``rows``, written once each straight from its ``bytes`` column
-    into one flat buffer with one trailing zero element; ``buf[base[i]:
-    base[i] + h*w]`` is row ``rows[i]``'s (h, w) band.  The buffer's
-    dtype holds every row's, read from the PNG IHDR or RAW1 header (any
-    other format is decoded first); PNG decodes into it, raw is one
-    slice copy.  A row that does not decode to an (h, w) band raises
-    ``ValueError`` naming its ``image_id``."""
+    """``(buf, base)``: band 0 of every distinct row of ``batch`` (a
+    table of tiles or its ``TileBytes``) named in ``rows``, written once
+    each straight from its ``bytes`` column into one flat buffer with
+    one trailing zero element; ``buf[base[i]: base[i] + h*w]`` is row
+    ``rows[i]``'s (h, w) band.  The buffer's dtype holds every row's,
+    read from the PNG IHDR or RAW1 header (any other format is decoded
+    first); PNG decodes into it, raw is one slice copy.  A row that does
+    not decode to an (h, w) band raises ``ValueError`` naming its
+    ``image_id``."""
+    # looked up per call: perfbench and layer_probe time png.decode_image by patching it
     from gdal_boots_ray.kernels.png import _RAW_HEADER_LEN, decode_image, png_dtype, raw_header_full
-    from gdal_boots_ray.stages.decode import binary_column_views
 
-    seen = np.zeros(batch.num_rows, bool)
+    tiles = batch if isinstance(batch, TileBytes) else TileBytes.of(batch)
+    hs, ws, fmts, blobs = tiles.hs, tiles.ws, tiles.fmts, tiles.blobs
+    seen = np.zeros(tiles.num_rows, bool)
     seen[rows] = True
     uniq = np.flatnonzero(seen)
-    hs = batch.column("h").to_numpy().astype(np.int64)
-    ws = batch.column("w").to_numpy().astype(np.int64)
-    fmts = batch.column("fmt").to_pylist()
-    blobs = binary_column_views(batch.column("bytes"))
-    sizes = np.zeros(batch.num_rows, np.int64)
+    sizes = np.zeros(tiles.num_rows, np.int64)
     sizes[uniq] = hs[uniq] * ws[uniq]
     starts = np.cumsum(sizes) - sizes
     decoded = {}
@@ -187,7 +224,7 @@ def band0_reader(batch, rows):
         dest[...] = band
 
     def named(i, e):
-        return ValueError(f"image_id {batch.column('image_id')[int(i)].as_py()!r}: {e}")
+        return ValueError(f"image_id {tiles.image_ids[int(i)].as_py()!r}: {e}")
 
     dts = []
     for i in uniq:

@@ -53,7 +53,11 @@ def _key_buckets_arrow(batch: pa.Table, keys: Sequence[str], n_parts: int) -> np
     hot path).  Integer keys hash from their integer values even when
     the batch holds a null (a null would otherwise turn the column into
     float64 and move keys >= 2**53), and every row with a null key goes
-    to bucket 0, so a key's bucket never depends on its batch."""
+    to bucket 0, so a key's bucket never depends on its batch.  The
+    combined value goes through the splitmix64 finalizer before the
+    ``% n_parts``: a packed key such as ``grid_cell_id``'s
+    ``cx * 2**20 + cy`` would otherwise keep only its low bits, and a
+    whole grid row would share one partition."""
     h = np.zeros(batch.num_rows, dtype=np.uint64)
     nulls = None
     for k in keys:
@@ -69,10 +73,19 @@ def _key_buckets_arrow(batch: pa.Table, keys: Sequence[str], n_parts: int) -> np
         else:
             vals = col.to_numpy(zero_copy_only=False).astype(np.uint64, copy=False)
         h = h * np.uint64(1000003) + vals
+    h = _splitmix64(h)
     b = (h % np.uint64(n_parts)).astype(np.int64)
     if nulls is not None:
         b[nulls] = 0
     return b
+
+
+def _splitmix64(h: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer (Steele et al., OOPSLA 2014): a bijection
+    on uint64 in which every input bit moves every output bit."""
+    h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return h ^ (h >> np.uint64(31))
 
 
 def key_runs(keys: np.ndarray):
@@ -80,30 +93,6 @@ def key_runs(keys: np.ndarray):
     array."""
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]) if len(keys) else np.empty(0, np.int64)
     return starts, np.diff(np.r_[starts, len(keys)])
-
-
-def concat_ranges(counts: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(c)`` for every c in counts, vectorized:
-    [2,0,3] -> [0,1, 0,1,2]."""
-    counts = np.asarray(counts, np.int64)
-    total = int(counts.sum())
-    if not total:
-        return np.empty(0, np.int64)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
-
-
-PAIR_CHUNK = 2_000_000
-
-
-def pair_chunks(counts: np.ndarray):
-    """(lo, hi) slices of ``counts`` that each sum to about ``PAIR_CHUNK``
-    (a single count above it is a slice of its own), so a pair
-    expansion of ``counts[lo:hi]`` stays bounded in memory."""
-    cum = np.cumsum(counts)
-    total = int(cum[-1]) if len(cum) else 0
-    cuts = np.searchsorted(cum, np.arange(PAIR_CHUNK, total, PAIR_CHUNK), side="right")
-    return zip(np.r_[0, cuts], np.r_[cuts, len(counts)])
 
 
 _BUCKET = "_bucket"
@@ -118,10 +107,10 @@ def exchange(inputs, keys: Sequence[str], fn, batch_format: str = "pyarrow"):
     round, and at ``P == 1`` a plain ``repartition(1)`` gathers every
     row.
 
-    The hash is not uniform on every key: a single integer key hashes
-    to itself, so its partition is ``key mod P``, and keys that share a
-    residue share a partition.  A partition holds about 1/P of the
-    exchanged rows, and a hot key lands whole in one partition.
+    The key hash ends in a bit mixer, so keys that differ only in their
+    high bits (the grid cells of one row, say) still spread over the
+    partitions.  A partition holds about 1/P of the exchanged rows, and
+    a hot key lands whole in one partition.
 
     ``inputs`` is one Dataset or a list of Datasets with identical
     schemas (unioned after each gets its bucket column, so that map

@@ -6,27 +6,34 @@ Join strategies (SURVEY §2.6):
   (country/AOI sets) — ``ray.put`` the parsed rings once; each actor
   ``ray.get``s them in ``__init__``, and each batch of points / tile
   centers takes its STRtree candidates through one call of the batched
-  even-odd kernel ``stages.zonal.points_in_polygons``.  No shuffle.
+  even-odd kernel ``kernels.geometry.points_in_polygons``.  No shuffle.
 - **Shuffle PIP** (`cell_pip_join`): both sides large — polygons
-  explode to their covering grid cells, points carry their home cell,
-  and both co-shuffle once through ``stages.agg.exchange`` keyed on the
-  cell.  Each bucket runs one PIP call per polygon over that polygon's
-  points in the bucket; a pair meets only in the point's home cell, so
-  there is no dedup.  ``interval_join`` is the same plan in 1-D.
+  explode to their covering grid cells (one vectorized cover pass per
+  block, ``explode_polys``), points carry their home cell, and both
+  co-shuffle once through ``stages.agg.exchange`` keyed on the cell.
+  Each partition is one broadcast PIP join of its points against its
+  distinct polygons (``cell_pip_partition``), with no Python loop over
+  polygons; a pair is kept only in the point's home cell, so there is
+  no dedup.  ``interval_join`` is the same plan in 1-D.
 - **kNN** (`knn_brute_force` + per-cell variant in similarity.py).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence
+import functools
+import json
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from gdal_boots_ray.kernels.geometry import points_in_rings, polygon_rings
-from gdal_boots_ray.stages.agg import concat_ranges, exchange
+from gdal_boots_ray.kernels.cells import grid_cell_id, grid_cells_covering_boxes
+from gdal_boots_ray.kernels.geometry import PolygonEdges, points_in_polygons, polygon_rings
+from gdal_boots_ray.kernels.ranges import concat_ranges
+from gdal_boots_ray.kernels.strtree import STRtree
+from gdal_boots_ray.stages.agg import exchange
 
 
 def pack_polygons(polygons: Sequence[dict]) -> list:
@@ -65,22 +72,17 @@ class BroadcastPIPJoin:
     x/y arrays use directly).  Inputs need x/y columns."""
 
     def __init__(self, polygons_ref, x_col: str = "cx", y_col: str = "cy", keep_cols: Optional[List[str]] = None):
-        # not at module level: stages.zonal's imports would slow every shuffle worker
-        from gdal_boots_ray.kernels.strtree import STRtree
-        from gdal_boots_ray.stages.zonal import PolygonEdges, points_in_polygons
-
         self.x_col = x_col
         self.y_col = y_col
         self.keep_cols = keep_cols
         self.edges = PolygonEdges(ray.get(polygons_ref) if isinstance(polygons_ref, ray.ObjectRef) else polygons_ref)
         self.tree = STRtree(self.edges.bbox)
-        self.points_in_polygons = points_in_polygons
 
     def pairs(self, x: np.ndarray, y: np.ndarray) -> Matches:
         """The (point, polygon position) pairs with point ``(x[i], y[i])``
         inside the polygon, by point, then position."""
         pt, j = self.tree.query_points(x, y)
-        hit = self.points_in_polygons(self.edges, x[pt], y[pt], j)
+        hit = points_in_polygons(self.edges, x[pt], y[pt], j)
         pt, j = pt[hit], j[hit]
         order = np.lexsort((j, pt))
         return Matches(pt[order], j[order])
@@ -91,6 +93,95 @@ class BroadcastPIPJoin:
             batch = batch.select(self.keep_cols)
         taken = batch.take(pa.array(m.row, pa.int64()))
         return taken.append_column("poly_id", pa.array(self.edges.ids[m.pos], pa.int64()))
+
+
+# the one schema of both sides of cell_pip_join's exchange
+_PIP_SIDE = pa.schema(
+    {"cell": pa.int64(), "kind": pa.int8(), "id": pa.int64(), "x": pa.float64(), "y": pa.float64(), "geom": pa.string()}
+)
+
+
+def explode_polys(batch: pa.Table, cell_res: float) -> pa.Table:
+    """:func:`cell_pip_join`'s polygon side: one ``(cell, kind=1, id,
+    geom)`` row per grid cell covering each (poly_id, geom) row's
+    envelope, polygon by polygon, in ``grid_cells_covering_bounds``'
+    order.  Each geometry is parsed once; every envelope is one
+    ``reduceat`` over the block's concatenated vertices (all rings, so
+    a MultiPolygon part outside the first part's box counts) and every
+    covering cell comes from one ``grid_cells_covering_boxes`` call.  A
+    polygon without vertices covers no cell."""
+    rings = [polygon_rings(gj) for gj in batch.column("geom").to_pylist()]
+    n_v = np.array([sum(len(r) for r in rs) for rs in rings], np.int64)
+    has = np.flatnonzero(n_v)
+    env = np.zeros((0, 4))
+    if len(has):
+        v = np.concatenate([r for rs in rings for r in rs])
+        start = (np.cumsum(n_v) - n_v)[has]
+        env = np.hstack([np.minimum.reduceat(v, start), np.maximum.reduceat(v, start)])
+    box, cells = grid_cells_covering_boxes(env, cell_res)
+    rows = pa.array(has[box], pa.int64())
+    n = len(cells)
+    return pa.table(
+        {
+            "cell": pa.array(cells, pa.int64()),
+            "kind": pa.array(np.ones(n, np.int8)),
+            "id": batch.column("poly_id").cast(pa.int64()).take(rows),
+            "x": pa.array(np.full(n, np.nan)),
+            "y": pa.array(np.full(n, np.nan)),
+            "geom": batch.column("geom").cast(pa.string()).take(rows),
+        },
+        schema=_PIP_SIDE,
+    )
+
+
+def cell_pip_partition(g: pa.Table, key_col: str) -> pa.Table:
+    """:func:`cell_pip_join`'s partition body: ``(key_col, poly_id)``
+    for every point (``kind`` 0) inside a polygon that has a
+    (polygon, cell) row (``kind`` 1) in the point's home cell, once per
+    such row — so a duplicated polygon row pairs once per copy, and a
+    pair whose point lies outside every cell of the polygon (a point on
+    a max edge that sits on a cell boundary) is never made.
+
+    One broadcast PIP join of the partition's points against its
+    distinct (poly_id, geom) polygons does the geometry: each distinct
+    geometry is parsed once, and ``BroadcastPIPJoin.pairs`` takes the
+    STRtree candidates through one ``points_in_polygons`` call.  Only
+    polygons with a row in a cell that holds a point take part."""
+    kind = g.column("kind").to_numpy()
+    cell = g.column("cell").to_numpy()
+    pt = np.flatnonzero(kind == 0)
+    cells = np.unique(cell[pt])
+    poly = np.flatnonzero(kind == 1)
+    poly = poly[np.isin(cell[poly], cells)]
+    if not len(poly):
+        return pa.table({key_col: pa.array([], pa.int64()), "poly_id": pa.array([], pa.int64())})
+    ids = g.column("id").to_numpy()
+    pid = ids[poly]
+    # distinct (poly_id, geom): the polygon index ``code`` of each row
+    geom = pc.dictionary_encode(g.column("geom").take(pa.array(poly, pa.int64())).combine_chunks())
+    gi = geom.indices.to_numpy()
+    order = np.lexsort((gi, pid))
+    new = np.r_[True, (np.diff(pid[order]) != 0) | (np.diff(gi[order]) != 0)]
+    code = np.empty(len(poly), np.int64)
+    code[order] = np.cumsum(new) - 1
+    first = order[new]
+    rings = [polygon_rings(gj) for gj in geom.dictionary.to_pylist()]
+    join = BroadcastPIPJoin([(p, rings[j]) for p, j in zip(pid[first].tolist(), gi[first].tolist())])
+    x = g.column("x").to_numpy()
+    y = g.column("y").to_numpy()
+    m = join.pairs(x[pt], y[pt])
+    # keep a pair once per (polygon, cell) row in the point's home cell
+    key = code * len(cells) + np.searchsorted(cells, cell[poly])
+    keys, copies = np.unique(key, return_counts=True)
+    want = m.pos * len(cells) + np.searchsorted(cells, cell[pt][m.row])
+    at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    n = np.where(keys[at] == want, copies[at], 0)
+    return pa.table(
+        {
+            key_col: pa.array(np.repeat(ids[pt][m.row], n), pa.int64()),
+            "poly_id": pa.array(np.repeat(join.edges.ids[m.pos], n), pa.int64()),
+        }
+    )
 
 
 def cell_pip_join(
@@ -110,18 +201,20 @@ def cell_pip_join(
     string]) — a driver-side list of GeoJSON feature dicts is also
     accepted and converted for the small/legacy callers.
 
-    Physical plan: each polygon row explodes to the covering grid
-    cells of its envelope (a Dataset map, so the polygon side scales
+    Physical plan: each block of polygon rows explodes to the covering
+    grid cells of every envelope in one vectorized pass
+    (:func:`explode_polys`, a Dataset map, so the polygon side scales
     out too); each point carries its single home cell; both co-shuffle
     once through ``stages.agg.exchange`` keyed on ``cell``, whose body
-    runs once per partition (one per cluster CPU).  Each
-    partition sorts its points by cell, slices every (polygon, cell)
-    row's candidates out of that order, and parses each distinct
-    (poly_id, geom) once for one vectorized ray-casting call over all
-    of its candidates in the partition.  A matching (point, polygon) pair
-    meets in EXACTLY the point's home cell — the polygon's covering
-    cells include every cell it touches — so matches are globally
-    unique and no dedup shuffle is needed.
+    runs once per partition (one per cluster CPU).  Each partition is
+    one broadcast PIP join of its points against its distinct
+    (poly_id, geom) polygons (:func:`cell_pip_partition`: STRtree
+    candidates, then one ``points_in_polygons`` call), and keeps a
+    pair only where the polygon has a row in the point's home cell.
+    A polygon's covering cells include every cell it touches, so a
+    matching (point, polygon) pair is found in EXACTLY the partition
+    of the point's home cell: matches are globally unique and no dedup
+    shuffle is needed.
 
     Partitioning assumption: a polygon spans few grid cells at the
     chosen ``cell_res`` (envelope explosion is exact; res only
@@ -129,11 +222,7 @@ def cell_pip_join(
     partition; splitting hot buckets is ``exchange``'s job, not the
     caller's.
     """
-    import json
-
     import ray.data as rd
-
-    from gdal_boots_ray.kernels.cells import grid_cell_id, grid_cells_covering_bounds
 
     if not hasattr(polygons, "map_batches"):  # legacy list-of-dicts callers
         polygons = rd.from_arrow(
@@ -143,34 +232,6 @@ def cell_pip_join(
                     "geom": pa.array([json.dumps(p["geometry"]) for p in polygons], pa.string()),
                 }
             )
-        )
-
-    def explode_polys(batch: pa.Table) -> pa.Table:
-        pids = batch.column("poly_id").to_numpy()
-        geoms = batch.column("geom").to_pylist()
-        out_cell: List[int] = []
-        out_idx: List[int] = []
-        for i, gj in enumerate(geoms):
-            rings = polygon_rings(json.loads(gj))
-            if not rings:
-                continue
-            # the envelope of every ring: MultiPolygon parts may lie
-            # outside the first part's box
-            xy = np.concatenate(rings)
-            env = (xy[:, 0].min(), xy[:, 1].min(), xy[:, 0].max(), xy[:, 1].max())
-            cc = grid_cells_covering_bounds(env, cell_res)
-            out_cell.extend(cc.tolist())
-            out_idx.extend([i] * len(cc))
-        n = len(out_cell)
-        return pa.table(
-            {
-                "cell": pa.array(out_cell, pa.int64()),
-                "kind": pa.array(np.ones(n, np.int8)),
-                "id": pa.array(pids[out_idx] if n else [], pa.int64()),
-                "x": pa.array(np.full(n, np.nan), pa.float64()),
-                "y": pa.array(np.full(n, np.nan), pa.float64()),
-                "geom": pa.array([geoms[i] for i in out_idx], pa.string()),
-            }
         )
 
     def tag_points(batch: pa.Table) -> pa.Table:
@@ -184,55 +245,18 @@ def cell_pip_join(
                 "id": batch.column(key_col).cast(pa.int64()),
                 "x": pa.array(x, pa.float64()),
                 "y": pa.array(y, pa.float64()),
-                "geom": pa.array([None] * n, pa.string()),
-            }
-        )
-
-    def bucket_pip(g: pa.Table) -> pa.Table:
-        kind = g.column("kind").to_numpy()
-        cell = g.column("cell").to_numpy()
-        pt = np.flatnonzero(kind == 0)
-        pt = pt[np.argsort(cell[pt], kind="stable")]
-        poly = np.flatnonzero(kind == 1)
-        # each (polygon, cell) row's candidates: its cell's slice of
-        # the cell-sorted points
-        lo = np.searchsorted(cell[pt], cell[poly], side="left")
-        cnt = np.searchsorted(cell[pt], cell[poly], side="right") - lo
-        keep = cnt > 0
-        poly, lo, cnt = poly[keep], lo[keep], cnt[keep]
-        # one ring parse and one PIP call per distinct (poly_id, geom);
-        # every row stays, so a duplicated polygon row pairs twice
-        ids = g.column("id").to_numpy()
-        geoms = g.column("geom").take(pa.array(poly, pa.int64())).to_pylist()
-        codes: Dict[tuple, int] = {}
-        code = np.array([codes.setdefault(k, len(codes)) for k in zip(ids[poly].tolist(), geoms)], np.int64)
-        order = np.argsort(code, kind="stable")
-        code, lo, cnt = code[order], lo[order], cnt[order]
-        cand = pt[np.repeat(lo, cnt) + concat_ranges(cnt)]
-        bounds = np.searchsorted(np.repeat(code, cnt), np.arange(len(codes) + 1))
-        x = g.column("x").to_numpy()
-        y = g.column("y").to_numpy()
-        out_keys: List[np.ndarray] = [np.empty(0, np.int64)]
-        out_polys: List[np.ndarray] = [np.empty(0, np.int64)]
-        for j, (poly_id, gj) in enumerate(codes):
-            c = cand[bounds[j] : bounds[j + 1]]
-            hits = ids[c[points_in_rings(x[c], y[c], polygon_rings(json.loads(gj)))]]
-            out_keys.append(hits)
-            out_polys.append(np.full(len(hits), poly_id, np.int64))
-        return pa.table(
-            {
-                key_col: pa.array(np.concatenate(out_keys), pa.int64()),
-                "poly_id": pa.array(np.concatenate(out_polys), pa.int64()),
-            }
+                "geom": pa.nulls(n, pa.string()),
+            },
+            schema=_PIP_SIDE,
         )
 
     return exchange(
         [
             points_ds.map_batches(tag_points, batch_format="pyarrow"),
-            polygons.map_batches(explode_polys, batch_format="pyarrow"),
+            polygons.map_batches(functools.partial(explode_polys, cell_res=cell_res), batch_format="pyarrow"),
         ],
         ["cell"],
-        bucket_pip,
+        functools.partial(cell_pip_partition, key_col=key_col),
     )
 
 

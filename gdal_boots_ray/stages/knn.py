@@ -22,7 +22,8 @@ import pyarrow as pa
 import ray
 
 from gdal_boots_ray.kernels.cells import grid_cell_disc, grid_cell_id, grid_cell_neighbors
-from gdal_boots_ray.stages.agg import PAIR_CHUNK, exchange, key_runs
+from gdal_boots_ray.kernels.ranges import PAIR_CHUNK
+from gdal_boots_ray.stages.agg import exchange, key_runs
 
 
 class _CellIndex:

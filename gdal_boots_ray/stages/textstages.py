@@ -328,7 +328,8 @@ def run_pairs(g: pa.Table, key: str, id_col: str, out: Sequence[str], hot_cap=No
     gets the bucket's sorted rows ``t`` and the row positions of each
     candidate pair and returns the pairs to keep; star links bypass
     it."""
-    from gdal_boots_ray.stages.agg import concat_ranges, key_runs, pair_chunks
+    from gdal_boots_ray.kernels.ranges import concat_ranges, pair_chunks
+    from gdal_boots_ray.stages.agg import key_runs
 
     kv = g.column(key).to_numpy()
     did = g.column(id_col).to_numpy().astype(np.int64)

@@ -16,9 +16,10 @@ and the polygon only, never a pixel:
   rasterizes, so the selection is the same pixel for pixel.
 
 The polygons' rings are one CSR (compressed sparse row) table,
-:class:`PolygonEdges`, built once per worker by the PIP join; each pass
-expands (pair x polygon edge) from it, and the join and the cover test
-share one even-odd kernel over it, :func:`points_in_polygons`.  Two
+``kernels.geometry.PolygonEdges``, built once per worker by the PIP
+join; each pass expands (pair x polygon edge) from it, and the join and
+the cover test share one even-odd kernel over it,
+``kernels.geometry.points_in_polygons``.  Two
 reducers fold the spans, shifted into one flat buffer of decoded band-0
 pixels, into one small partial per pair: :func:`zonal_partials` (n_px,
 sum, min, max, with ``reduceat``) for the flagship and ``zonal_stats``,
@@ -37,87 +38,10 @@ import pyarrow as pa
 import ray
 
 from gdal_boots_ray.kernels.affine import invert_gt
+from gdal_boots_ray.kernels.geometry import PolygonEdges, points_in_polygons
+from gdal_boots_ray.kernels.ranges import concat_ranges, csr_expand, pair_chunks
 from gdal_boots_ray.kernels.warp import WarpSource, crop_by_geometry
-from gdal_boots_ray.stages.agg import concat_ranges, pair_chunks
 from gdal_boots_ray.stages.decode import binary_column_views, pixels_view
-
-
-class PolygonEdges:
-    """The rings of ``polygons``, (poly_id, rings) pairs, as one CSR
-    (compressed sparse row) table, built once per worker.  Polygon ``j``
-    (``ids[j]``, in list order) has the vertex box ``bbox[j]`` (+inf
-    minima, -inf maxima if empty) and owns the vertices
-    ``vx/vy[v_off[j]:v_off[j+1]]`` of all of its rings and the edges
-    ``e_off[j]:e_off[j+1]`` between consecutive vertices of a ring:
-    endpoints ``x0/y0/x1/y1``, ``dx = x1 - x0``, ``dy = y1 - y0``, their
-    bbox ``ex_lo/ex_hi/ey_lo/ey_hi`` and ``a``, the polygon-local index
-    of the start vertex.  The edges of rings of at least 4 points, the
-    only ones the even-odd tests count, are ``fill[f_off[j]:f_off[j+1]]``."""
-
-    def __init__(self, polygons):
-        items = list(polygons)
-        self.ids = np.array([int(p) for p, _ in items], np.int64)
-        rings = [np.asarray(r, np.float64).reshape(-1, 2) for _, rs in items for r in rs]
-        ring_poly = np.repeat(np.arange(len(items)), [len(rs) for _, rs in items])
-        n_v = np.array([len(r) for r in rings], np.int64)
-        n_e = np.maximum(n_v - 1, 0)
-
-        def offsets(counts):
-            return np.concatenate(([0], np.cumsum(np.bincount(ring_poly, counts, len(items))))).astype(np.int64)
-
-        self.v_off, self.e_off, self.f_off = offsets(n_v), offsets(n_e), offsets(n_e * (n_v >= 4))
-        v = np.concatenate(rings) if rings else np.zeros((0, 2))
-        self.vx, self.vy = v[:, 0].copy(), v[:, 1].copy()
-        # edge e runs from vertex start[e] to vertex start[e] + 1
-        start = np.repeat(np.cumsum(n_v) - n_v, n_e) + concat_ranges(n_e)
-        self.x0, self.y0, self.x1, self.y1 = self.vx[start], self.vy[start], self.vx[start + 1], self.vy[start + 1]
-        self.dx, self.dy = self.x1 - self.x0, self.y1 - self.y0
-        self.ex_lo, self.ex_hi = np.minimum(self.x0, self.x1), np.maximum(self.x0, self.x1)
-        self.ey_lo, self.ey_hi = np.minimum(self.y0, self.y1), np.maximum(self.y0, self.y1)
-        self.a = start - np.repeat(self.v_off[:-1], np.diff(self.e_off))
-        self.fill = np.flatnonzero(np.repeat(n_v >= 4, n_e))
-        has = np.flatnonzero(np.diff(self.v_off))
-        self.bbox = np.tile([np.inf, np.inf, -np.inf, -np.inf], (len(items), 1))
-        self.bbox[has] = np.hstack([np.minimum.reduceat(v, self.v_off[has]), np.maximum.reduceat(v, self.v_off[has])])
-        # the zonal lookup: the last entry of each poly_id, if it has vertices
-        last = len(self.ids) - 1 - np.unique(self.ids[::-1], return_index=True)[1]
-        self._pos = last[np.diff(self.v_off)[last] > 0]
-        self._key = self.ids[self._pos]
-
-    def index(self, pids) -> np.ndarray:
-        """The polygon each poly_id selects: the position of its last
-        entry, or -1 for an unknown id or a last entry without
-        vertices."""
-        pids = np.asarray(pids, np.int64)
-        if not len(self._key):
-            return np.full(len(pids), -1, np.int64)
-        j = np.minimum(np.searchsorted(self._key, pids), len(self._key) - 1)
-        return np.where(self._key[j] == pids, self._pos[j], -1)
-
-
-def _expand(off: np.ndarray, q: np.ndarray):
-    """(pair, item) for every item ``off[q[i]]:off[q[i]+1]`` of every
-    pair ``i``, pairs ascending."""
-    counts = off[q + 1] - off[q]
-    return np.repeat(np.arange(len(q)), counts), np.repeat(off[q], counts) + concat_ranges(counts)
-
-
-def points_in_polygons(polys: PolygonEdges, px, py, q) -> np.ndarray:
-    """bool[n]: is point ``(px[i], py[i])`` inside polygon ``q[i]`` (a
-    position in ``polys``)?  THE batched point-in-polygon test: every
-    (point, edge of a ring of at least 4 points of its polygon) in
-    ``pair_chunks`` slices, with ``points_in_rings``' float operations
-    (the half-open crossing rule), and parity by ``bincount``."""
-    inside = np.zeros(len(q), bool)
-    for lo, hi in pair_chunks(polys.f_off[q + 1] - polys.f_off[q]):
-        p, f = _expand(polys.f_off, q[lo:hi])
-        f = polys.fill[f]
-        x, y, y0 = px[lo:hi][p], py[lo:hi][p], polys.y0[f]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            xint = polys.x0[f] + (y - y0) / polys.dy[f] * polys.dx[f]
-        crosses = ((y0 > y) != (polys.y1[f] > y)) & (x < xint)
-        inside[lo:hi] = np.bincount(p[crosses], minlength=hi - lo) % 2 == 1
-    return inside
 
 
 def zone_spans(polys: PolygonEdges, pids, hs, ws, gts):
@@ -163,7 +87,7 @@ def _cover_pairs(polys: PolygonEdges, q, hs, ws, gts) -> np.ndarray:
     ch = np.asarray(hs, np.float64)[:, None] * np.array([0.0, 0.0, 1.0, 1.0])
     xs = gts[:, 0:1] * cw + gts[:, 1:2] * ch + gts[:, 2:3]
     ys = gts[:, 3:4] * cw + gts[:, 4:5] * ch + gts[:, 5:6]
-    p, e = _expand(polys.e_off, q)
+    p, e = csr_expand(polys.e_off, q)
     cand = np.flatnonzero(
         (polys.ex_lo[e] <= xs.max(axis=1)[p])
         & (polys.ex_hi[e] >= xs.min(axis=1)[p])
@@ -196,7 +120,7 @@ def _boundary_spans(polys: PolygonEdges, q, hs, ws, gts):
     if not len(q):
         return nothing
     inv = invert_gt(gts)
-    pv, v = _expand(polys.v_off, q)
+    pv, v = csr_expand(polys.v_off, q)
     px = inv[pv, 0] * polys.vx[v] + inv[pv, 1] * polys.vy[v] + inv[pv, 2]
     py = inv[pv, 3] * polys.vx[v] + inv[pv, 4] * polys.vy[v] + inv[pv, 5]
     # the window: the vertices' bbox, clipped to the tile
@@ -210,7 +134,7 @@ def _boundary_spans(polys: PolygonEdges, q, hs, ws, gts):
     # the crossing edges, between vertices in the window's frame
     px -= col_lo[pv]
     py -= row_lo[pv]
-    p, f = _expand(polys.f_off, q)
+    p, f = csr_expand(polys.f_off, q)
     f = polys.fill[f]
     in_window = (width[p] > 0) & (height[p] > 0)
     p, f = p[in_window], f[in_window]

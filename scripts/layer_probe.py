@@ -1,7 +1,8 @@
-"""Per-layer time of the fused flagship worker, in process, without Ray.
+"""Per-layer time of the fused flagship worker or the shuffle PIP join, in process, without Ray.
 
 Usage:
     python scripts/layer_probe.py [--workload flagship_large_tiles] [--seed 901] [--passes 5] [--batch-size 32]
+    python scripts/layer_probe.py --workload shuffle_pip_skewed [--seed 901] [--passes 5]
 
 It takes a perfbench workload's seeded inputs through
 ``perfbench.workloads.prepare`` (generated on first use into the cache a
@@ -33,6 +34,16 @@ row.  A checkout whose worker takes no ``batch_size`` (it planned every
 batch anew) is run over ``--batch-size`` slices instead, and prints the
 layers it does not have as n/a; equal digests show that two checkouts
 computed the same answer.
+
+``--workload shuffle_pip_skewed`` times ``cell_pip_join``'s two
+program-side steps on the workload's seeded points and polygons, as one
+partition takes them on one CPU: the polygon explode over the whole
+polygon table and the partition body over every tagged point and
+exploded polygon row.  It takes the three callables the join hands to
+``map_batches`` and ``exchange`` from one call of ``cell_pip_join`` on
+stand-ins, so any checkout's join runs unchanged.  It prints each
+step's median and quartiles in ms over the passes, the exploded rows,
+the pairs and one sha256 digest of the sorted (pid, poly_id) pair list.
 """
 
 from __future__ import annotations
@@ -218,6 +229,80 @@ def probe(workload: str, seed: int, passes: int, batch_size: int) -> dict:
     }
 
 
+class _Stand:
+    """Stands in for a Dataset: ``map_batches`` hands back its function."""
+
+    def map_batches(self, fn, **_kwargs):
+        return fn
+
+
+def shuffle_steps(cell_res: float):
+    """(tag_points, explode, body): the batch functions ``cell_pip_join``
+    maps over each side and the body it gives ``exchange``."""
+    from gdal_boots_ray.stages import joins
+
+    exchange = joins.exchange
+    joins.exchange = lambda inputs, keys, fn, **_kwargs: (*inputs, fn)
+    try:
+        return joins.cell_pip_join(_Stand(), _Stand(), cell_res, x_col="x", y_col="y", key_col="pid")
+    finally:
+        joins.exchange = exchange
+
+
+def quartiles(values: list) -> tuple:
+    q = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return q[0], statistics.median(values), q[2]
+
+
+def probe_shuffle(workload: str, seed: int, passes: int) -> dict:
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from perfbench.workloads import SHUFFLE_CELL_RES, WORKLOADS, prepare
+
+    inputs = prepare(WORKLOADS[workload], seed, os.path.join(ROOT, ".perfbench", "inputs"))
+    points = pq.read_table(inputs.points)
+    polygons = pq.read_table(inputs.polygons_file)
+    tag, explode, body = shuffle_steps(SHUFFLE_CELL_RES)
+    times = defaultdict(list)
+    for _ in range(passes):
+        t0 = time.perf_counter_ns()
+        exploded = explode(polygons)
+        t1 = time.perf_counter_ns()
+        part = pa.concat_tables([tag(points), exploded])
+        t2 = time.perf_counter_ns()
+        out = body(part)
+        t3 = time.perf_counter_ns()
+        times["explode"].append((t1 - t0) / 1e6)
+        times["body"].append((t3 - t2) / 1e6)
+    pairs = sorted(zip(out.column("pid").to_pylist(), out.column("poly_id").to_pylist()))
+    return {
+        "points": points.num_rows,
+        "polygons": polygons.num_rows,
+        "exploded": exploded.num_rows,
+        "ms": {name: quartiles(v) for name, v in times.items()},
+        "pairs": len(pairs),
+        "digest": hashlib.sha256(repr(pairs).encode()).hexdigest(),
+    }
+
+
+def main_shuffle(args) -> int:
+    out = probe_shuffle(args.workload, args.seed, args.passes)
+    print(
+        f"{args.workload}, seed {args.seed}: {out['points']} points, {out['polygons']} polygons exploded to "
+        f"{out['exploded']} (polygon, cell) rows, one partition, {args.passes} passes, "
+        f"{len(os.sched_getaffinity(0))} CPUs in affinity"
+    )
+    print("| step | ms p25 | ms median | ms p75 |")
+    print("|---|---|---|---|")
+    for name in ("explode", "body"):
+        lo, med, hi = out["ms"][name]
+        print(f"| {name} | {lo:.1f} | {med:.1f} | {hi:.1f} |")
+    print(f"pairs {out['pairs']}")
+    print(f"sorted pair list sha256 {out['digest']}")
+    return 0
+
+
 def main(argv=None) -> int:
     from perfbench.workloads import BATCH_SIZE
 
@@ -229,6 +314,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.batch_size < 1:
         parser.error("--batch-size must be at least 1")
+    if args.passes < 1:
+        parser.error("--passes must be at least 1")
+    from perfbench.workloads import WORKLOADS
+
+    if args.workload in WORKLOADS and WORKLOADS[args.workload].kind == "shuffle":
+        return main_shuffle(args)
     out = probe(args.workload, args.seed, args.passes, args.batch_size)
     cpus = len(os.sched_getaffinity(0))
     print(

@@ -440,3 +440,185 @@ def test_run_pairs_matches_run_loop(hot_cap, filtered):
     _same(got, want, ["doc_a", "doc_b"])
     empty = textstages.run_pairs(g.slice(0, 0), "band_key", "doc_id", ("doc_a", "doc_b"), hot_cap, pair_filter)
     assert empty.num_rows == 0 and empty.column_names == ["doc_a", "doc_b"]
+
+
+# --- cell PIP join ---------------------------------------------------
+
+
+def _old_explode(batch: pa.Table, cell_res: float) -> pa.Table:
+    """The former polygon side: one parse and one
+    ``grid_cells_covering_bounds`` call per polygon."""
+    import json
+
+    from gdal_boots_ray.kernels.cells import grid_cells_covering_bounds
+    from gdal_boots_ray.kernels.geometry import polygon_rings
+
+    pids = batch.column("poly_id").to_numpy()
+    geoms = batch.column("geom").to_pylist()
+    out_cell, out_idx = [], []
+    for i, gj in enumerate(geoms):
+        rings = polygon_rings(json.loads(gj))
+        if not rings:
+            continue
+        xy = np.concatenate(rings)
+        env = (xy[:, 0].min(), xy[:, 1].min(), xy[:, 0].max(), xy[:, 1].max())
+        cc = grid_cells_covering_bounds(env, cell_res)
+        out_cell.extend(cc.tolist())
+        out_idx.extend([i] * len(cc))
+    n = len(out_cell)
+    return pa.table(
+        {
+            "cell": pa.array(out_cell, pa.int64()),
+            "kind": pa.array(np.ones(n, np.int8)),
+            "id": pa.array(pids[out_idx] if n else [], pa.int64()),
+            "x": pa.array(np.full(n, np.nan), pa.float64()),
+            "y": pa.array(np.full(n, np.nan), pa.float64()),
+            "geom": pa.array([geoms[i] for i in out_idx], pa.string()),
+        }
+    )
+
+
+def _old_bucket_pip(g: pa.Table, key_col: str) -> pa.Table:
+    """The former partition body: one ring parse and one
+    ``points_in_rings`` call per distinct (poly_id, geom), over the
+    points of that polygon's cells."""
+    import json
+
+    from gdal_boots_ray.kernels.geometry import points_in_rings, polygon_rings
+    from gdal_boots_ray.kernels.ranges import concat_ranges
+
+    kind = g.column("kind").to_numpy()
+    cell = g.column("cell").to_numpy()
+    pt = np.flatnonzero(kind == 0)
+    pt = pt[np.argsort(cell[pt], kind="stable")]
+    poly = np.flatnonzero(kind == 1)
+    lo = np.searchsorted(cell[pt], cell[poly], side="left")
+    cnt = np.searchsorted(cell[pt], cell[poly], side="right") - lo
+    keep = cnt > 0
+    poly, lo, cnt = poly[keep], lo[keep], cnt[keep]
+    ids = g.column("id").to_numpy()
+    geoms = g.column("geom").take(pa.array(poly, pa.int64())).to_pylist()
+    codes = {}
+    code = np.array([codes.setdefault(k, len(codes)) for k in zip(ids[poly].tolist(), geoms)], np.int64)
+    order = np.argsort(code, kind="stable")
+    code, lo, cnt = code[order], lo[order], cnt[order]
+    cand = pt[np.repeat(lo, cnt) + concat_ranges(cnt)]
+    bounds = np.searchsorted(np.repeat(code, cnt), np.arange(len(codes) + 1))
+    x = g.column("x").to_numpy()
+    y = g.column("y").to_numpy()
+    out_keys, out_polys = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for j, (poly_id, gj) in enumerate(codes):
+        c = cand[bounds[j] : bounds[j + 1]]
+        hits = ids[c[points_in_rings(x[c], y[c], polygon_rings(json.loads(gj)))]]
+        out_keys.append(hits)
+        out_polys.append(np.full(len(hits), poly_id, np.int64))
+    return pa.table(
+        {
+            key_col: pa.array(np.concatenate(out_keys), pa.int64()),
+            "poly_id": pa.array(np.concatenate(out_polys), pa.int64()),
+        }
+    )
+
+
+def _sq(x0, y0, x1, y1):
+    return [[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]]
+
+
+def _pip_sides(seed: int, res: float = 1000.0):
+    """(points, polygons) tables: points with a hot cell and a quarter
+    of their coordinates on cell boundaries; polygons with a duplicated
+    row, two polygons sharing one id, polygons over cells without
+    points, edges on cell boundaries, a hole, a MultiPolygon with a far
+    part, an unclosed ring and an empty geometry."""
+    import json
+
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([rng.uniform(-3000.0, 5000.0, 400), rng.uniform(1000.0, 2000.0, 200)])  # hot cell
+    y = np.concatenate([rng.uniform(-3000.0, 5000.0, 400), rng.uniform(1000.0, 2000.0, 200)])
+    for v in (x, y):
+        snap = rng.random(len(v)) < 0.25
+        v[snap] = np.round(v[snap] / res) * res
+    points = pa.table({"pid": pa.array(np.arange(len(x), dtype=np.int64)), "x": pa.array(x), "y": pa.array(y)})
+    geoms = []
+    for _ in range(30):
+        cx, cy = rng.uniform(-2500.0, 4500.0, 2)
+        r = rng.uniform(100.0, 1500.0)
+        geoms.append({"type": "Polygon", "coordinates": [[[cx - r, cy], [cx, cy - r], [cx + r, cy], [cx, cy + r], [cx - r, cy]]]})
+    dup = {"type": "Polygon", "coordinates": [_sq(1100.0, 1100.0, 1900.0, 1900.0)]}
+    extra = [
+        (100, dup),
+        (100, dup),
+        (101, {"type": "Polygon", "coordinates": [_sq(1000.0, 1000.0, 1500.0, 1500.0)]}),
+        (101, {"type": "Polygon", "coordinates": [_sq(1500.0, 1500.0, 2000.0, 2000.0)]}),
+        (102, {"type": "Polygon", "coordinates": [_sq(0.0, 0.0, 2000.0, 1000.0)]}),
+        (103, {"type": "Polygon", "coordinates": [_sq(-2500.0, -2500.0, 500.0, 500.0), _sq(-1500.0, -1500.0, 0.0, 0.0)]}),
+        (104, {"type": "MultiPolygon", "coordinates": [[_sq(0.0, 3000.0, 10.0, 3010.0)], [_sq(4000.0, -2000.0, 4900.0, -1100.0)]]}),
+        (105, {"type": "Polygon", "coordinates": [[[2100.0, 2100.0], [2900.0, 2100.0], [2900.0, 2900.0]]]}),  # unclosed
+        (106, {"type": "Polygon", "coordinates": []}),
+        (107, {"type": "Polygon", "coordinates": [_sq(20000.0, 20000.0, 23000.0, 23000.0)]}),  # no points
+    ]
+    pairs = list(enumerate(geoms)) + extra
+    polygons = pa.table(
+        {
+            "poly_id": pa.array([p for p, _ in pairs], pa.int64()),
+            "geom": pa.array([json.dumps(gj) for _, gj in pairs], pa.string()),
+        }
+    )
+    return points, polygons
+
+
+def _pip_steps(res: float):
+    """(tag_points, explode, body) as ``cell_pip_join`` hands them to
+    ``map_batches`` and ``exchange``."""
+
+    class Stand:
+        def map_batches(self, fn, **_kwargs):
+            return fn
+
+    exchange = joins.exchange
+    joins.exchange = lambda inputs, keys, fn, **_kwargs: (*inputs, fn)
+    try:
+        return joins.cell_pip_join(Stand(), Stand(), res)
+    finally:
+        joins.exchange = exchange
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_explode_polys_matches_per_polygon_explode(seed):
+    _, polygons = _pip_sides(seed)
+    for res in (1000.0, 700.0):
+        got, want = joins.explode_polys(polygons, res), _old_explode(polygons, res)
+        assert got.schema == want.schema
+        for c in ("cell", "kind", "id", "geom"):
+            assert got.column(c).equals(want.column(c)), c
+        assert np.isnan(got.column("x").to_numpy()).all() and np.isnan(got.column("y").to_numpy()).all()
+    assert joins.explode_polys(polygons.slice(0, 0), 1000.0).num_rows == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n_parts", [1, 4])
+def test_cell_pip_partition_matches_per_polygon_body(seed, n_parts):
+    points, polygons = _pip_sides(seed)
+    tag, explode, body = _pip_steps(1000.0)
+    rows = pa.concat_tables([tag(points), explode(polygons)])
+    # the rows in shuffled order, split as the exchange splits them
+    rows = rows.take(pa.array(np.random.default_rng(seed).permutation(rows.num_rows)))
+    part = agg._key_buckets_arrow(rows, ["cell"], n_parts)
+    total = 0
+    for p in range(n_parts):
+        g = rows.filter(pa.array(part == p))
+        got = body(g).to_pandas()
+        assert got.columns.tolist() == ["pid", "poly_id"]
+        want = _old_bucket_pip(g, "pid").to_pandas()
+        _same(got, want, ["pid", "poly_id"])
+        total += len(got)
+    assert total > 100
+    got = joins.cell_pip_partition(rows, "pid").to_pandas()
+    # a duplicated row pairs once per copy; shared ids keep their own rings
+    dup = got[got["poly_id"] == 100]
+    assert len(dup) and (dup["pid"].value_counts() == 2).all()
+    assert (got["poly_id"] == 101).sum() > 0 and (got["poly_id"] == 107).sum() == 0
+    empty = body(rows.slice(0, 0))
+    assert empty.num_rows == 0 and empty.column_names == ["pid", "poly_id"]
+    polys_only = body(rows.filter(pc.equal(rows.column("kind"), 1)))
+    assert polys_only.num_rows == 0 and polys_only.column_names == ["pid", "poly_id"]

@@ -5,7 +5,8 @@ or two inputs, one or four partitions, and an empty input.  ``fn``
 runs once per partition, at most P times, where P is the cluster's
 CPUs (the test session has 4, which takes the bucket boundaries; a
 driver that sees one CPU takes the one-partition gather), and never
-on an empty partition.  The key ``b`` holds integers past 2**53 and a
+on an empty partition, and one grid row of cells spreads over the
+partitions.  The key ``b`` holds integers past 2**53 and a
 null in every other block: a key's bucket must not depend on whether
 its block holds a null."""
 
@@ -104,15 +105,19 @@ def test_empty_input(ray_session):
 
 
 def test_empty_partitions_are_not_called(ray_session):
-    """A single integer key hashes to itself, so over the session's
-    4 partitions keys 0, 3, 4 and 7 land in partitions 0 and 3, and
-    the middle two hold no rows.  ``fn`` answers a call on zero rows
-    with one null-``v`` row, which must never appear."""
+    """Four integer keys picked from the key hash itself, two in
+    partition 0 and two in partition 3 of the session's 4, leave the
+    middle two partitions without rows.  ``fn`` answers a call on zero
+    rows with one null-``v`` row, which must never appear."""
     import ray.data as rd
 
-    from gdal_boots_ray.stages.agg import _cluster_cpus, exchange
+    from gdal_boots_ray.stages.agg import _cluster_cpus, _key_buckets_arrow, exchange
 
     assert _cluster_cpus() == 4
+    cand = np.arange(64, dtype=np.int64)
+    part = _key_buckets_arrow(pa.table({"k": cand}), ["k"], 4)
+    keys = np.concatenate([cand[part == 0][:2], cand[part == 3][:2]])
+    assert len(keys) == 4
 
     def fn(g: pa.Table) -> pa.Table:
         if not g.num_rows:
@@ -121,9 +126,25 @@ def test_empty_partitions_are_not_called(ray_session):
 
     v = np.arange(400, dtype=np.int64)
     blocks = [
-        pa.table({"k": pa.array(np.array([0, 3, 4, 7])[v[i : i + 50] % 4]), "v": pa.array(v[i : i + 50])})
+        pa.table({"k": pa.array(keys[v[i : i + 50] % 4]), "v": pa.array(v[i : i + 50])})
         for i in range(0, 400, 50)
     ]
     out = exchange(rd.from_arrow(blocks), ["k"], fn).to_pandas()
     assert out["v"].notna().all()
     assert sorted(out["v"]) == list(range(400))
+
+
+def test_one_grid_row_spreads_over_the_partitions():
+    """The cells along one grid row differ only in ``grid_cell_id``'s
+    high bits (``cx * 2**20 + cy``); the key hash must still spread
+    them, as it spreads the cells down one column."""
+    from gdal_boots_ray.kernels.cells import grid_cell_id
+    from gdal_boots_ray.stages.agg import _key_buckets_arrow
+
+    steps = np.arange(1000) * 1000.0 + 1.0
+    row = grid_cell_id(steps, np.full(1000, 2500.0), 1000.0)
+    col = grid_cell_id(np.full(1000, 2500.0), steps, 1000.0)
+    for cells in (row, col):
+        assert len(np.unique(cells)) == 1000
+        n = np.bincount(_key_buckets_arrow(pa.table({"cell": cells}), ["cell"], 4), minlength=4)
+        assert n.max() / n.mean() <= 1.5, n

@@ -131,6 +131,43 @@ def test_covering_cells_contain_centers(x0, y0, wext, hext, res):
         assert int(grid_cell_id(np.array([px]), np.array([py]), res)[0]) in cells
 
 
+@st.composite
+def _boxes_and_res(draw):
+    """(res, boxes): up to 12 boxes with corners on cell boundaries or
+    anywhere, negative coordinates, and zero, whole-cell or any width
+    and height."""
+    res = draw(st.sampled_from([0.25, 1.0, 1000.0]))
+    coord = st.one_of(st.integers(-40, 40).map(lambda k: k * res), st.floats(-40 * res, 40 * res))
+    size = st.one_of(st.just(0.0), st.integers(1, 5).map(lambda k: k * res), st.floats(0.0, 5 * res))
+    boxes = []
+    for _ in range(draw(st.integers(0, 12))):
+        x0, y0 = draw(coord), draw(coord)
+        boxes.append((x0, y0, x0 + draw(size), y0 + draw(size)))
+    return res, np.array(boxes, np.float64).reshape(-1, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_boxes_and_res())
+def test_batched_cover_matches_per_box(res_boxes):
+    """``grid_cells_covering_boxes`` gives every box exactly the cells,
+    in the order, of one ``grid_cells_covering_bounds`` call."""
+    from gdal_boots_ray.kernels.cells import grid_cells_covering_bounds, grid_cells_covering_boxes
+
+    res, boxes = res_boxes
+    box, cells = grid_cells_covering_boxes(boxes, res)
+    assert np.all(np.diff(box) >= 0)
+    for i, b in enumerate(boxes):
+        assert cells[box == i].tolist() == grid_cells_covering_bounds(b, res).tolist()
+
+
+def test_batched_cover_refuses_non_finite_boxes():
+    from gdal_boots_ray.kernels.cells import grid_cells_covering_boxes
+
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            grid_cells_covering_boxes(np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, bad, 1.0]]), 1.0)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_sample_points_matches_nearest_warp(seed):

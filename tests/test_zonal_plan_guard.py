@@ -7,7 +7,11 @@ actor and selector the spans replaced (``zone_pixels``, ``ZonalStats``,
 ``select_zone_pixels``) stay gone.  The broadcast PIP join and the
 batch cover test run the one batched kernel, ``points_in_polygons``,
 with no Python loop, so the per-polygon ``points_in_rings`` pass they
-replaced cannot come back."""
+replaced cannot come back.  The shuffle PIP join's two steps stay
+batched too: ``explode_polys`` makes one ``grid_cells_covering_boxes``
+call per block, and ``cell_pip_partition`` one broadcast ``pairs`` call
+per partition, with no ``for`` or ``while`` loop (a comprehension that
+parses each polygon once is allowed)."""
 
 import ast
 import pathlib
@@ -92,3 +96,17 @@ def test_pip_kernel_callers_make_one_batched_call():
         assert calls.count("points_in_polygons") == 1, f"{rel}::{name} should call points_in_polygons once"
         assert "points_in_rings" not in calls, f"{rel}::{name} calls points_in_rings; use points_in_polygons"
         assert not loops, f"{rel}::{name} loops in Python at {loops}; batch the pairs through points_in_polygons"
+
+
+def test_shuffle_pip_steps_make_one_batched_call():
+    tree = ast.parse((REPO / "gdal_boots_ray/stages/joins.py").read_text())
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for name, batched, gone in [
+        ("explode_polys", "grid_cells_covering_boxes", "grid_cells_covering_bounds"),
+        ("cell_pip_partition", "pairs", "points_in_rings"),
+    ]:
+        calls = [call_name(n) for n in ast.walk(defs[name]) if isinstance(n, ast.Call)]
+        loops = [n.lineno for n in ast.walk(defs[name]) if isinstance(n, (ast.For, ast.AsyncFor, ast.While))]
+        assert calls.count(batched) == 1, f"joins.py::{name} should call {batched} once"
+        assert gone not in calls, f"joins.py::{name} calls {gone}; use {batched}"
+        assert not loops, f"joins.py::{name} loops in Python at lines {loops}"
