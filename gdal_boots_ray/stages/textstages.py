@@ -3,8 +3,9 @@
 (exact dedup, MinHash-LSH, SimHash, prefix-filter Jaccard, the shared
 LSH pair generator and pair payload attach).
 
-All stages are actor classes (regex/state compiled once per actor)
-returning Arrow tables.
+The stages are callable classes returning Arrow tables.  Most run as
+actor pools (regex/state compiled once per actor); the MinHash band
+stage runs as a task map (see :func:`minhash_candidate_pairs`).
 """
 
 from __future__ import annotations
@@ -285,13 +286,15 @@ def minhash_candidate_pairs(
     fan-out) to star-linking against the minimum doc id — the
     connected component survives for clustering while the emitted
     pair count is capped at B-1 per hot bucket.
+
+    The band stage is a plain task map, not an actor pool: its only
+    state is two ``num_perm`` arrays, shipped with each task.  A
+    released Ray Data actor keeps its CPU until Python's cycle
+    collector frees its handle, so a session that ran a few pools
+    could leave none for a later pool's actors while the map task
+    feeding them waits on backpressure, and the job would stall.
     """
-    band_rows = docs_ds.map_batches(
-        MinHashStage,
-        batch_format="pyarrow",
-        fn_constructor_kwargs={"num_perm": num_perm, "bands": bands},
-        concurrency=(1, 8),
-    )
+    band_rows = docs_ds.map_batches(MinHashStage(num_perm=num_perm, bands=bands), batch_format="pyarrow")
     return band_pairs(band_rows, hot_cap=hot_cap)
 
 
